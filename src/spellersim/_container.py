@@ -37,19 +37,35 @@ def save_container(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
             fh.write(blob)
 
 
+def _read_exact(fh, size: int, what: str) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise ValueError(f"truncated container: {what} needs {size} bytes, got {len(raw)}")
+    return raw
+
+
 def load_container(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Inverse of save_container; any malformed file raises ValueError."""
     with open(path, "rb") as fh:
-        magic, version, _, header_len = _PREFIX.unpack(fh.read(_PREFIX.size))
+        magic, version, _, header_len = _PREFIX.unpack(_read_exact(fh, _PREFIX.size, "prefix"))
         if magic != _MAGIC:
             raise ValueError("not a model container (bad magic)")
         if version != _VERSION:
             raise ValueError(f"unsupported container version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
+        if not isinstance(header, dict) or "meta" not in header or "arrays" not in header:
+            raise ValueError("container header needs 'meta' and 'arrays'")
         arrays = {}
         for spec in header["arrays"]:
-            dtype = np.dtype(spec["dtype"])
-            shape = tuple(spec["shape"])
+            try:
+                name = spec["name"]
+                dtype = np.dtype(spec["dtype"])
+                shape = tuple(int(n) for n in spec["shape"])
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"bad array entry in container header: {spec!r}") from exc
+            if any(n < 0 for n in shape):
+                raise ValueError(f"array {name!r} has a negative dimension")
             count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * dtype.itemsize)
-            arrays[spec["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            raw = _read_exact(fh, count * dtype.itemsize, f"array {name!r}")
+            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     return header["meta"], arrays

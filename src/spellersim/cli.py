@@ -17,6 +17,7 @@ frequency_table, dictionary. Bundled presets cover
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -503,12 +504,11 @@ def cmd_mc(args) -> int:
         out = _out_dir(args)
         csv_path = out / "mc.csv"
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("symbol,prob,mean_group,mean_position\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["symbol", "prob", "mean_group", "mean_position"])
             for i in order:
-                fh.write(
-                    f"{table.symbols[i]},{table.probs[i]!r},"
-                    f"{stats.mean_group[i]!r},{stats.mean_position[i]!r}\n"
-                )
+                values = (table.probs[i], stats.mean_group[i], stats.mean_position[i])
+                writer.writerow([table.symbols[i], *(repr(float(v)) for v in values)])
         identity = _run_identity(
             "mc",
             seed,

@@ -3,20 +3,33 @@
 Fitting learns, per class, a PCA subspace of the class covariance (keeping
 the smallest number of leading components that explains an eta fraction of
 the class variance, capped at m_max), then a unit-norm Fisher discriminant
-direction inside each subspace. Extraction centers the input on each class
-mean, projects into that class's subspace, applies its discriminant vector,
-and returns the scalar from the branch whose best 1-D class posterior is
-largest (ties go to the oddball branch). The map is piecewise linear.
+direction inside each subspace. Extraction projects the input into each
+class subspace relative to that class's mean, applies its discriminant
+vector, and returns the scalar from the branch whose best 1-D class
+posterior is largest (ties go to the oddball branch). The map is piecewise
+linear.
+
+Only the top m_max + 1 eigenpairs of each class are computed; energy
+fractions divide by the covariance trace. A class with fewer samples than
+dimensions (n - 1 < d, the oddball class at protocol sizes) is solved by
+the method of snapshots: a partial eigensolve of the n x n Gram matrix
+whose eigenvectors map back through the centered samples. Other classes get
+a partial eigensolve of the d x d covariance. A class is rank deficient
+when n - 1 < d or when cov - _EIG_TOL * lambda_max * I has no Cholesky
+factor, i.e. some eigenvalue is at or below the tolerance that keeps a
+direction; such a class also keeps the component of its mean offset that
+its covariance cannot see.
 
 Fitted models are immutable; fitting and extraction are pure functions.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf
 
 from ._container import load_container, save_container
 from .classifier import ClassifierParams
@@ -61,6 +74,7 @@ class ClassSubspace:
     mean: np.ndarray             # (d,)
     basis: np.ndarray            # (d, m), orthonormal columns
     energy_fraction: float       # class variance captured by the basis
+    offset: np.ndarray = field(init=False, repr=False, compare=False)  # (m,): mean @ basis
 
     def __post_init__(self) -> None:
         gram = self.basis.T @ self.basis
@@ -68,14 +82,15 @@ class ClassSubspace:
             raise ValueError("subspace basis must be orthonormal")
         if self.basis.shape[0] != self.mean.shape[0]:
             raise ValueError("basis and mean dimensions disagree")
+        object.__setattr__(self, "offset", self.mean @ self.basis)
 
     @property
     def m(self) -> int:
         return self.basis.shape[1]
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Center on the class mean and project; works on (d,) or (n, d)."""
-        return (x - self.mean) @ self.basis
+        """Project relative to the class mean; works on (d,) or (n, d)."""
+        return x @ self.basis - self.offset
 
 
 @dataclass(frozen=True)
@@ -91,17 +106,33 @@ class CpcaModel:
         return self.oddball, self.non_oddball
 
 
-def _class_eigensystem(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and eigenvectors (rows) of the sample covariance."""
+def _class_eigensystem(centered: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float, bool]:
+    """Top-k eigenpairs of the sample covariance, its trace and the rank rule.
+
+    Returns eigenvalues (descending, at most k), eigenvectors (rows), the
+    covariance trace, and whether the covariance has an eigenvalue at or
+    below _EIG_TOL times the largest one."""
     n, d = centered.shape
     if n - 1 < d:
-        # covariance is rank deficient: thin SVD avoids the d x d problem
-        _, s, vt = np.linalg.svd(centered / np.sqrt(n - 1), full_matrices=False)
-        return s**2, vt
+        # method of snapshots: the n x n Gram matrix shares the nonzero
+        # spectrum, and its eigenvectors map back through the samples
+        gram = centered @ centered.T / (n - 1)
+        k = min(k, n)
+        w, u = scipy.linalg.eigh(gram, subset_by_index=(n - k, n - 1), check_finite=False)
+        v = centered.T @ u[:, ::-1]
+        norms = np.linalg.norm(v, axis=0)
+        v /= np.where(norms > 0.0, norms, 1.0)
+        return w[::-1], v.T, float(np.trace(gram)), True
     cov = centered.T @ centered / (n - 1)
-    w, v = np.linalg.eigh(cov)
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order].T
+    k = min(k, d)
+    w, v = scipy.linalg.eigh(cov, subset_by_index=(d - k, d - 1), check_finite=False)
+    w, v = w[::-1], v[:, ::-1].T
+    trace = float(np.trace(cov))
+    # every eigenvalue exceeds the tolerance iff the shifted matrix is
+    # positive definite; the top-k spectrum alone cannot see a rank above k
+    cov.flat[:: d + 1] -= _EIG_TOL * max(w[0], 0.0)
+    _, info = dpotrf(cov, lower=True, clean=False, overwrite_a=True)
+    return w, v, trace, info != 0
 
 
 def _mean_offset_direction(mean: np.ndarray, global_mean: np.ndarray, basis: np.ndarray | None) -> np.ndarray | None:
@@ -119,7 +150,7 @@ def _mean_offset_direction(mean: np.ndarray, global_mean: np.ndarray, basis: np.
 
 def _fit_subspace(x_c: np.ndarray, global_mean: np.ndarray, eta: float, m_max: int) -> ClassSubspace:
     mean = x_c.mean(axis=0)
-    eigvals, vecs = _class_eigensystem(x_c - mean)
+    eigvals, vecs, trace, rank_deficient = _class_eigensystem(x_c - mean, m_max + 1)
     eigvals = np.clip(eigvals, 0.0, None)
     # identical samples leave centering dust ~ eps * |x|; treat it as zero
     dust = (1e-10 * float(np.max(np.abs(x_c)))) ** 2
@@ -131,11 +162,11 @@ def _fit_subspace(x_c: np.ndarray, global_mean: np.ndarray, eta: float, m_max: i
         return ClassSubspace(mean=mean, basis=basis[:, None].copy(), energy_fraction=1.0)
     keep = eigvals > _EIG_TOL * eigvals[0]
     eigvals, vecs = eigvals[keep], vecs[keep]
-    fractions = np.cumsum(eigvals) / eigvals.sum()
+    fractions = np.cumsum(eigvals) / trace
     m = int(np.searchsorted(fractions, eta - 1e-12) + 1)
     m = min(m, m_max, len(eigvals))
     basis = _fix_signs(vecs[:m]).T.copy()
-    if len(eigvals) < x_c.shape[1]:
+    if rank_deficient:
         # rank-deficient spectrum: the covariance is blind to part of the
         # space. Keep the class-offset component it cannot represent, or
         # degenerate (low-rank) classes lose their only separating direction.
@@ -278,7 +309,11 @@ class FeatureModel:
                 raise ValueError("discriminant dimension must match its subspace")
 
 
-def fit_feature_model(vectors, labels, eta: float = 0.9, m_max: int = 30) -> FeatureModel:
+def _fit_with_training_features(vectors, labels, eta: float, m_max: int) -> tuple[FeatureModel, np.ndarray]:
+    """Fit the model and return it with the features of its training rows.
+
+    The features reuse the projections of the Fisher step and equal
+    extract_batch(model, vectors) bit for bit."""
     x = np.asarray(vectors, dtype=float)
     y = np.asarray(labels, dtype=bool)
     cpca = fit_cpca(x, y, eta=eta, m_max=m_max)
@@ -286,7 +321,12 @@ def fit_feature_model(vectors, labels, eta: float = 0.9, m_max: int = 30) -> Fea
         ODDBALL: cpca.oddball.project(x),
         NON_ODDBALL: cpca.non_oddball.project(x),
     }
-    return FeatureModel(cpca=cpca, disc=fit_discriminant(projections, y))
+    model = FeatureModel(cpca=cpca, disc=fit_discriminant(projections, y))
+    return model, _select_features(model, projections[ODDBALL], projections[NON_ODDBALL])
+
+
+def fit_feature_model(vectors, labels, eta: float = 0.9, m_max: int = 30) -> FeatureModel:
+    return _fit_with_training_features(vectors, labels, eta, m_max)[0]
 
 
 def _branch_scores(model: FeatureModel, features: np.ndarray) -> np.ndarray:
@@ -304,6 +344,14 @@ def _branch_scores(model: FeatureModel, features: np.ndarray) -> np.ndarray:
     return scores
 
 
+def _select_features(model: FeatureModel, z_o: np.ndarray, z_e: np.ndarray) -> np.ndarray:
+    """Branch feature of each row from its oddball and non-oddball projections."""
+    features = np.column_stack([z_o @ model.disc.oddball.t, z_e @ model.disc.non_oddball.t])
+    scores = _branch_scores(model, features)
+    # oddball branch on ties
+    return np.where(scores[:, 0] >= scores[:, 1], features[:, 0], features[:, 1])
+
+
 def extract_batch(model: FeatureModel, vectors) -> np.ndarray:
     """Vectorized extract over rows of an (n, d) array."""
     x = np.asarray(vectors, dtype=float)
@@ -312,12 +360,7 @@ def extract_batch(model: FeatureModel, vectors) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("vectors must be finite")
     sub_o, sub_e = model.cpca.subspaces()
-    features = np.column_stack(
-        [sub_o.project(x) @ model.disc.oddball.t, sub_e.project(x) @ model.disc.non_oddball.t]
-    )
-    scores = _branch_scores(model, features)
-    # oddball branch on ties
-    return np.where(scores[:, 0] >= scores[:, 1], features[:, 0], features[:, 1])
+    return _select_features(model, sub_o.project(x), sub_e.project(x))
 
 
 def extract(model: FeatureModel, x) -> float:
@@ -373,23 +416,29 @@ def _model_meta(model: FeatureModel, classifier: ClassifierParams | None, meta: 
 
 
 def _model_from_parts(meta: dict, arrays: dict) -> tuple[FeatureModel, ClassifierParams | None, dict]:
-    if meta.get("kind") != "feature_model":
+    if not isinstance(meta, dict) or meta.get("kind") != "feature_model":
         raise ValueError("container does not hold a feature model")
-    cpca = CpcaModel(
-        eta=meta["eta"],
-        m_max=meta["m_max"],
-        global_mean=arrays["global_mean"],
-        oddball=ClassSubspace(arrays["o_mean"], arrays["o_basis"], meta["o_energy"]),
-        non_oddball=ClassSubspace(arrays["e_mean"], arrays["e_basis"], meta["e_energy"]),
-    )
-    disc = DiscriminantModel(
-        oddball=BranchDiscriminant(arrays["o_t"], arrays["o_feature_means"], arrays["o_feature_vars"]),
-        non_oddball=BranchDiscriminant(arrays["e_t"], arrays["e_feature_means"], arrays["e_feature_vars"]),
-        log_priors=arrays["log_priors"],
-    )
-    params = meta["classifier"]
-    classifier = ClassifierParams(**params) if params is not None else None
-    return FeatureModel(cpca=cpca, disc=disc), classifier, meta["extra"]
+    try:
+        cpca = CpcaModel(
+            eta=meta["eta"],
+            m_max=meta["m_max"],
+            global_mean=arrays["global_mean"],
+            oddball=ClassSubspace(arrays["o_mean"], arrays["o_basis"], meta["o_energy"]),
+            non_oddball=ClassSubspace(arrays["e_mean"], arrays["e_basis"], meta["e_energy"]),
+        )
+        disc = DiscriminantModel(
+            oddball=BranchDiscriminant(arrays["o_t"], arrays["o_feature_means"], arrays["o_feature_vars"]),
+            non_oddball=BranchDiscriminant(arrays["e_t"], arrays["e_feature_means"], arrays["e_feature_vars"]),
+            log_priors=arrays["log_priors"],
+        )
+        params, extra = meta["classifier"], meta["extra"]
+    except KeyError as exc:
+        raise ValueError(f"model container is missing {exc.args[0]!r}") from None
+    try:
+        classifier = ClassifierParams(**params) if params is not None else None
+    except TypeError as exc:
+        raise ValueError(f"bad classifier entry in model container: {exc}") from None
+    return FeatureModel(cpca=cpca, disc=disc), classifier, extra
 
 
 def save_model(

@@ -29,7 +29,7 @@ from .alphabet import (
 )
 from .channel import ChannelSpec, ConfusionMatrix, ItrReport, mutual_information, per_trial_itr_from_session, practical_itr
 from .classifier import ClassifierParams, decide_batch, fit as fit_classifier, posterior_oddball, with_theta
-from .features import FeatureModel, extract, extract_batch, fit_feature_model
+from .features import FeatureModel, _fit_with_training_features, extract, extract_batch
 from .signal import (
     NON_ODDBALL,
     ODDBALL,
@@ -234,8 +234,8 @@ def cross_validate(
         for k in range(folds):
             train = assignment != k
             test = ~train
-            model = fit_feature_model(x[train], y[train], eta=eta, m_max=m_max)
-            params = fit_classifier(extract_batch(model, x[train]), y[train])
+            model, f_train = _fit_with_training_features(x[train], y[train], eta, m_max)
+            params = fit_classifier(f_train, y[train])
             decisions = decide_batch(params, extract_batch(model, x[test]))
             truth = y[test]
             correct += int(np.sum(decisions == truth))
@@ -299,8 +299,8 @@ def fit_final_model(
     The classifier keeps the design priors (1:6), not the realized label
     counts; thresholds are applied per mode at decision time."""
     x, y = trials_to_matrix(trials)
-    model = fit_feature_model(x, y, eta=config.eta, m_max=config.m_max)
-    params = fit_classifier(extract_batch(model, x), y, priors=ONLINE_PRIORS)
+    model, f_train = _fit_with_training_features(x, y, config.eta, config.m_max)
+    params = fit_classifier(f_train, y, priors=ONLINE_PRIORS)
     return model, params
 
 

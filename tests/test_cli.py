@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
+import csv
 import hashlib
 import json
 
@@ -132,6 +133,22 @@ class TestMc:
         assert float(grab(out, "top-12 pooled mean group:")) <= 2.0
         assert (out_dir / "mc.csv").exists()
         assert (out_dir / "mc_manifest.json").exists()
+
+    def test_csv_holds_plain_numbers(self, capsys, workdir):
+        out_dir = workdir / "mc_csv"
+        code, _, _ = run_cli(capsys, "mc", "--runs", "500", "--seed", "4", "--out", str(out_dir))
+        assert code == 0
+        with open(out_dir / "mc.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["symbol", "prob", "mean_group", "mean_position"]
+        assert len(rows) == 43
+        assert "," in [row[0] for row in rows[1:]]
+        for row in rows[1:]:
+            assert len(row) == 4
+            prob, mean_group, mean_position = (float(v) for v in row[1:])
+            assert 0.0 < prob < 1.0
+            assert 1.0 <= mean_group <= 7.0
+            assert 1.0 <= mean_position <= 42.0
 
     def test_uniform_table_centers_on_fourth_group(self, capsys):
         code, out, _ = run_cli(capsys, "mc", "--uniform", "--runs", "20000", "--seed", "2")
@@ -302,6 +319,24 @@ class TestSpell:
         )
         assert code == 2
         assert "trained at iti_ms=400" in err
+
+    @pytest.mark.parametrize("keep", [0, -100])
+    def test_truncated_model_is_an_error(self, capsys, workdir, oracle_cfg, trained, keep):
+        blob = (trained / "model.bin").read_bytes()
+        cut = workdir / f"cut_{keep}.bin"
+        cut.write_bytes(blob[:keep])
+        code, _, err = run_cli(
+            capsys,
+            "spell",
+            "--config",
+            str(oracle_cfg),
+            "--model",
+            str(cut),
+            "--out",
+            str(workdir / "sp_cut"),
+        )
+        assert code == 2
+        assert err.startswith("error: truncated container")
 
 
 class TestCv:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spellersim import classifier
+from spellersim._container import load_container, save_container
 from spellersim.features import (
     BranchDiscriminant,
     ClassSubspace,
@@ -17,6 +18,15 @@ from spellersim.features import (
     load_model,
     load_model_json,
     save_model,
+)
+from spellersim.features import (
+    _EIG_TOL,
+    _branch_scores,
+    _class_eigensystem,
+    _fit_subspace,
+    _fit_with_training_features,
+    _fix_signs,
+    _mean_offset_direction,
 )
 from spellersim.signal import NON_ODDBALL, ODDBALL
 
@@ -62,18 +72,21 @@ def test_cpca_cap_binds_at_full_rank():
     assert model.non_oddball.m == 30
 
 
-def test_cpca_zero_variance_class_falls_back_to_mean_direction():
+def _zero_variance_classes():
+    """Five identical oddball samples against 30 Gaussian ones, d = 20."""
     d = 20
     v = np.zeros(d)
     v[3] = 2.0
-    x_o = np.tile(v, (5, 1))
-    x_e = np.random.default_rng(2).normal(size=(30, d))
-    x = np.vstack([x_o, x_e])
-    y = np.arange(35) < 5
+    x = np.vstack([np.tile(v, (5, 1)), np.random.default_rng(2).normal(size=(30, d))])
+    return x, np.arange(35) < 5
+
+
+def test_cpca_zero_variance_class_falls_back_to_mean_direction():
+    x, y = _zero_variance_classes()
     model = fit_cpca(x, y)
     assert model.oddball.m == 1
     direction = model.oddball.basis[:, 0]
-    expected = v - x.mean(axis=0)
+    expected = x[0] - x.mean(axis=0)
     expected /= np.linalg.norm(expected)
     assert abs(abs(direction @ expected) - 1.0) < 1e-10
 
@@ -331,3 +344,219 @@ def test_json_round_trip_exact(tmp_path):
         (loaded.disc.oddball.feature_vars, model.disc.oddball.feature_vars),
     ):
         assert np.max(np.abs(a - b)) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# top-of-spectrum subspace fit against the full-spectrum oracle
+
+
+def _oracle_fit_subspace(x_c, global_mean, eta, m_max):
+    """Full eigh/SVD subspace fit, kept as an independent reference.
+
+    Returns the subspace and whether the full spectrum has an eigenvalue at
+    or below _EIG_TOL times the largest (the rank-deficiency decision)."""
+    mean = x_c.mean(axis=0)
+    centered = x_c - mean
+    n, d = centered.shape
+    if n - 1 < d:
+        _, s, vecs = np.linalg.svd(centered / np.sqrt(n - 1), full_matrices=False)
+        eigvals = s**2
+    else:
+        w, v = np.linalg.eigh(centered.T @ centered / (n - 1))
+        order = np.argsort(w)[::-1]
+        eigvals, vecs = w[order], v[:, order].T
+    eigvals = np.clip(eigvals, 0.0, None)
+    dust = (1e-10 * float(np.max(np.abs(x_c)))) ** 2
+    if eigvals[0] <= dust:
+        extra = _mean_offset_direction(mean, global_mean, None)
+        basis = extra if extra is not None else np.eye(d)[0]
+        return ClassSubspace(mean, basis[:, None].copy(), 1.0), True
+    keep = eigvals > _EIG_TOL * eigvals[0]
+    eigvals, vecs = eigvals[keep], vecs[keep]
+    fractions = np.cumsum(eigvals) / eigvals.sum()
+    m = min(int(np.searchsorted(fractions, eta - 1e-12) + 1), m_max, len(eigvals))
+    basis = _fix_signs(vecs[:m]).T.copy()
+    deficient = len(eigvals) < d
+    if deficient:
+        extra = _mean_offset_direction(mean, global_mean, basis)
+        if extra is not None:
+            if basis.shape[1] >= m_max:
+                basis, m = basis[:, : m_max - 1], m_max - 1
+            basis = np.column_stack([basis, extra])
+    return ClassSubspace(mean, basis, float(fractions[m - 1])), deficient
+
+
+def _decaying_classes(rng, n_o, n_e, d, sep=3.0):
+    """Anisotropic classes with a power-law spectrum and distinct eigenvalues."""
+    rotation = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    scales = 1.0 / (1.0 + np.arange(d)) ** 0.6
+    delta = sep * rotation[:, 0]
+    x_o = (rng.normal(size=(n_o, d)) * scales) @ rotation.T + delta
+    x_e = (rng.normal(size=(n_e, d)) * scales) @ rotation.T
+    return np.vstack([x_o, x_e]), np.arange(n_o + n_e) < n_o
+
+
+def _low_rank_classes(rng, n_per_class, d, rank):
+    """Both classes on one shared rank-`rank` subspace, offset along a direction outside it."""
+    span = np.linalg.qr(rng.normal(size=(d, rank)))[0].T
+    scales = 1.0 / (1.0 + np.arange(rank)) ** 0.5
+    offset = 3.0 * np.linalg.qr(np.column_stack([span.T, rng.normal(size=d)]))[0][:, -1]
+    x_o = (rng.normal(size=(n_per_class, rank)) * scales) @ span + offset
+    x_e = (rng.normal(size=(n_per_class, rank)) * scales) @ span
+    return np.vstack([x_o, x_e]), np.arange(2 * n_per_class) < n_per_class
+
+
+EQUIVALENCE_CASES = {
+    # name: (x, y, eta, m_max)
+    "full_rank": (*_decaying_classes(np.random.default_rng(30), 600, 1600, 480), 0.9, 30),
+    "full_rank_isotropic": (*_gaussian_classes(np.random.default_rng(31), 300, 1800, 40), 0.9, 30),
+    "snapshot_n_below_d": (*_decaying_classes(np.random.default_rng(32), 268, 1600, 480), 0.9, 30),
+    "d_below_m_max": (*_decaying_classes(np.random.default_rng(33), 150, 400, 20), 0.99, 30),
+    "rank5": (*_rank5_classes(np.random.default_rng(0))[:2], 0.99, 30),
+    "zero_variance": (*_zero_variance_classes(), 0.9, 30),
+    "rank2_in_d50": (*_low_rank_classes(np.random.default_rng(3), 60, 50, 2), 0.99, 30),
+    "rank100_in_d480": (*_low_rank_classes(np.random.default_rng(34), 1000, 480, 100), 0.9, 30),
+}
+
+
+_TIED_GATE_CASES = {"rank5", "zero_variance", "rank2_in_d50", "rank100_in_d480"}
+
+
+def _sine_of_largest_angle(a, b):
+    """||A - B B^T A||_2 for orthonormal A, B: resolves angles arccos cannot."""
+    return float(np.linalg.norm(a - b @ (b.T @ a), 2))
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_subspace_fit_matches_full_spectrum_oracle(case):
+    x, y, eta, m_max = EQUIVALENCE_CASES[case]
+    global_mean = x.mean(axis=0)
+    for mask in (y, ~y):
+        x_c = x[mask]
+        new = _fit_subspace(x_c, global_mean, eta, m_max)
+        old, old_deficient = _oracle_fit_subspace(x_c, global_mean, eta, m_max)
+        _, _, _, new_deficient = _class_eigensystem(x_c - x_c.mean(axis=0), m_max + 1)
+        assert new_deficient == old_deficient
+        assert new.m == old.m
+        assert np.array_equal(new.mean, old.mean)
+        assert _sine_of_largest_angle(new.basis, old.basis) < 1e-9
+        assert _sine_of_largest_angle(old.basis, new.basis) < 1e-9
+        # the mean-offset column, when present, is the same direction
+        assert abs(new.basis[:, -1] @ old.basis[:, -1] - 1.0) < 1e-9
+        assert abs(new.energy_fraction - old.energy_fraction) <= 1e-12
+
+
+def test_rank_rule_sees_rank_beyond_the_computed_spectrum():
+    x, y, _, m_max = EQUIVALENCE_CASES["rank100_in_d480"]
+    x_c = x[y]
+    assert x_c.shape[0] - 1 >= x_c.shape[1]
+    eigvals, _, _, deficient = _class_eigensystem(x_c - x_c.mean(axis=0), m_max + 1)
+    # every computed eigenvalue is well above the tolerance; only the
+    # Cholesky test finds the 380 missing directions
+    assert np.all(eigvals > 1e3 * _EIG_TOL * eigvals[0])
+    assert deficient
+    sub = _fit_subspace(x_c, x.mean(axis=0), 0.9, m_max)
+    assert sub.m == m_max  # 29 spectral directions + the mean offset
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_extract_batch_matches_full_spectrum_oracle(case):
+    x, y, eta, m_max = EQUIVALENCE_CASES[case]
+    model = fit_feature_model(x, y, eta=eta, m_max=m_max)
+    global_mean = x.mean(axis=0)
+    sub_o = _oracle_fit_subspace(x[y], global_mean, eta, m_max)[0]
+    sub_e = _oracle_fit_subspace(x[~y], global_mean, eta, m_max)[0]
+    projections = {ODDBALL: (x - sub_o.mean) @ sub_o.basis, NON_ODDBALL: (x - sub_e.mean) @ sub_e.basis}
+    oracle = FeatureModel(
+        cpca=CpcaModel(eta, m_max, global_mean, sub_o, sub_e),
+        disc=fit_discriminant(projections, y),
+    )
+    test = np.vstack([x[::7], np.random.default_rng(35).normal(size=(50, x.shape[1])) + global_mean])
+    branches = []
+    for fitted in (model, oracle):
+        subs, discs = fitted.cpca.subspaces(), (fitted.disc.oddball, fitted.disc.non_oddball)
+        branches.append(np.column_stack([(test - s.mean) @ s.basis @ b.t for s, b in zip(subs, discs)]))
+    assert np.allclose(branches[0], branches[1], rtol=1e-9, atol=1e-9)
+    # classes on one shared span (or a zero-variance class) make the gate a
+    # tie on every row, which rounding decides; compare the gated output off ties
+    scores = _branch_scores(oracle, branches[1])
+    decided = np.abs(scores[:, 0] - scores[:, 1]) > 1e-9
+    assert decided.all() == (case not in _TIED_GATE_CASES)
+    assert np.allclose(
+        extract_batch(model, test)[decided], extract_batch(oracle, test)[decided], rtol=1e-9, atol=1e-9
+    )
+
+
+def test_projection_offset_matches_centering():
+    x, y, eta, m_max = EQUIVALENCE_CASES["snapshot_n_below_d"]
+    sub = fit_cpca(x, y, eta=eta, m_max=m_max).oddball
+    assert np.array_equal(sub.offset, sub.mean @ sub.basis)
+    assert np.allclose(sub.project(x), (x - sub.mean) @ sub.basis, rtol=0.0, atol=1e-12)
+    assert np.allclose(sub.project(x[0]), sub.project(x[:1])[0], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("case", ["full_rank", "snapshot_n_below_d", "zero_variance"])
+def test_training_features_equal_extract_batch_bitwise(case):
+    x, y, eta, m_max = EQUIVALENCE_CASES[case]
+    model, features = _fit_with_training_features(x, y, eta, m_max)
+    assert np.array_equal(features, extract_batch(model, x))
+    reference = fit_feature_model(x, y, eta=eta, m_max=m_max)
+    assert np.array_equal(model.cpca.oddball.basis, reference.cpca.oddball.basis)
+    assert np.array_equal(model.disc.non_oddball.t, reference.disc.non_oddball.t)
+
+
+# ---------------------------------------------------------------------------
+# malformed model containers
+
+
+@pytest.fixture
+def saved_model(tmp_path):
+    rng = np.random.default_rng(40)
+    x, y = _gaussian_classes(rng, n_o=60, n_e=200, d=12)
+    model = fit_feature_model(x, y)
+    params = classifier.fit(extract_batch(model, x), y)
+    path = tmp_path / "model.bin"
+    save_model(path, model, params, meta={"iti_ms": 160})
+    return path
+
+
+def test_truncated_container_raises_value_error(saved_model, tmp_path):
+    blob = saved_model.read_bytes()
+    header_len = int.from_bytes(blob[8:12], "little")
+    cuts = {
+        "empty": 0,
+        "mid_prefix": 8,
+        "mid_header": 12 + header_len // 2,
+        "end_of_header": 12 + header_len,
+        "mid_array": 12 + header_len + 20,
+        "last_byte": len(blob) - 1,
+    }
+    for name, keep in cuts.items():
+        cut = tmp_path / f"{name}.bin"
+        cut.write_bytes(blob[:keep])
+        with pytest.raises(ValueError, match="truncated container"):
+            load_model(cut)
+
+
+def test_container_missing_an_array_raises_value_error(saved_model, tmp_path):
+    meta, arrays = load_container(saved_model)
+    assert len(arrays) == 12
+    for name in arrays:
+        path = tmp_path / f"no_{name}.bin"
+        save_container(path, meta, {k: v for k, v in arrays.items() if k != name})
+        with pytest.raises(ValueError, match=f"missing '{name}'"):
+            load_model(path)
+
+
+def test_container_missing_a_meta_key_raises_value_error(saved_model, tmp_path):
+    meta, arrays = load_container(saved_model)
+    for key in ("eta", "m_max", "o_energy", "e_energy", "classifier", "extra"):
+        path = tmp_path / f"no_{key}.bin"
+        save_container(path, {k: v for k, v in meta.items() if k != key}, arrays)
+        with pytest.raises(ValueError, match=f"missing '{key}'"):
+            load_model(path)
+    broken = dict(meta, classifier={k: v for k, v in meta["classifier"].items() if k != "sigma2"})
+    path = tmp_path / "no_sigma2.bin"
+    save_container(path, broken, arrays)
+    with pytest.raises(ValueError, match="sigma2"):
+        load_model(path)
