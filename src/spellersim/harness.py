@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -97,6 +97,10 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if not 0.0 < self.duty_cycle <= 1.0:
             raise ValueError("duty cycle must lie in (0, 1]")
         for name in ("iti_ms", "t_a_ms", "t_d_ms", "train_seconds_per_char", "pause_s"):
@@ -112,6 +116,12 @@ class ProtocolConfig:
             raise ValueError("eta must lie in (0, 1]")
         if self.m_max < 1:
             raise ValueError("m_max must be >= 1")
+        per_char = self.train_seconds_per_char * 1000.0 // self.iti_ms
+        if not 1.0 <= per_char < math.inf:
+            raise ValueError(
+                f"train_seconds_per_char = {self.train_seconds_per_char!r} at iti_ms = "
+                f"{self.iti_ms!r} gives {per_char} trials per character; need a finite count >= 1"
+            )
 
     @property
     def trials_per_char(self) -> int:

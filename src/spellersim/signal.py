@@ -10,10 +10,13 @@ Preprocessing discards the first 100 ms of every channel and flattens the
 For online simulation, trials are cut from one continuous rolling signal so
 that at short inter-trial intervals the response evoked by one stimulus
 bleeds into the next trial's window, as it does in a real acquisition.
+Onsets must not go backwards. Only the noise from the current onset on is
+kept, so a session's memory and per-trial cost stay bounded at any length.
 """
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -260,18 +263,24 @@ class SessionSynthesizer:
     One instance owns one session's signal. Stimuli are registered in onset
     order; each trial window is cut from the shared noise stream plus every
     evoked response whose support intersects the window, so response energy
-    bleeds across overlapping trials. Single-owner, sequential use only.
+    bleeds across overlapping trials. Onsets must not go backwards (equal
+    onsets are allowed): each trial drops the noise before its onset, so the
+    buffer holds at most N_SAMPLES plus one onset step of samples however
+    long the session runs. Single-owner, sequential use only.
     """
 
     def __init__(self, subject: SubjectModel, rng: np.random.Generator):
         self.subject = subject
         self.rng = rng
         self._noise = np.zeros((N_CHANNELS, 0))
+        self._origin = 0  # absolute sample index of self._noise[:, 0]
+        self._last_onset: int | None = None
         self._ar_zi: np.ndarray | None = None
         self._events: list[tuple[int, np.ndarray]] = []
 
     def _extend_noise(self, n_total: int) -> None:
-        have = self._noise.shape[1]
+        """Draw the noise stream up to absolute sample n_total; never trims."""
+        have = self._origin + self._noise.shape[1]
         if n_total <= have:
             return
         grow = n_total - have
@@ -297,14 +306,34 @@ class SessionSynthesizer:
         stimulus: tuple[str, ...],
         is_oddball: bool,
     ) -> Trial:
-        """Register one stimulus and return its trial window."""
-        onset_sample = int(round(onset_s * FS))
+        """Register one stimulus and return its trial window.
+
+        Raises ValueError for an onset that is not finite, is negative, or
+        lies before the previous onset."""
+        position = float(onset_s) * FS
+        if not math.isfinite(position):
+            raise ValueError(f"onset must be a finite time, got {onset_s!r} s")
+        onset_sample = int(round(position))
+        if onset_sample < 0:
+            raise ValueError(f"onset must be >= 0 s, got {onset_s!r} s")
+        if self._last_onset is not None and onset_sample < self._last_onset:
+            raise ValueError(
+                f"onset sample {onset_sample} is before the previous onset sample "
+                f"{self._last_onset}; onsets must not go backwards"
+            )
+        self._last_onset = onset_sample
         if is_oddball:
             fires, jitter = _erp_fires(self.subject, self.rng)
             if fires:
                 self._events.append((onset_sample, self.subject.template.render(jitter)))
+        # no window from here on starts before this onset
+        drop = min(onset_sample - self._origin, self._noise.shape[1])
+        if drop > 0:
+            self._noise = self._noise[:, drop:]
+            self._origin += drop
         self._extend_noise(onset_sample + N_SAMPLES)
-        window = self._noise[:, onset_sample : onset_sample + N_SAMPLES].copy()
+        start = onset_sample - self._origin
+        window = self._noise[:, start : start + N_SAMPLES].copy()
         for ev_sample, waveform in self._events:
             lo = max(ev_sample, onset_sample)
             hi = min(ev_sample + N_SAMPLES, onset_sample + N_SAMPLES)

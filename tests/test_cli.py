@@ -1,12 +1,16 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
 import csv
+import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from spellersim.cli import load_config, main
+from spellersim.cli import _PROTOCOL_KEYS, RunSpec, load_config, main
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -75,6 +79,65 @@ class TestConfigLoading:
         bad.write_text("cv_folds = 1\n")
         with pytest.raises(ValueError):
             load_config(bad)
+
+
+_KNOWN_KEYS = tuple(sorted(_PROTOCOL_KEYS)) + tuple(
+    f.name for f in dataclasses.fields(RunSpec) if f.name != "protocol"
+)
+_EDGE_VALUES = (
+    "nan",
+    "-nan",
+    "inf",
+    "-inf",
+    "Infinity",
+    "-0",
+    "-0.0",
+    "0",
+    "1e308",
+    "1e309",
+    "5e-324",
+    "",
+    "9" * 400,
+    str(2**64),
+    str(-(2**70)),
+    "1_000",
+    "0x10",
+    "midsnr",
+    "oracle",
+)
+_values = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.text(max_size=12),
+)
+_lines = st.one_of(
+    st.builds(lambda k, v: f"{k} = {v}".encode(), st.sampled_from(_KNOWN_KEYS), _values),
+    st.builds(lambda k, v: f"{k}={v}".encode(), st.text(max_size=10), _values),
+    st.text(max_size=20).map(lambda t: t.replace("=", "").encode()),
+    st.binary(max_size=16),
+)
+
+
+class TestConfigFuzz:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.lists(_lines, max_size=8).map(b"\n".join))
+    def test_loader_gives_spec_or_value_error(self, tmp_path, content):
+        path = tmp_path / "fuzz.cfg"
+        path.write_bytes(content)
+        try:
+            spec = load_config(path)
+        except ValueError:
+            return
+        assert isinstance(spec, RunSpec)
+        for key in _PROTOCOL_KEYS:
+            value = getattr(spec.protocol, key)
+            assert isinstance(value, int) or math.isfinite(value), key
+        assert spec.protocol.trials_per_char >= 1
 
 
 def load_config_by_name(name: str):
@@ -337,6 +400,31 @@ class TestSpell:
         )
         assert code == 2
         assert err.startswith("error: truncated container")
+
+    @pytest.mark.parametrize(
+        "command, line, field",
+        [
+            ("spell", "pause_s = inf", "pause_s"),
+            ("spell", "overhead_ms = inf", "overhead_ms"),
+            ("spell", "theta_stage1 = nan", "theta_stage1"),
+            ("train", "iti_ms = inf", "iti_ms"),
+            ("train", "train_seconds_per_char = 0.1", "train_seconds_per_char"),
+        ],
+    )
+    def test_unusable_config_value_is_an_error(
+        self, capsys, workdir, trained, command, line, field
+    ):
+        cfg = workdir / f"bad_{field}.cfg"
+        cfg.write_text(f"iti_ms = 400\nsubject = oracle\n{line}\n")
+        argv = [command, "--config", str(cfg), "--out", str(workdir / f"bad_{field}")]
+        if command == "spell":
+            argv += ["--model", str(trained / "model.bin")]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:")
+        assert field in err
+        if field == "train_seconds_per_char":
+            assert "iti_ms" in err
 
 
 class TestCv:

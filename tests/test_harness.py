@@ -90,6 +90,11 @@ class TestProtocolConfig:
             {"eta": 0.0},
             {"eta": 1.5},
             {"m_max": 0},
+            {"iti_ms": float("inf")},
+            {"pause_s": float("nan")},
+            {"overhead_ms": float("inf")},
+            {"train_seconds_per_char": 0.1},
+            {"iti_ms": 5e-324},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
+from spellersim.harness import ProtocolConfig, run_training
 from spellersim.signal import (
     FS,
     N_CHANNELS,
@@ -20,6 +22,7 @@ from spellersim.signal import (
     subject_preset,
     synthesize_trial,
     trials_to_matrix,
+    _erp_fires,
 )
 
 T_MS = np.arange(N_SAMPLES) * (1000.0 / FS)
@@ -202,6 +205,142 @@ def test_session_ar_noise_statistics():
     assert np.allclose(var, 25.0, rtol=0.1)
     lag1 = np.array([np.corrcoef(ch[:-1], ch[1:])[0, 1] for ch in x])
     assert np.allclose(lag1, 0.9, atol=0.01)
+
+
+class FullBufferSynthesizer:
+    """Reference synthesizer that keeps every noise sample of the session.
+
+    Same draws, in the same order and sizes, and the same absolute-sample
+    window arithmetic as SessionSynthesizer, but nothing is ever dropped.
+    Storage grows by doubling rather than one concatenation per trial, so a
+    reference run of thousands of trials stays cheap."""
+
+    def __init__(self, subject, rng):
+        self.subject = subject
+        self.rng = rng
+        self._buf = np.zeros((N_CHANNELS, 1024))
+        self._len = 0
+        self._ar_zi = None
+        self._events = []
+
+    def _extend_noise(self, n_total):
+        have = self._len
+        if n_total <= have:
+            return
+        grow = n_total - have
+        subject = self.subject
+        if subject.oracle or subject.noise_sigma_uv == 0.0:
+            block = np.zeros((N_CHANNELS, grow))
+        elif subject.noise_ar == 0.0:
+            block = self.rng.normal(0.0, subject.noise_sigma_uv, size=(N_CHANNELS, grow))
+        else:
+            a = subject.noise_ar
+            if self._ar_zi is None:
+                x_prev = self.rng.normal(0.0, subject.noise_sigma_uv, size=N_CHANNELS)
+                self._ar_zi = (a * x_prev)[:, None]
+            w = self.rng.normal(0.0, 1.0, size=(N_CHANNELS, grow))
+            scale = subject.noise_sigma_uv * np.sqrt(1.0 - a * a)
+            block, self._ar_zi = lfilter([scale], [1.0, -a], w, axis=1, zi=self._ar_zi)
+        if n_total > self._buf.shape[1]:
+            bigger = np.zeros((N_CHANNELS, max(n_total, 2 * self._buf.shape[1])))
+            bigger[:, :have] = self._buf[:, :have]
+            self._buf = bigger
+        self._buf[:, have:n_total] = block
+        self._len = n_total
+
+    def trial(self, onset_s, stimulus, is_oddball):
+        onset_sample = int(round(onset_s * FS))
+        if is_oddball:
+            fires, jitter = _erp_fires(self.subject, self.rng)
+            if fires:
+                self._events.append((onset_sample, self.subject.template.render(jitter)))
+        self._extend_noise(onset_sample + N_SAMPLES)
+        window = self._buf[:, onset_sample : onset_sample + N_SAMPLES].copy()
+        for ev_sample, waveform in self._events:
+            lo = max(ev_sample, onset_sample)
+            hi = min(ev_sample + N_SAMPLES, onset_sample + N_SAMPLES)
+            if hi > lo:
+                window[:, lo - onset_sample : hi - onset_sample] += waveform[
+                    :, lo - ev_sample : hi - ev_sample
+                ]
+        self._events = [e for e in self._events if e[0] + N_SAMPLES > onset_sample]
+        return Trial(samples=window, is_oddball=is_oddball, stimulus=stimulus, onset_s=onset_s)
+
+
+# onset steps in seconds: online steps at each speed (ITI + 12 ms), a repeat,
+# an off-grid step, and the 3 s pause that follows every selection
+_ONSET_STEPS = (0.172, 0.252, 0.412, 0.0, 0.1234)
+_PAUSE_S = 3.0
+
+
+def _onset_schedule(n, seed):
+    """Uneven non-decreasing onsets with a 3 s pause every 20-80 trials."""
+    rng = np.random.default_rng(seed)
+    steps = rng.choice(_ONSET_STEPS, size=n)
+    steps[0] = 0.0
+    k = int(rng.integers(20, 80))
+    while k < n:
+        steps[k] += _PAUSE_S
+        k += int(rng.integers(20, 80))
+    return np.cumsum(steps), rng.random(n) < 1.0 / 7.0
+
+
+_AR_SUBJECT = SubjectModel(default_erp_template(), 6.0, 0.8, 15.0, noise_ar=0.9)
+
+
+@pytest.mark.parametrize(
+    "subject",
+    [subject_preset("midsnr"), subject_preset("oracle"), subject_preset("noise"), _AR_SUBJECT],
+    ids=["midsnr", "oracle", "noise", "ar1"],
+)
+def test_session_windows_match_full_buffer_reference(subject):
+    onsets, oddball = _onset_schedule(4000, seed=31)
+    session = SessionSynthesizer(subject, np.random.default_rng(8))
+    reference = FullBufferSynthesizer(subject, np.random.default_rng(8))
+    for onset, is_odd in zip(onsets.tolist(), oddball.tolist()):
+        got = session.trial(onset, ("A",), is_odd)
+        want = reference.trial(onset, ("A",), is_odd)
+        assert np.array_equal(got.samples, want.samples)
+    # both consumed the same draws
+    assert session.rng.random() == reference.rng.random()
+
+
+@pytest.mark.parametrize("iti_ms", [160.0, 400.0])
+def test_training_session_matches_full_buffer_reference(monkeypatch, iti_ms):
+    config = ProtocolConfig(iti_ms=iti_ms)
+    subject = subject_preset("midsnr")
+    trials = run_training(config, subject, np.random.default_rng(4))
+    monkeypatch.setattr("spellersim.harness.SessionSynthesizer", FullBufferSynthesizer)
+    reference = run_training(config, subject, np.random.default_rng(4))
+    assert len(trials) == len(reference) == config.train_trial_count
+    for got, want in zip(trials, reference):
+        assert np.array_equal(got.samples, want.samples)
+        assert got.is_oddball == want.is_oddball
+        assert got.onset_s == want.onset_s
+
+
+def test_session_buffer_stays_bounded():
+    onsets, oddball = _onset_schedule(50_000, seed=5)
+    max_step = int(round(float(np.max(np.diff(onsets))) * FS)) + 1
+    session = SessionSynthesizer(subject_preset("midsnr"), np.random.default_rng(0))
+    for onset, is_odd in zip(onsets.tolist(), oddball.tolist()):
+        session.trial(onset, ("A",), is_odd)
+        assert session._noise.shape[1] <= N_SAMPLES + max_step
+
+
+def test_session_rejects_backward_onset():
+    session = SessionSynthesizer(subject_preset("midsnr"), np.random.default_rng(0))
+    session.trial(1.0, ("A",), False)
+    session.trial(1.0, ("B",), True)  # a repeated onset is legal
+    with pytest.raises(ValueError, match=r"onset sample 199 .* previous onset sample 200"):
+        session.trial(0.995, ("C",), False)
+
+
+@pytest.mark.parametrize("onset_s", [float("nan"), float("inf"), -float("inf"), 1e308, -0.1])
+def test_session_rejects_bad_onset(onset_s):
+    session = SessionSynthesizer(subject_preset("midsnr"), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="onset"):
+        session.trial(onset_s, ("A",), False)
 
 
 def test_trials_to_matrix():
