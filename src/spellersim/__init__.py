@@ -7,155 +7,5 @@ selection state machine with dictionary completion and a posterior
 integration shortcut, and the full information-transfer-rate calculus for
 scoring it all.
 """
-from .alphabet import (
-    BACKSPACE,
-    EXIT,
-    SPACE,
-    CharacterSet,
-    FrequencyTable,
-    GroupStats,
-    build_cdf,
-    default_character_set,
-    default_frequency_table,
-    draw_permutation,
-    form_cycle,
-    load_frequency_table,
-    monte_carlo_group_stats,
-    uniform_frequency_table,
-)
-from .channel import (
-    ChannelSpec,
-    ConfusionMatrix,
-    ItrReport,
-    fano_lower_bound,
-    mutual_information,
-    per_trial_itr_from_session,
-    practical_itr,
-    recompute_with_ratio,
-    wolpaw_itr,
-    write_itr_csv,
-)
-from .classifier import ClassifierParams, decide_batch, fit, posterior_oddball, with_theta
-from .features import (
-    CpcaModel,
-    FeatureModel,
-    extract,
-    extract_batch,
-    fit_cpca,
-    fit_feature_model,
-    load_model,
-    save_model,
-)
-from .harness import (
-    BENCHMARK_SENTENCE,
-    ONLINE_PRIORS,
-    SPEED_ITI_MS,
-    CvResult,
-    ProtocolConfig,
-    SessionReport,
-    cross_validate,
-    fit_final_model,
-    latin_square_schedule,
-    run_online,
-    run_training,
-    subsample_check,
-)
-from .seeding import substream
-from .signal import (
-    ErpComponent,
-    ErpTemplate,
-    SessionSynthesizer,
-    SubjectModel,
-    Trial,
-    default_erp_template,
-    preprocess,
-    subject_preset,
-)
-from .speller import (
-    Dictionary,
-    SelectionEvent,
-    SessionLog,
-    Speller,
-    default_dictionary,
-    load_dictionary,
-    load_session_log,
-)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # alphabet
-    "BACKSPACE",
-    "EXIT",
-    "SPACE",
-    "CharacterSet",
-    "FrequencyTable",
-    "GroupStats",
-    "build_cdf",
-    "default_character_set",
-    "default_frequency_table",
-    "draw_permutation",
-    "form_cycle",
-    "load_frequency_table",
-    "monte_carlo_group_stats",
-    "uniform_frequency_table",
-    # channel
-    "ChannelSpec",
-    "ConfusionMatrix",
-    "ItrReport",
-    "fano_lower_bound",
-    "mutual_information",
-    "per_trial_itr_from_session",
-    "practical_itr",
-    "recompute_with_ratio",
-    "wolpaw_itr",
-    "write_itr_csv",
-    # classifier
-    "ClassifierParams",
-    "decide_batch",
-    "fit",
-    "posterior_oddball",
-    "with_theta",
-    # features
-    "CpcaModel",
-    "FeatureModel",
-    "extract",
-    "extract_batch",
-    "fit_cpca",
-    "fit_feature_model",
-    "load_model",
-    "save_model",
-    # harness
-    "BENCHMARK_SENTENCE",
-    "ONLINE_PRIORS",
-    "SPEED_ITI_MS",
-    "CvResult",
-    "ProtocolConfig",
-    "SessionReport",
-    "cross_validate",
-    "fit_final_model",
-    "latin_square_schedule",
-    "run_online",
-    "run_training",
-    "subsample_check",
-    # seeding
-    "substream",
-    # signal
-    "ErpComponent",
-    "ErpTemplate",
-    "SessionSynthesizer",
-    "SubjectModel",
-    "Trial",
-    "default_erp_template",
-    "preprocess",
-    "subject_preset",
-    # speller
-    "Dictionary",
-    "SelectionEvent",
-    "SessionLog",
-    "Speller",
-    "default_dictionary",
-    "load_dictionary",
-    "load_session_log",
-]

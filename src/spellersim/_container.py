@@ -9,6 +9,8 @@ bytes (no timestamps, no dict-order dependence).
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -38,10 +40,12 @@ def save_container(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
 
 
 def _read_exact(fh, size: int, what: str) -> bytes:
-    raw = fh.read(size)
-    if len(raw) != size:
-        raise ValueError(f"truncated container: {what} needs {size} bytes, got {len(raw)}")
-    return raw
+    """Read size bytes, checking first that the file still holds them, so a
+    lying length never allocates."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise ValueError(f"truncated container: {what} needs {size} bytes, got {left}")
+    return fh.read(size)
 
 
 def load_container(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -52,20 +56,29 @@ def load_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise ValueError("not a model container (bad magic)")
         if version != _VERSION:
             raise ValueError(f"unsupported container version {version}")
-        header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
+        try:
+            header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
+        except RecursionError:
+            raise ValueError("container header is nested too deeply") from None
         if not isinstance(header, dict) or "meta" not in header or "arrays" not in header:
             raise ValueError("container header needs 'meta' and 'arrays'")
+        if not isinstance(header["arrays"], list):
+            raise ValueError("container header 'arrays' must be a list")
         arrays = {}
         for spec in header["arrays"]:
             try:
                 name = spec["name"]
                 dtype = np.dtype(spec["dtype"])
-                shape = tuple(int(n) for n in spec["shape"])
+                shape = tuple(spec["shape"])
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad array entry in container header: {spec!r}") from exc
-            if any(n < 0 for n in shape):
-                raise ValueError(f"array {name!r} has a negative dimension")
-            count = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(fh, count * dtype.itemsize, f"array {name!r}")
+            if (
+                not isinstance(name, str)
+                or dtype.kind not in "biufc"
+                or not all(type(n) is int and n >= 0 for n in shape)
+            ):
+                raise ValueError(f"bad array entry in container header: {spec!r}")
+            nbytes = math.prod(shape) * dtype.itemsize
+            raw = _read_exact(fh, nbytes, f"array {name!r}")
             arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     return header["meta"], arrays

@@ -27,7 +27,6 @@ __all__ = [
     "uniform_frequency_table",
     "load_frequency_table",
     "build_cdf",
-    "lookup",
     "draw_permutation",
     "draw_permutations",
     "form_cycle",
@@ -72,19 +71,6 @@ class CharacterSet:
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._index
-
-    def index(self, symbol: str) -> int:
-        return self._index[symbol]
-
-    def position(self, symbol: str) -> tuple[int, int]:
-        """Grid (row, column) of a symbol."""
-        i = self._index[symbol]
-        return divmod(i, self.cols)
-
-    def symbol_at(self, row: int, col: int) -> str:
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise ValueError(f"grid position out of range: {(row, col)}")
-        return self.symbols[row * self.cols + col]
 
 
 def default_character_set() -> CharacterSet:
@@ -203,14 +189,6 @@ def build_cdf(freq: FrequencyTable) -> Cdf:
     return Cdf(freq.symbols, np.cumsum(freq.probs))
 
 
-def lookup(cdf: Cdf, u: float) -> str:
-    """Inverse-transform lookup: the symbol whose interval contains u in [0,1)."""
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"u must lie in [0,1), got {u!r}")
-    k = int(np.searchsorted(cdf.breakpoints, u, side="right"))
-    return cdf.symbols[min(k, len(cdf.symbols) - 1)]
-
-
 def _draw_batch(masses: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Weighted permutations without replacement, one per row of u.
 
@@ -274,13 +252,6 @@ class IlluminationCycle:
 
     order: tuple[str, ...]
     groups: tuple[tuple[str, ...], ...]
-
-    def group_index(self, symbol: str) -> int:
-        """1-based index of the group containing symbol."""
-        for g, group in enumerate(self.groups, start=1):
-            if symbol in group:
-                return g
-        raise KeyError(symbol)
 
 
 def form_cycle(permutation: tuple[str, ...], group_size: int = 6) -> IlluminationCycle:

@@ -10,7 +10,6 @@ divides correctly typed information by elapsed time.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -26,8 +25,6 @@ __all__ = [
     "fano_lower_bound",
     "practical_itr",
     "per_trial_itr_from_session",
-    "recompute_with_ratio",
-    "write_itr_csv",
 ]
 
 _LN2 = math.log(2.0)
@@ -170,23 +167,3 @@ def per_trial_itr_from_session(spec: ChannelSpec, n_trials: int, active_time_s: 
         duration_s=active_time_s,
     )
 
-
-def recompute_with_ratio(confusion: ConfusionMatrix, prior_ratio: float) -> float:
-    """Mutual information of the same confusion under a new oddball:rest ratio.
-
-    prior_ratio r means priors (r, 1) up to normalization: 1:6 is r = 1/6.
-    """
-    if not prior_ratio > 0.0 or not math.isfinite(prior_ratio):
-        raise ValueError("prior ratio must be positive and finite")
-    prior_o = prior_ratio / (1.0 + prior_ratio)
-    return mutual_information(ChannelSpec(confusion, prior_o, 1.0 - prior_o))
-
-
-def write_itr_csv(path, rows: list[dict]) -> None:
-    """One row per (subject, iti): per-trial rate, trial rate, their product."""
-    fields = ["subject", "iti_ms", "bits_per_trial", "trials_per_sec", "bits_per_sec"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in fields})

@@ -9,7 +9,7 @@ conditional_risk exposes both decision risks for cross-checking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -17,7 +17,6 @@ __all__ = [
     "ClassifierParams",
     "fit",
     "log_posterior_odds",
-    "posterior_odds",
     "posterior_oddball",
     "classify",
     "decide_batch",
@@ -37,6 +36,8 @@ class ClassifierParams:
     lambda_om: float     # cost of an omission
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise ValueError("classifier parameters must be finite")
         if not self.sigma2 > 0.0:
             raise ValueError("feature variance must be positive")
         if self.prior_o <= 0.0 or self.prior_e <= 0.0:
@@ -96,23 +97,21 @@ def with_theta(params: ClassifierParams, theta: float) -> ClassifierParams:
     return replace(params, lambda_fa=theta, lambda_om=1.0)
 
 
-def _check_feature(f: float) -> float:
-    f = float(f)
-    if not math.isfinite(f):
-        raise ValueError("feature must be finite")
-    return f
+def log_posterior_odds(params: ClassifierParams, f):
+    """log [p(o|f) / p(e|f)], affine in f for shared-variance Gaussians.
 
-
-def log_posterior_odds(params: ClassifierParams, f: float) -> float:
-    """log [p(o|f) / p(e|f)], affine in f for shared-variance Gaussians."""
-    f = _check_feature(f)
+    f is a scalar (a float comes back) or an array (an array comes back)."""
+    if isinstance(f, (np.ndarray, list, tuple)):
+        f = np.asarray(f, dtype=float)
+        if not np.all(np.isfinite(f)):
+            raise ValueError("features must be finite")
+    else:
+        f = float(f)
+        if not math.isfinite(f):
+            raise ValueError("feature must be finite")
     slope = (params.mu_o - params.mu_e) / params.sigma2
     midpoint = 0.5 * (params.mu_o + params.mu_e)
     return slope * (f - midpoint) + math.log(params.prior_o / params.prior_e)
-
-
-def posterior_odds(params: ClassifierParams, f: float) -> float:
-    return math.exp(min(log_posterior_odds(params, f), 709.0))
 
 
 def posterior_oddball(params: ClassifierParams, f: float) -> float:
@@ -131,13 +130,7 @@ def classify(params: ClassifierParams, f: float) -> bool:
 
 def decide_batch(params: ClassifierParams, features) -> np.ndarray:
     """Vectorized classify over an array of features."""
-    f = np.asarray(features, dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("features must be finite")
-    slope = (params.mu_o - params.mu_e) / params.sigma2
-    midpoint = 0.5 * (params.mu_o + params.mu_e)
-    log_odds = slope * (f - midpoint) + math.log(params.prior_o / params.prior_e)
-    return log_odds > math.log(params.theta)
+    return log_posterior_odds(params, features) > math.log(params.theta)
 
 
 def conditional_risk(params: ClassifierParams, f: float) -> tuple[float, float]:

@@ -8,10 +8,10 @@ explicit inputs), ``mc`` (randomization statistics). Every command honors
 is registered in a manifest JSON carrying the digest of the run identity.
 
 Config files are plain ``key = value`` text with ``#`` comments. Recognized
-keys: the protocol fields (iti_ms, duty_cycle, t_a_ms, t_d_ms, train_chars,
-train_seconds_per_char, pause_s, theta_stage1, theta_stage2, overhead_ms,
-eta, m_max, seed) plus subject, cv_repeats, cv_folds, sentence, trial_budget,
-frequency_table, dictionary. Bundled presets cover
+keys: the protocol fields (iti_ms, train_chars, train_seconds_per_char,
+pause_s, theta_stage1, theta_stage2, overhead_ms, eta, m_max, seed) plus the
+run settings (subject, cv_repeats, cv_folds, sentence, trial_budget,
+frequency_table, dictionary). Bundled presets cover
 {slow, medium, fast} x {oracle, midsnr, noise}.
 """
 from __future__ import annotations
@@ -21,7 +21,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -67,8 +66,6 @@ from .speller import Dictionary, load_dictionary
 __all__ = ["RunSpec", "load_config", "build_parser", "main"]
 
 CHANCE_LEVEL = 6.0 / 7.0
-_PROTOCOL_KEYS = {f.name: f.type for f in dataclasses.fields(ProtocolConfig)}
-_INT_PROTOCOL_KEYS = {"train_chars", "m_max", "seed"}
 
 
 @dataclass(frozen=True)
@@ -100,12 +97,17 @@ class RunSpec:
         return doc
 
 
-def _parse_value(key: str, raw: str, lineno: int, path) -> object:
+# config key -> annotated type of the field it sets
+_PROTOCOL_KEYS = {f.name: f.type for f in dataclasses.fields(ProtocolConfig)}
+_RUN_KEYS = {f.name: f.type for f in dataclasses.fields(RunSpec) if f.name != "protocol"}
+
+
+def _parse_value(kind: str, key: str, raw: str, lineno: int, path) -> object:
     try:
-        if key in _PROTOCOL_KEYS:
-            return int(raw) if key in _INT_PROTOCOL_KEYS else float(raw)
-        if key in ("cv_repeats", "cv_folds", "trial_budget"):
+        if kind == "int":
             return int(raw)
+        if kind == "float":
+            return float(raw)
         return raw
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
@@ -115,15 +117,6 @@ def load_config(path) -> RunSpec:
     """Parse a key=value config file into a RunSpec."""
     protocol: dict = {}
     run: dict = {}
-    run_keys = {
-        "subject",
-        "cv_repeats",
-        "cv_folds",
-        "sentence",
-        "trial_budget",
-        "frequency_table",
-        "dictionary",
-    }
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -134,9 +127,9 @@ def load_config(path) -> RunSpec:
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if key in _PROTOCOL_KEYS:
-                protocol[key] = _parse_value(key, value, lineno, path)
-            elif key in run_keys:
-                run[key] = _parse_value(key, value, lineno, path)
+                protocol[key] = _parse_value(_PROTOCOL_KEYS[key], key, value, lineno, path)
+            elif key in _RUN_KEYS:
+                run[key] = _parse_value(_RUN_KEYS[key], key, value, lineno, path)
             else:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
     return RunSpec(protocol=ProtocolConfig(**protocol), **run)
@@ -223,13 +216,9 @@ def _chance_tag(accuracy: float) -> str:
 # subcommands
 
 
-def cmd_train(args) -> int:
-    spec = load_config(_resolve_config(args.config))
-    seed = _effective_seed(args, spec)
-    out = _out_dir(args)
-    frequency, _ = _load_tables(spec)
+def _calibrate(spec: RunSpec, seed: int, frequency: FrequencyTable | None):
+    """Training session and its cross-validation, with their summary lines."""
     subject = subject_preset(spec.subject)
-
     trials = run_training(spec.protocol, subject, substream(seed, "train"), frequency=frequency)
     cv = cross_validate(
         trials,
@@ -239,6 +228,24 @@ def cmd_train(args) -> int:
         eta=spec.protocol.eta,
         m_max=spec.protocol.m_max,
     )
+    print(f"subject: {spec.subject}")
+    print(f"training trials: {len(trials)}")
+    print(
+        f"cv accuracy: {100.0 * cv.accuracy_mean:.2f}% "
+        f"+- {100.0 * cv.accuracy_std:.2f} (best {100.0 * cv.accuracy_best:.2f}%)"
+    )
+    print(f"chance level: {100.0 * CHANCE_LEVEL:.2f}% -> {_chance_tag(cv.accuracy_mean)}")
+    print(f"bits/trial: {cv.bits_per_trial:.4f}")
+    return trials, cv
+
+
+def cmd_train(args) -> int:
+    spec = load_config(_resolve_config(args.config))
+    seed = _effective_seed(args, spec)
+    out = _out_dir(args)
+    frequency, _ = _load_tables(spec)
+
+    trials, cv = _calibrate(spec, seed, frequency)
     model, params = fit_final_model(trials, spec.protocol)
 
     identity = _run_identity("train", seed, spec.snapshot(), inputs={})
@@ -260,15 +267,6 @@ def cmd_train(args) -> int:
     manifest = _write_manifest(
         out, "train_manifest.json", identity, {"model.bin": model_path, "train_cv.csv": cv_path}
     )
-
-    print(f"subject: {spec.subject}")
-    print(f"training trials: {len(trials)}")
-    print(
-        f"cv accuracy: {100.0 * cv.accuracy_mean:.2f}% "
-        f"+- {100.0 * cv.accuracy_std:.2f} (best {100.0 * cv.accuracy_best:.2f}%)"
-    )
-    print(f"chance level: {100.0 * CHANCE_LEVEL:.2f}% -> {_chance_tag(cv.accuracy_mean)}")
-    print(f"bits/trial: {cv.bits_per_trial:.4f}")
     print(f"model: {model_path}")
     print(f"manifest: {manifest}")
     return 0
@@ -279,26 +277,9 @@ def cmd_cv(args) -> int:
     seed = _effective_seed(args, spec)
     out = _out_dir(args)
     frequency, _ = _load_tables(spec)
-    subject = subject_preset(spec.subject)
 
-    trials = run_training(spec.protocol, subject, substream(seed, "train"), frequency=frequency)
-    cv = cross_validate(
-        trials,
-        repeats=spec.cv_repeats,
-        folds=spec.cv_folds,
-        rng=substream(seed, "cv"),
-        eta=spec.protocol.eta,
-        m_max=spec.protocol.m_max,
-    )
+    trials, cv = _calibrate(spec, seed, frequency)
     rows = [cv_row(spec.subject, spec.protocol.iti_ms, cv)]
-    print(f"subject: {spec.subject}")
-    print(f"training trials: {len(trials)}")
-    print(
-        f"cv accuracy: {100.0 * cv.accuracy_mean:.2f}% "
-        f"+- {100.0 * cv.accuracy_std:.2f} (best {100.0 * cv.accuracy_best:.2f}%)"
-    )
-    print(f"chance level: {100.0 * CHANCE_LEVEL:.2f}% -> {_chance_tag(cv.accuracy_mean)}")
-    print(f"bits/trial: {cv.bits_per_trial:.4f}")
     if args.subsample is not None:
         sub = subsample_check(
             trials,

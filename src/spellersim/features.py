@@ -24,7 +24,7 @@ Fitted models are immutable; fitting and extraction are pure functions.
 """
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +33,7 @@ from scipy.linalg.lapack import dpotrf
 
 from ._container import load_container, save_container
 from .classifier import ClassifierParams
-from .signal import FEATURE_DIM, NON_ODDBALL, ODDBALL
+from .signal import NON_ODDBALL, ODDBALL
 
 __all__ = [
     "ClassSubspace",
@@ -48,8 +48,6 @@ __all__ = [
     "extract_batch",
     "save_model",
     "load_model",
-    "dump_model_json",
-    "load_model_json",
 ]
 
 _EIG_TOL = 1e-10
@@ -77,11 +75,11 @@ class ClassSubspace:
     offset: np.ndarray = field(init=False, repr=False, compare=False)  # (m,): mean @ basis
 
     def __post_init__(self) -> None:
+        if self.mean.ndim != 1 or self.basis.ndim != 2 or self.basis.shape[0] != self.mean.shape[0]:
+            raise ValueError("subspace basis must be (d, m) for a mean of shape (d,)")
         gram = self.basis.T @ self.basis
         if not np.allclose(gram, np.eye(self.basis.shape[1]), atol=1e-8):
             raise ValueError("subspace basis must be orthonormal")
-        if self.basis.shape[0] != self.mean.shape[0]:
-            raise ValueError("basis and mean dimensions disagree")
         object.__setattr__(self, "offset", self.mean @ self.basis)
 
     @property
@@ -100,6 +98,10 @@ class CpcaModel:
     global_mean: np.ndarray
     oddball: ClassSubspace
     non_oddball: ClassSubspace
+
+    def __post_init__(self) -> None:
+        if not self.global_mean.shape == self.oddball.mean.shape == self.non_oddball.mean.shape:
+            raise ValueError("global and class means must have the same shape")
 
     def subspaces(self) -> tuple[ClassSubspace, ClassSubspace]:
         """Branches in decision order: oddball first."""
@@ -239,6 +241,8 @@ class DiscriminantModel:
     log_priors: np.ndarray      # (2,): log p(oddball), log p(non-oddball)
 
     def __post_init__(self) -> None:
+        if self.log_priors.shape != (2,):
+            raise ValueError("gate priors must have shape (2,)")
         total = np.exp(self.log_priors).sum()
         if abs(total - 1.0) > 1e-12:
             raise ValueError("gate priors must sum to 1")
@@ -415,10 +419,19 @@ def _model_meta(model: FeatureModel, classifier: ClassifierParams | None, meta: 
     return out
 
 
+def _is_real(value) -> bool:
+    return type(value) in (int, float) and abs(value) < math.inf
+
+
 def _model_from_parts(meta: dict, arrays: dict) -> tuple[FeatureModel, ClassifierParams | None, dict]:
     if not isinstance(meta, dict) or meta.get("kind") != "feature_model":
         raise ValueError("container does not hold a feature model")
+    for name, arr in arrays.items():
+        if arr.dtype != np.float64 or not np.all(np.isfinite(arr)):
+            raise ValueError(f"model array {name!r} must hold finite float64 values")
     try:
+        if type(meta["m_max"]) is not int or not all(_is_real(meta[k]) for k in ("eta", "o_energy", "e_energy")):
+            raise ValueError("model meta 'eta', 'm_max', 'o_energy' and 'e_energy' must be finite numbers")
         cpca = CpcaModel(
             eta=meta["eta"],
             m_max=meta["m_max"],
@@ -434,9 +447,11 @@ def _model_from_parts(meta: dict, arrays: dict) -> tuple[FeatureModel, Classifie
         params, extra = meta["classifier"], meta["extra"]
     except KeyError as exc:
         raise ValueError(f"model container is missing {exc.args[0]!r}") from None
+    if not isinstance(extra, dict):
+        raise ValueError("model meta 'extra' must be an object")
     try:
         classifier = ClassifierParams(**params) if params is not None else None
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"bad classifier entry in model container: {exc}") from None
     return FeatureModel(cpca=cpca, disc=disc), classifier, extra
 
@@ -455,23 +470,3 @@ def load_model(path) -> tuple[FeatureModel, ClassifierParams | None, dict]:
     meta, arrays = load_container(path)
     return _model_from_parts(meta, arrays)
 
-
-def dump_model_json(
-    path,
-    model: FeatureModel,
-    classifier: ClassifierParams | None = None,
-    meta: dict | None = None,
-) -> None:
-    """Human-readable dump of every parameter; exact float round-trip."""
-    doc = _model_meta(model, classifier, meta)
-    doc["arrays"] = {name: arr.tolist() for name, arr in _model_arrays(model).items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model_json(path) -> tuple[FeatureModel, ClassifierParams | None, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    arrays = {name: np.asarray(value, dtype=float) for name, value in doc.pop("arrays").items()}
-    return _model_from_parts(doc, arrays)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,13 +39,12 @@ from .signal import (
     preprocess,
     trials_to_matrix,
 )
-from .speller import COMPLETION, EXITED, STAGE1, STAGE2, Dictionary, SessionLog, Speller
+from .speller import EXITED, STAGE1, Dictionary, SessionLog, Speller
 
 __all__ = [
     "BENCHMARK_SENTENCE",
     "ONLINE_PRIORS",
     "SPEED_ITI_MS",
-    "latin_square_schedule",
     "ProtocolConfig",
     "CvResult",
     "SessionReport",
@@ -68,24 +67,11 @@ ONLINE_PRIORS = (1.0 / 7.0, 1.0 - 1.0 / 7.0)
 SPEED_ITI_MS = {"slow": 400.0, "medium": 240.0, "fast": 160.0}
 
 
-def latin_square_schedule() -> tuple[tuple[str, str, str], ...]:
-    """Day-by-speed counterbalancing: each day row and each position column
-    covers all three speeds once."""
-    return (
-        ("slow", "medium", "fast"),
-        ("medium", "fast", "slow"),
-        ("fast", "slow", "medium"),
-    )
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """All protocol knobs. Defaults reproduce the slow (400 ms) condition."""
 
     iti_ms: float = 400.0
-    duty_cycle: float = 0.6
-    t_a_ms: float = 400.0
-    t_d_ms: float = 100.0
     train_chars: int = 10
     train_seconds_per_char: float = 30.0
     pause_s: float = 3.0
@@ -101,9 +87,7 @@ class ProtocolConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if not 0.0 < self.duty_cycle <= 1.0:
-            raise ValueError("duty cycle must lie in (0, 1]")
-        for name in ("iti_ms", "t_a_ms", "t_d_ms", "train_seconds_per_char", "pause_s"):
+        for name in ("iti_ms", "train_seconds_per_char", "pause_s"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.train_chars < 1:

@@ -15,13 +15,10 @@ kept, so a session's memory and per-trial cost stay bounded at any length.
 """
 from __future__ import annotations
 
-import csv
 import math
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "FS",
@@ -41,13 +38,8 @@ __all__ = [
     "subject_preset",
     "synthesize_trial",
     "preprocess",
-    "overlap_schedule",
     "SessionSynthesizer",
     "trials_to_matrix",
-    "save_trials_csv",
-    "load_trials_csv",
-    "save_trials_bin",
-    "load_trials_bin",
 ]
 
 FS = 200                 # Hz
@@ -243,20 +235,6 @@ def preprocess(trial: Trial | np.ndarray) -> np.ndarray:
     return samples[:, DISCARD_SAMPLES:].reshape(FEATURE_DIM).copy()
 
 
-def overlap_schedule(iti_ms: float, n_trials: int, t_a_ms: float = 400.0) -> np.ndarray:
-    """Acquisition windows [start, end) in ms for consecutive stimuli.
-
-    Window k starts at k * iti and spans t_a; consecutive windows overlap by
-    max(0, t_a - iti).
-    """
-    if iti_ms <= 0.0:
-        raise ValueError("iti must be positive")
-    if n_trials < 0:
-        raise ValueError("n_trials must be >= 0")
-    starts = np.arange(n_trials) * float(iti_ms)
-    return np.column_stack([starts, starts + float(t_a_ms)])
-
-
 class SessionSynthesizer:
     """Rolling continuous-signal buffer for overlapping trials.
 
@@ -290,6 +268,9 @@ class SessionSynthesizer:
         elif subject.noise_ar == 0.0:
             block = self.rng.normal(0.0, subject.noise_sigma_uv, size=(N_CHANNELS, grow))
         else:
+            # scipy.signal is slow to import and only AR(1) subjects need it
+            from scipy.signal import lfilter
+
             a = subject.noise_ar
             if self._ar_zi is None:
                 # stationary start: x[-1] ~ N(0, sigma^2) per channel
@@ -352,101 +333,3 @@ def trials_to_matrix(trials: list[Trial]) -> tuple[np.ndarray, np.ndarray]:
     y = np.array([t.is_oddball for t in trials], dtype=bool)
     return x, y
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def save_trials_csv(trials: list[Trial], path) -> None:
-    """Columnar CSV: trial id, label, channel, sample index, value.
-
-    Values are written with full repr precision so samples and labels
-    round-trip exactly. Stimulus sets and onset times are carried only by the
-    binary container.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "label", "channel", "sample", "value"])
-        for i, trial in enumerate(trials):
-            label = trial.label
-            for c in range(N_CHANNELS):
-                for k in range(N_SAMPLES):
-                    writer.writerow([i, label, c, k, repr(float(trial.samples[c, k]))])
-
-
-def load_trials_csv(path) -> list[Trial]:
-    data: dict[int, np.ndarray] = {}
-    labels: dict[int, bool] = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["trial", "label", "channel", "sample", "value"]:
-            raise ValueError(f"unrecognized trial CSV header: {header}")
-        for row in reader:
-            i = int(row[0])
-            if row[1] not in (ODDBALL, NON_ODDBALL):
-                raise ValueError(f"bad label {row[1]!r}")
-            labels[i] = row[1] == ODDBALL
-            block = data.setdefault(i, np.zeros((N_CHANNELS, N_SAMPLES)))
-            block[int(row[2]), int(row[3])] = float(row[4])
-    return [
-        Trial(samples=data[i], is_oddball=labels[i])
-        for i in sorted(data)
-    ]
-
-
-_BIN_MAGIC = b"EEGT"
-_BIN_VERSION = 1
-_HEADER = struct.Struct("<4sHIHHH")      # magic, version, n_trials, n_channels, n_samples, reserved
-_TRIAL_META = struct.Struct("<B7xdQ")    # label, pad, onset, stimulus bit mask
-
-
-def save_trials_bin(trials: list[Trial], path, symbols: tuple[str, ...]) -> None:
-    """Compact binary container; exact round-trip including stimulus sets.
-
-    Stimulus sets are stored as bit masks over the given symbol order, which
-    is embedded in the file.
-    """
-    if len(symbols) > 64:
-        raise ValueError("symbol table too large for the stimulus bit mask")
-    index = {s: i for i, s in enumerate(symbols)}
-    blob = "\t".join(symbols).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_BIN_MAGIC, _BIN_VERSION, len(trials), N_CHANNELS, N_SAMPLES, 0))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for trial in trials:
-            mask = 0
-            for s in trial.stimulus:
-                if s not in index:
-                    raise ValueError(f"stimulus symbol {s!r} not in symbol table")
-                mask |= 1 << index[s]
-            fh.write(_TRIAL_META.pack(int(trial.is_oddball), float(trial.onset_s), mask))
-            fh.write(np.ascontiguousarray(trial.samples, dtype="<f8").tobytes())
-
-
-def load_trials_bin(path) -> list[Trial]:
-    with open(path, "rb") as fh:
-        magic, version, n_trials, n_channels, n_samples, _ = _HEADER.unpack(
-            fh.read(_HEADER.size)
-        )
-        if magic != _BIN_MAGIC:
-            raise ValueError("not a trial container (bad magic)")
-        if version != _BIN_VERSION:
-            raise ValueError(f"unsupported trial container version {version}")
-        if (n_channels, n_samples) != (N_CHANNELS, N_SAMPLES):
-            raise ValueError("trial shape mismatch")
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        symbols = tuple(fh.read(blob_len).decode("utf-8").split("\t"))
-        trials = []
-        block_bytes = n_channels * n_samples * 8
-        for _ in range(n_trials):
-            is_odd, onset, mask = _TRIAL_META.unpack(fh.read(_TRIAL_META.size))
-            samples = np.frombuffer(fh.read(block_bytes), dtype="<f8").reshape(
-                n_channels, n_samples
-            )
-            stimulus = tuple(s for i, s in enumerate(symbols) if mask >> i & 1)
-            trials.append(
-                Trial(samples=samples.copy(), is_oddball=bool(is_odd), stimulus=stimulus, onset_s=onset)
-            )
-    return trials

@@ -19,7 +19,6 @@ from spellersim.alphabet import (
     draw_permutations,
     form_cycle,
     load_frequency_table,
-    lookup,
     monte_carlo_group_stats,
     uniform_frequency_table,
 )
@@ -52,23 +51,6 @@ class TestCharacterSet:
             assert required in charset
         for letter in "ABCDEFGHIJKLMNOPQRSTUVWXYZ":
             assert letter in charset
-
-    def test_grid_round_trip(self):
-        charset = default_character_set()
-        seen = set()
-        for row in range(6):
-            for col in range(7):
-                symbol = charset.symbol_at(row, col)
-                assert charset.position(symbol) == (row, col)
-                seen.add(symbol)
-        assert seen == set(charset.symbols)
-
-    def test_symbol_at_bounds(self):
-        charset = default_character_set()
-        with pytest.raises(ValueError):
-            charset.symbol_at(6, 0)
-        with pytest.raises(ValueError):
-            charset.symbol_at(0, -1)
 
     def test_rejects_wrong_count(self):
         with pytest.raises(ValueError):
@@ -144,25 +126,6 @@ class TestCdf:
         cdf = build_cdf(table)
         assert np.allclose(cdf.masses, table.probs, atol=1e-15)
 
-    def test_lookup_interval_semantics(self, table):
-        cdf = build_cdf(table)
-        breaks = cdf.breakpoints
-        # strictly inside interval k -> symbol k
-        for k in (0, 1, 17, 41):
-            lo = 0.0 if k == 0 else breaks[k - 1]
-            mid = (lo + breaks[k]) / 2.0
-            assert lookup(cdf, mid) == cdf.symbols[k]
-        # a breakpoint belongs to the next interval
-        assert lookup(cdf, float(breaks[0])) == cdf.symbols[1]
-        assert lookup(cdf, 0.0) == cdf.symbols[0]
-
-    def test_lookup_domain(self, table):
-        cdf = build_cdf(table)
-        with pytest.raises(ValueError):
-            lookup(cdf, 1.0)
-        with pytest.raises(ValueError):
-            lookup(cdf, -1e-9)
-
     def test_rejects_nonmonotone_breakpoints(self):
         with pytest.raises(ValueError):
             Cdf((SPACE, "E"), np.array([0.6, 0.6]))
@@ -222,13 +185,6 @@ class TestFormCycle:
         assert sorted(pooled) == sorted(table.symbols)
         assert all(len(group) == 6 for group in cycle.groups)
 
-    def test_group_index_is_one_based(self, table):
-        cycle = form_cycle(table.symbols)
-        assert cycle.group_index(table.symbols[0]) == 1
-        assert cycle.group_index(table.symbols[41]) == 7
-        with pytest.raises(KeyError):
-            cycle.group_index("#")
-
     def test_rejects_duplicates_and_bad_length(self, table):
         with pytest.raises(ValueError):
             form_cycle(table.symbols[:41] + (table.symbols[0],))
@@ -241,9 +197,8 @@ class TestMonteCarloStats:
         cdf = build_cdf(table)
         stats_1 = monte_carlo_group_stats(table, 1, np.random.default_rng(9))
         perm = draw_permutation(cdf, np.random.default_rng(9))
-        cycle = form_cycle(perm)
         for symbol in table.symbols:
-            assert stats_1.mean_group_of(symbol) == cycle.group_index(symbol)
+            assert stats_1.mean_group_of(symbol) == perm.index(symbol) // 6 + 1
             assert stats_1.mean_position[table.symbols.index(symbol)] == perm.index(symbol) + 1
 
     def test_space_lands_in_the_first_two_groups(self, biased_stats):

@@ -1,5 +1,4 @@
 """Channel math: exact mutual information, bounds, and rate reports."""
-import csv
 import math
 
 import numpy as np
@@ -13,9 +12,7 @@ from spellersim.channel import (
     mutual_information,
     per_trial_itr_from_session,
     practical_itr,
-    recompute_with_ratio,
     wolpaw_itr,
-    write_itr_csv,
 )
 
 PRIOR_16 = (1.0 / 7.0, 6.0 / 7.0)
@@ -254,21 +251,13 @@ class TestSessionReport:
 
 
 class TestRecomputeWithRatio:
-    def test_identity_at_unchanged_ratio(self):
-        conf = ConfusionMatrix(0.8, 0.2, 0.05, 0.95)
-        direct = mutual_information(ChannelSpec(conf, *PRIOR_16))
-        assert recompute_with_ratio(conf, 1.0 / 6.0) == direct
+    """Mutual information of one confusion re-evaluated at another prior ratio."""
 
     def test_degenerate_ratios_kill_information(self):
         conf = ConfusionMatrix(0.9, 0.1, 0.05, 0.95)
-        assert recompute_with_ratio(conf, 1e-9) < 1e-6
-        assert recompute_with_ratio(conf, 1e9) < 1e-6
-
-    def test_invalid_ratio(self):
-        conf = ConfusionMatrix.perfect()
-        for ratio in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                recompute_with_ratio(conf, ratio)
+        for ratio in (1e-9, 1e9):
+            prior_o = ratio / (1.0 + ratio)
+            assert mutual_information(ChannelSpec(conf, prior_o, 1.0 - prior_o)) < 1e-6
 
     def test_one_to_three_envelope(self):
         # Operating points whose accuracy at the true 1:6 ratio spans the
@@ -283,7 +272,7 @@ class TestRecomputeWithRatio:
                 acc = ChannelSpec(conf, *PRIOR_16).accuracy()
                 if not 0.905 <= acc <= 0.966:
                     continue
-                values.append(recompute_with_ratio(conf, 1.0 / 3.0))
+                values.append(mutual_information(ChannelSpec(conf, 0.25, 0.75)))
         assert values
         assert min(values) > 0.10
         assert max(values) < 0.70
@@ -291,29 +280,3 @@ class TestRecomputeWithRatio:
         assert max(values) > 0.524
         assert any(0.274 <= v <= 0.524 for v in values)
 
-
-class TestCsvEmitter:
-    def test_table_layout_round_trip(self, tmp_path):
-        rows = [
-            {
-                "subject": "midsnr",
-                "iti_ms": 160,
-                "bits_per_trial": 0.522,
-                "trials_per_sec": 5.814,
-                "bits_per_sec": 0.522 * 5.814,
-            },
-            {
-                "subject": "oracle",
-                "iti_ms": 400,
-                "bits_per_trial": 0.5917,
-                "trials_per_sec": 2.5,
-                "bits_per_sec": 0.5917 * 2.5,
-            },
-        ]
-        path = tmp_path / "itr.csv"
-        write_itr_csv(path, rows)
-        with open(path, newline="") as fh:
-            parsed = list(csv.DictReader(fh))
-        assert [r["subject"] for r in parsed] == ["midsnr", "oracle"]
-        assert parsed[0]["iti_ms"] == "160"
-        assert float(parsed[1]["bits_per_sec"]) == pytest.approx(0.5917 * 2.5)

@@ -7,10 +7,10 @@ from spellersim.classifier import (
     ClassifierParams,
     classify,
     conditional_risk,
+    decide_batch,
     fit,
     log_posterior_odds,
     posterior_oddball,
-    posterior_odds,
     with_theta,
 )
 
@@ -79,17 +79,21 @@ def test_params_validation():
         ClassifierParams(0.0, 1.0, 1.0, 0.3, 0.8, 1.0, 1.0)  # priors sum > 1
     with pytest.raises(ValueError):
         _params(lam=(0.0, 1.0))
+    with pytest.raises(ValueError):
+        _params(mu_o=math.nan)
+    with pytest.raises(ValueError):
+        _params(sigma2=math.inf)
 
 
 def test_midpoint_odds_equal_priors():
     params = _params(mu_o=3.0, mu_e=1.0, prior_o=0.5)
-    assert posterior_odds(params, 2.0) == pytest.approx(1.0, abs=1e-12)
+    assert math.exp(log_posterior_odds(params, 2.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_uninformative_features_reduce_to_prior_ratio():
     params = _params(mu_o=0.7, mu_e=0.7, prior_o=1.0 / 7.0)
     for f in (-5.0, 0.0, 0.7, 12.0):
-        assert posterior_odds(params, f) == pytest.approx(1.0 / 6.0, rel=1e-12)
+        assert math.exp(log_posterior_odds(params, f)) == pytest.approx(1.0 / 6.0, rel=1e-12)
 
 
 def test_log_odds_affine_in_feature():
@@ -205,7 +209,7 @@ def test_posterior_oddball_matches_odds():
     params = _params(mu_o=1.0, mu_e=0.0, prior_o=0.3)
     for f in (-2.0, 0.1, 3.5):
         p = posterior_oddball(params, f)
-        odds = posterior_odds(params, f)
+        odds = math.exp(log_posterior_odds(params, f))
         assert p / (1.0 - p) == pytest.approx(odds, rel=1e-9)
 
 
@@ -231,3 +235,79 @@ def test_with_theta():
     assert new.mu_o == params.mu_o and new.sigma2 == params.sigma2
     with pytest.raises(ValueError):
         with_theta(params, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the single affine log-odds formula against the three scalar forms it replaced
+
+
+def _reference_log_odds(params, f):
+    f = float(f)
+    if not math.isfinite(f):
+        raise ValueError("feature must be finite")
+    slope = (params.mu_o - params.mu_e) / params.sigma2
+    midpoint = 0.5 * (params.mu_o + params.mu_e)
+    return slope * (f - midpoint) + math.log(params.prior_o / params.prior_e)
+
+
+def _reference_posterior(params, f):
+    log_odds = _reference_log_odds(params, f)
+    if log_odds >= 0.0:
+        return 1.0 / (1.0 + math.exp(-log_odds))
+    z = math.exp(log_odds)
+    return z / (1.0 + z)
+
+
+def _reference_decide_batch(params, features):
+    f = np.asarray(features, dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("features must be finite")
+    slope = (params.mu_o - params.mu_e) / params.sigma2
+    midpoint = 0.5 * (params.mu_o + params.mu_e)
+    log_odds = slope * (f - midpoint) + math.log(params.prior_o / params.prior_e)
+    return log_odds > math.log(params.theta)
+
+
+def _equivalence_cases(n):
+    """Random (params, f) pairs; every fourth has |log odds| far above 700 and
+    every tenth sits exactly on the threshold (odds equal to theta = 1)."""
+    rng = np.random.default_rng(2024)
+    for i in range(n):
+        prior_o = rng.uniform(0.02, 0.98)
+        mu_o, mu_e = rng.normal(0.0, 3.0, size=2)
+        sigma2 = 10.0 ** rng.uniform(-3.0, 2.0)
+        theta = 10.0 ** rng.uniform(-2.0, 2.0)
+        f = rng.normal(0.5 * (mu_o + mu_e), 4.0)
+        if i % 4 == 1:
+            sigma2 = 10.0 ** rng.uniform(-6.0, -4.0)
+            f = rng.choice([-1.0, 1.0]) * rng.uniform(50.0, 500.0)
+        if i % 10 == 3:
+            prior_o, theta, f = 0.5, 1.0, 0.5 * (mu_o + mu_e)
+        values = (mu_o, mu_e, sigma2, prior_o, 1.0 - prior_o, theta, 1.0)
+        yield ClassifierParams(*map(float, values)), float(f)
+
+
+def test_log_odds_forms_are_bit_identical_to_the_scalar_references():
+    n_huge = n_ties = 0
+    for params, f in _equivalence_cases(12_000):
+        expected = _reference_log_odds(params, f)
+        got = log_posterior_odds(params, f)
+        assert type(got) is float and got == expected
+        assert log_posterior_odds(params, np.array([f]))[0] == expected
+        assert posterior_oddball(params, f) == _reference_posterior(params, f)
+        decision = _reference_decide_batch(params, np.array([f]))
+        assert np.array_equal(decide_batch(params, np.array([f])), decision)
+        assert classify(params, f) == bool(decision[0])
+        n_huge += abs(expected) > 700.0
+        n_ties += expected == math.log(params.theta)
+    assert n_huge > 1000 and n_ties > 1000
+
+
+def test_batch_log_odds_match_the_scalar_references_elementwise():
+    for params, _ in _equivalence_cases(50):
+        f = np.random.default_rng(3).normal(0.0, 30.0, size=400)
+        expected = np.array([_reference_log_odds(params, v) for v in f])
+        assert np.array_equal(log_posterior_odds(params, f), expected)
+        assert np.array_equal(decide_batch(params, f), _reference_decide_batch(params, f))
+    with pytest.raises(ValueError):
+        decide_batch(_params(), np.array([0.0, np.nan]))

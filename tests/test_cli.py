@@ -5,12 +5,19 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spellersim.cli import _PROTOCOL_KEYS, RunSpec, load_config, main
+from spellersim._container import load_container, save_container
+from spellersim.cli import _PROTOCOL_KEYS, _RUN_KEYS, RunSpec, load_config, main
+from spellersim.harness import ProtocolConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -80,10 +87,31 @@ class TestConfigLoading:
         with pytest.raises(ValueError):
             load_config(bad)
 
+    def test_accepted_keys_are_the_dataclass_fields(self):
+        protocol = {f.name for f in dataclasses.fields(ProtocolConfig)}
+        run = {f.name for f in dataclasses.fields(RunSpec)} - {"protocol"}
+        assert set(_PROTOCOL_KEYS) == protocol and len(protocol) == 10
+        assert set(_RUN_KEYS) == run and len(protocol | run) == 17
+        for key, kind in {**_PROTOCOL_KEYS, **_RUN_KEYS}.items():
+            assert kind in ("int", "float", "str", "str | None"), key
 
-_KNOWN_KEYS = tuple(sorted(_PROTOCOL_KEYS)) + tuple(
-    f.name for f in dataclasses.fields(RunSpec) if f.name != "protocol"
-)
+    def test_readme_lists_exactly_the_accepted_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        start = readme.index("The accepted keys are")
+        sentence = readme[start : readme.index(".", start)]
+        assert set(re.findall(r"`(\w+)`", sentence)) == set(_PROTOCOL_KEYS) | set(_RUN_KEYS)
+
+    def test_package_import_leaves_scipy_signal_unloaded(self):
+        # scipy.signal costs most of the CLI start-up and only AR(1) noise needs it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import spellersim.cli; "
+            "assert 'scipy.signal' not in sys.modules, 'scipy.signal was imported'"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+
+_KNOWN_KEYS = tuple(sorted(_PROTOCOL_KEYS)) + tuple(_RUN_KEYS)
 _EDGE_VALUES = (
     "nan",
     "-nan",
@@ -425,6 +453,75 @@ class TestSpell:
         assert field in err
         if field == "train_seconds_per_char":
             assert "iti_ms" in err
+
+
+class TestRemovedKnobs:
+    @pytest.mark.parametrize("line", ["duty_cycle = 0.6", "t_a_ms = 300", "t_d_ms = 100"])
+    def test_removed_window_knob_is_an_unknown_key(self, capsys, workdir, line):
+        key = line.split()[0]
+        cfg = workdir / f"knob_{key}.cfg"
+        cfg.write_text(f"iti_ms = 400\nsubject = oracle\n{line}\n")
+        code, _, err = run_cli(
+            capsys, "train", "--config", str(cfg), "--out", str(workdir / f"knob_{key}")
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert f"unknown key {key!r}" in err
+
+
+def _raw_container(meta, specs, body: bytes) -> bytes:
+    """Container bytes with a hand-written array table."""
+    header = json.dumps({"meta": meta, "arrays": specs}, sort_keys=True).encode()
+    return struct.pack("<4sHHI", b"SSMC", 1, 0, len(header)) + header + body
+
+
+class TestMalformedModel:
+    @pytest.fixture(scope="class")
+    def parts(self, trained):
+        return load_container(trained / "model.bin")
+
+    def _spell(self, capsys, workdir, oracle_cfg, path):
+        return run_cli(
+            capsys,
+            "spell",
+            "--config",
+            str(oracle_cfg),
+            "--model",
+            str(path),
+            "--out",
+            str(workdir / "sp_malformed"),
+        )
+
+    def test_array_table_that_is_not_a_list(self, capsys, workdir, oracle_cfg, parts):
+        path = workdir / "arrays_5.bin"
+        path.write_bytes(_raw_container(parts[0], 5, b""))
+        code, _, err = self._spell(capsys, workdir, oracle_cfg, path)
+        assert code == 2
+        assert err.startswith("error:") and "'arrays'" in err
+
+    def test_array_larger_than_the_file(self, capsys, workdir, oracle_cfg, parts):
+        path = workdir / "huge.bin"
+        spec = {"name": "global_mean", "dtype": "<f8", "shape": [10**20]}
+        path.write_bytes(_raw_container(parts[0], [spec], b"\0" * 64))
+        code, _, err = self._spell(capsys, workdir, oracle_cfg, path)
+        assert code == 2
+        assert err.startswith("error: truncated container: array 'global_mean'")
+
+    def test_one_dimensional_basis(self, capsys, workdir, oracle_cfg, parts):
+        meta, arrays = parts
+        path = workdir / "flat_basis.bin"
+        save_container(path, meta, dict(arrays, o_basis=arrays["o_basis"].ravel()))
+        code, _, err = self._spell(capsys, workdir, oracle_cfg, path)
+        assert code == 2
+        assert err.startswith("error: subspace basis must be (d, m)")
+
+    def test_string_eta(self, capsys, workdir, oracle_cfg, parts):
+        meta, arrays = parts
+        path = workdir / "string_eta.bin"
+        save_container(path, dict(meta, eta="0.9"), arrays)
+        code, _, err = self._spell(capsys, workdir, oracle_cfg, path)
+        assert code == 2
+        assert err.startswith("error:") and "'eta'" in err
 
 
 class TestCv:

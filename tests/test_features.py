@@ -1,5 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from spellersim import classifier
 from spellersim._container import load_container, save_container
@@ -9,14 +14,12 @@ from spellersim.features import (
     CpcaModel,
     DiscriminantModel,
     FeatureModel,
-    dump_model_json,
     extract,
     extract_batch,
     fit_cpca,
     fit_discriminant,
     fit_feature_model,
     load_model,
-    load_model_json,
     save_model,
 )
 from spellersim.features import (
@@ -329,23 +332,6 @@ def test_binary_output_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_json_round_trip_exact(tmp_path):
-    rng = np.random.default_rng(19)
-    x, y = _gaussian_classes(rng, n_o=80, n_e=300, d=16)
-    model = fit_feature_model(x, y)
-    path = tmp_path / "model.json"
-    dump_model_json(path, model)
-    loaded, params, _ = load_model_json(path)
-    assert params is None
-    for a, b in (
-        (loaded.cpca.oddball.basis, model.cpca.oddball.basis),
-        (loaded.cpca.global_mean, model.cpca.global_mean),
-        (loaded.disc.oddball.t, model.disc.oddball.t),
-        (loaded.disc.oddball.feature_vars, model.disc.oddball.feature_vars),
-    ):
-        assert np.max(np.abs(a - b)) <= 1e-15
-
-
 # ---------------------------------------------------------------------------
 # top-of-spectrum subspace fit against the full-spectrum oracle
 
@@ -560,3 +546,115 @@ def test_container_missing_a_meta_key_raises_value_error(saved_model, tmp_path):
     save_container(path, broken, arrays)
     with pytest.raises(ValueError, match="sigma2"):
         load_model(path)
+
+
+def _raw_header(header) -> bytes:
+    blob = json.dumps(header).encode()
+    return struct.pack("<4sHHI", b"SSMC", 1, 0, len(blob)) + blob
+
+
+_ARRAY_NAMES = (
+    "global_mean",
+    "o_mean",
+    "o_basis",
+    "e_mean",
+    "e_basis",
+    "o_t",
+    "o_feature_means",
+    "o_feature_vars",
+    "e_t",
+    "e_feature_means",
+    "e_feature_vars",
+    "log_priors",
+)
+_json_leaf = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.just(-(10**400)),
+    st.floats(),
+    st.text(max_size=6),
+)
+_json = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_array_spec = st.fixed_dictionaries(
+    {
+        "name": st.sampled_from(_ARRAY_NAMES) | _json,
+        "dtype": st.sampled_from(["<f8", "<f4", "<i8", "|b1", ">f8", "<c16", "|O", "V8", "xyz"])
+        | _json,
+        "shape": st.lists(st.integers(-2, 10**20) | _json, max_size=3) | _json,
+    }
+)
+
+
+_CLASSIFIER = dict(mu_o=1.0, mu_e=0.0, sigma2=1.0, prior_o=0.5, prior_e=0.5, lambda_fa=1.0, lambda_om=1.0)
+_FUZZ = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestContainerFuzz:
+    """Every byte string given to load_model yields a model or a ValueError."""
+
+    @staticmethod
+    def _load(tmp_path, blob: bytes) -> None:
+        path = tmp_path / "fuzz.bin"
+        path.write_bytes(blob)
+        try:
+            model, params, extra = load_model(path)
+        except ValueError:
+            return
+        assert isinstance(model, FeatureModel) and isinstance(extra, dict)
+        assert params is None or isinstance(params, classifier.ClassifierParams)
+
+    @settings(max_examples=150, **_FUZZ)
+    @given(keep=st.floats(0.0, 1.0))
+    def test_truncations(self, saved_model, tmp_path, keep):
+        blob = saved_model.read_bytes()
+        self._load(tmp_path, blob[: int(keep * len(blob))])
+
+    @settings(max_examples=300, **_FUZZ)
+    @given(
+        flips=st.lists(
+            st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 255)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_byte_flips(self, saved_model, tmp_path, flips):
+        blob = bytearray(saved_model.read_bytes())
+        for where, mask in flips:
+            blob[int(where * len(blob))] ^= mask
+        self._load(tmp_path, bytes(blob))
+
+    @settings(max_examples=150, **_FUZZ)
+    @given(
+        meta=_json | st.just("valid"),
+        arrays=st.lists(_array_spec, max_size=4) | _json,
+        body=st.binary(max_size=256),
+    )
+    def test_generated_headers(self, saved_model, tmp_path, meta, arrays, body):
+        if meta == "valid":
+            meta = load_container(saved_model)[0]
+        self._load(tmp_path, _raw_header({"meta": meta, "arrays": arrays}) + body)
+
+    @settings(max_examples=200, **_FUZZ)
+    @given(
+        name=st.sampled_from(_ARRAY_NAMES),
+        shape=st.lists(st.integers(0, 14), max_size=3),
+        meta_key=st.sampled_from(["eta", "m_max", "o_energy", "e_energy", "classifier", "extra"]),
+        meta_value=_json | st.builds(lambda v: dict(_CLASSIFIER, mu_o=v), _json_leaf),
+    )
+    @example("log_priors", [2], "classifier", dict(_CLASSIFIER, mu_o=-(10**400)))
+    @example("log_priors", [2], "eta", 10**400)
+    def test_valid_layout_with_one_bad_part(
+        self, saved_model, tmp_path, name, shape, meta_key, meta_value
+    ):
+        meta, arrays = load_container(saved_model)
+        size = int(np.prod(shape)) if shape else 1
+        arrays[name] = np.resize(arrays[name], size).reshape(shape)
+        path = tmp_path / "part.bin"
+        save_container(path, dict(meta, **{meta_key: meta_value}), arrays)
+        self._load(tmp_path, path.read_bytes())

@@ -17,7 +17,6 @@ from spellersim.harness import (
     cross_validate,
     cv_row,
     fit_final_model,
-    latin_square_schedule,
     run_online,
     run_training,
     session_row,
@@ -79,9 +78,6 @@ class TestProtocolConfig:
         [
             {"iti_ms": 0.0},
             {"iti_ms": -1.0},
-            {"duty_cycle": 0.0},
-            {"duty_cycle": 1.2},
-            {"t_a_ms": 0.0},
             {"pause_s": 0.0},
             {"train_chars": 0},
             {"theta_stage1": 0.0},
@@ -100,21 +96,6 @@ class TestProtocolConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ProtocolConfig(**kwargs)
-
-
-class TestSpeedSchedule:
-    def test_rows_and_columns_cover_every_speed(self):
-        square = latin_square_schedule()
-        assert len(square) == 3
-        for row in square:
-            assert sorted(row) == sorted(SPEEDS)
-        for col in range(3):
-            assert sorted(row[col] for row in square) == sorted(SPEEDS)
-
-    def test_speeds_have_rates(self):
-        for row in latin_square_schedule():
-            for name in row:
-                assert name in SPEED_ITI_MS
 
 
 class TestRunTraining:

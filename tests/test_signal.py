@@ -13,12 +13,7 @@ from spellersim.signal import (
     SubjectModel,
     Trial,
     default_erp_template,
-    load_trials_bin,
-    load_trials_csv,
-    overlap_schedule,
     preprocess,
-    save_trials_bin,
-    save_trials_csv,
     subject_preset,
     synthesize_trial,
     trials_to_matrix,
@@ -148,16 +143,6 @@ def test_preprocess_accepts_trial_and_validates():
     assert np.array_equal(preprocess(trial), preprocess(trial.samples))
     with pytest.raises(ValueError):
         preprocess(np.zeros((N_CHANNELS, 10)))
-
-
-def test_overlap_schedule_windows():
-    windows = overlap_schedule(400.0, 3)
-    assert np.array_equal(windows, [[0.0, 400.0], [400.0, 800.0], [800.0, 1200.0]])
-    windows = overlap_schedule(160.0, 4)
-    # consecutive windows share 240 ms of signal
-    assert np.all(windows[:-1, 1] - windows[1:, 0] == 240.0)
-    with pytest.raises(ValueError):
-        overlap_schedule(0.0, 2)
 
 
 def test_session_bleed_at_short_iti():
@@ -352,51 +337,3 @@ def test_trials_to_matrix():
     assert np.array_equal(y, [False, True, False, True])
     assert np.array_equal(x[1], preprocess(trials[1]))
 
-
-def _sample_trials(n=5):
-    subject = subject_preset("midsnr")
-    rng = np.random.default_rng(9)
-    return [
-        synthesize_trial(
-            subject, bool(i % 2), rng, stimulus=("A", "B") if i % 2 else ("C",), onset_s=0.4 * i
-        )
-        for i in range(n)
-    ]
-
-
-def test_csv_round_trip_exact(tmp_path):
-    trials = _sample_trials()
-    path = tmp_path / "trials.csv"
-    save_trials_csv(trials, path)
-    back = load_trials_csv(path)
-    assert len(back) == len(trials)
-    for a, b in zip(trials, back):
-        assert np.array_equal(a.samples, b.samples)
-        assert a.is_oddball == b.is_oddball
-
-
-def test_bin_round_trip_exact(tmp_path):
-    trials = _sample_trials()
-    symbols = tuple("ABCDEF")
-    path = tmp_path / "trials.eegt"
-    save_trials_bin(trials, path, symbols)
-    back = load_trials_bin(path)
-    assert len(back) == len(trials)
-    for a, b in zip(trials, back):
-        assert np.array_equal(a.samples, b.samples)
-        assert a.is_oddball == b.is_oddball
-        assert set(a.stimulus) == set(b.stimulus)
-        assert a.onset_s == b.onset_s
-
-
-def test_bin_rejects_unknown_stimulus(tmp_path):
-    trials = _sample_trials(2)
-    with pytest.raises(ValueError):
-        save_trials_bin(trials, tmp_path / "x.eegt", ("X", "Y"))
-
-
-def test_bin_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.eegt"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ValueError):
-        load_trials_bin(path)
