@@ -71,6 +71,8 @@ class ChannelSpec:
     prior_e: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.prior_o) and math.isfinite(self.prior_e)):
+            raise ValueError(f"priors must be finite, got {self.prior_o!r} and {self.prior_e!r}")
         if self.prior_o <= 0.0 or self.prior_e <= 0.0:
             raise ValueError("priors must be positive")
         if abs(self.prior_o + self.prior_e - 1.0) > 1e-12:

@@ -349,23 +349,9 @@ def cmd_spell(args) -> int:
 
     log_path = out / "session.jsonl"
     log.write(log_path)
-    report_doc = {
-        "manifest_digest": digest,
-        "completed": report.completed,
-        "prompt": report.prompt,
-        "target": report.target,
-        "n_trials": report.n_trials,
-        "n_selections": report.n_selections,
-        "n_correct": report.n_correct,
-        "t_total_s": report.t_total_s,
-        "t_active_s": report.t_active_s,
-        "t_pause_s": report.t_pause_s,
-        "accuracy": report.accuracy,
-        "practical_bits_per_sec": report.practical_bits_per_sec,
-        "per_trial": None
-        if report.per_trial is None
-        else dataclasses.asdict(report.per_trial),
-    }
+    report_doc = dataclasses.asdict(report)
+    del report_doc["confusion"]
+    report_doc["manifest_digest"] = digest
     report_path = out / "session_report.json"
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report_doc, fh, indent=2, sort_keys=True)

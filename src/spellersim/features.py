@@ -77,10 +77,16 @@ class ClassSubspace:
     def __post_init__(self) -> None:
         if self.mean.ndim != 1 or self.basis.ndim != 2 or self.basis.shape[0] != self.mean.shape[0]:
             raise ValueError("subspace basis must be (d, m) for a mean of shape (d,)")
-        gram = self.basis.T @ self.basis
+        # huge loaded values may overflow; the checks below reject that
+        # (allclose is false for inf and nan) instead of warning
+        with np.errstate(over="ignore"):
+            gram = self.basis.T @ self.basis
+            offset = self.mean @ self.basis
         if not np.allclose(gram, np.eye(self.basis.shape[1]), atol=1e-8):
             raise ValueError("subspace basis must be orthonormal")
-        object.__setattr__(self, "offset", self.mean @ self.basis)
+        if not np.all(np.isfinite(offset)):
+            raise ValueError("subspace offset (mean @ basis) must be finite")
+        object.__setattr__(self, "offset", offset)
 
     @property
     def m(self) -> int:
@@ -226,7 +232,9 @@ class BranchDiscriminant:
     feature_vars: np.ndarray    # (2,): matching variances, floored positive
 
     def __post_init__(self) -> None:
-        if abs(np.linalg.norm(self.t) - 1.0) > 1e-8:
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(self.t)
+        if not math.isfinite(norm) or abs(norm - 1.0) > 1e-8:
             raise ValueError("discriminant vector must have unit norm")
         if self.feature_means.shape != (2,) or self.feature_vars.shape != (2,):
             raise ValueError("per-class statistics must have shape (2,)")
@@ -243,7 +251,8 @@ class DiscriminantModel:
     def __post_init__(self) -> None:
         if self.log_priors.shape != (2,):
             raise ValueError("gate priors must have shape (2,)")
-        total = np.exp(self.log_priors).sum()
+        with np.errstate(over="ignore"):
+            total = np.exp(self.log_priors).sum()
         if abs(total - 1.0) > 1e-12:
             raise ValueError("gate priors must sum to 1")
 

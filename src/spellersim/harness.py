@@ -30,15 +30,7 @@ from .alphabet import (
 from .channel import ChannelSpec, ConfusionMatrix, ItrReport, mutual_information, per_trial_itr_from_session, practical_itr
 from .classifier import ClassifierParams, decide_batch, fit as fit_classifier, posterior_oddball, with_theta
 from .features import FeatureModel, _fit_with_training_features, extract, extract_batch
-from .signal import (
-    NON_ODDBALL,
-    ODDBALL,
-    SessionSynthesizer,
-    SubjectModel,
-    Trial,
-    preprocess,
-    trials_to_matrix,
-)
+from .signal import N_CHANNELS, N_SAMPLES, NON_ODDBALL, ODDBALL, SessionSynthesizer, SubjectModel, preprocess
 from .speller import EXITED, STAGE1, Dictionary, SessionLog, Speller
 
 __all__ = [
@@ -46,6 +38,7 @@ __all__ = [
     "ONLINE_PRIORS",
     "SPEED_ITI_MS",
     "ProtocolConfig",
+    "TrialBatch",
     "CvResult",
     "SessionReport",
     "run_training",
@@ -117,6 +110,25 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
+class TrialBatch:
+    """A labeled session, one column per field: trial i is the (8, 80)
+    window samples[i], shown with the illuminated group stimuli[i] at
+    onsets_s[i] on its block's timeline, and an oddball iff is_oddball[i]."""
+
+    samples: np.ndarray                   # (n, 8, 80) microvolt
+    is_oddball: np.ndarray                # (n,) bool
+    stimuli: tuple[tuple[str, ...], ...]  # n groups
+    onsets_s: np.ndarray                  # (n,)
+
+    def __post_init__(self) -> None:
+        if not len(self.samples) == len(self.is_oddball) == len(self.stimuli) == len(self.onsets_s):
+            raise ValueError("trial batch columns must have the same length")
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+
+@dataclass(frozen=True)
 class CvResult:
     accuracy_mean: float
     accuracy_std: float
@@ -142,7 +154,7 @@ def run_training(
     rng: np.random.Generator,
     charset: CharacterSet | None = None,
     frequency: FrequencyTable | None = None,
-) -> list[Trial]:
+) -> TrialBatch:
     """Labeled copy-task session: block-randomized cycles, one target per block.
 
     Each target character gets floor(30 s / ITI) consecutive trials on its
@@ -160,19 +172,24 @@ def run_training(
     # in both phases; the trial count stays floor(30 s / ITI) per character
     step_s = (config.iti_ms + config.overhead_ms) / 1000.0
     per_char = config.trials_per_char
-    trials: list[Trial] = []
+    n = config.train_trial_count
+    samples = np.empty((n, N_CHANNELS, N_SAMPLES))
+    is_oddball = np.empty(n, dtype=bool)
+    onsets_s = np.empty(n)
+    stimuli: list[tuple[str, ...]] = []
     for target in targets:
         synth = SessionSynthesizer(subject, rng)
         produced = 0
         while produced < per_char:
             cycle = form_cycle(draw_permutation(cdf, rng))
-            for group in cycle.groups:
-                if produced == per_char:
-                    break
-                is_odd = target in group
-                trials.append(synth.trial(produced * step_s, group, is_odd))
+            for group in cycle.groups[: per_char - produced]:
+                i = len(stimuli)
+                is_oddball[i] = is_odd = target in group
+                onsets_s[i] = produced * step_s
+                samples[i] = synth.trial(onsets_s[i], is_odd)
+                stimuli.append(group)
                 produced += 1
-    return trials
+    return TrialBatch(samples, is_oddball, tuple(stimuli), onsets_s)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +207,7 @@ def _stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> np
 
 
 def cross_validate(
-    trials: list[Trial],
+    trials: TrialBatch,
     repeats: int = 10,
     folds: int = 10,
     rng: np.random.Generator | None = None,
@@ -207,7 +224,7 @@ def cross_validate(
         rng = np.random.default_rng(0)
     if repeats < 1 or folds < 2:
         raise ValueError("need repeats >= 1 and folds >= 2")
-    x, y = trials_to_matrix(trials)
+    x, y = preprocess(trials.samples), trials.is_oddball
     for cls in (True, False):
         if int(np.sum(y == cls)) < folds:
             raise ValueError("need at least one trial per class per fold")
@@ -254,7 +271,7 @@ def cross_validate(
 
 
 def subsample_check(
-    trials: list[Trial],
+    trials: TrialBatch,
     target: int = 750,
     rng: np.random.Generator | None = None,
     **cv_kwargs,
@@ -267,13 +284,15 @@ def subsample_check(
         rng = np.random.default_rng(0)
     if len(trials) < target:
         raise ValueError(f"need at least {target} trials, got {len(trials)}")
-    labels = np.array([t.is_oddball for t in trials], dtype=bool)
     n_odd = target // 7
     n_rest = target - n_odd
-    idx_odd = np.flatnonzero(labels)
-    idx_rest = np.flatnonzero(~labels)
+    idx_odd = np.flatnonzero(trials.is_oddball)
+    idx_rest = np.flatnonzero(~trials.is_oddball)
     if idx_odd.size < n_odd or idx_rest.size < n_rest:
-        raise ValueError("class counts cannot support a stratified subsample")
+        raise ValueError(
+            f"class counts cannot support a stratified subsample of {target}: need {n_odd} "
+            f"oddball and {n_rest} other trials; the session has {idx_odd.size} and {idx_rest.size}"
+        )
     pick = np.concatenate(
         [
             idx_odd[rng.choice(idx_odd.size, size=n_odd, replace=False)],
@@ -281,18 +300,20 @@ def subsample_check(
         ]
     )
     pick.sort()
-    return cross_validate([trials[int(i)] for i in pick], rng=rng, **cv_kwargs)
+    stimuli = tuple(trials.stimuli[i] for i in pick)
+    subsample = TrialBatch(trials.samples[pick], trials.is_oddball[pick], stimuli, trials.onsets_s[pick])
+    return cross_validate(subsample, rng=rng, **cv_kwargs)
 
 
 def fit_final_model(
-    trials: list[Trial],
+    trials: TrialBatch,
     config: ProtocolConfig,
 ) -> tuple[FeatureModel, ClassifierParams]:
     """Fit the deployment pipeline on every training trial.
 
     The classifier keeps the design priors (1:6), not the realized label
     counts; thresholds are applied per mode at decision time."""
-    x, y = trials_to_matrix(trials)
+    x, y = preprocess(trials.samples), trials.is_oddball
     model, f_train = _fit_with_training_features(x, y, config.eta, config.m_max)
     params = fit_classifier(f_train, y, priors=ONLINE_PRIORS)
     return model, params
@@ -384,8 +405,7 @@ def run_online(
         onset_s = speller.clock_s
         desired = _desired_symbol(speller.prompt, sentence)
         is_odd = desired in stimulus
-        trial = synth.trial(onset_s, stimulus, is_odd)
-        feature = extract(model, preprocess(trial))
+        feature = extract(model, preprocess(synth.trial(onset_s, is_odd)))
         theta_params = group_params if mode == STAGE1 else single_params
         decision = bool(decide_batch(theta_params, np.array([feature]))[0])
         posterior = posterior_oddball(params, feature)

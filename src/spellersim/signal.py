@@ -5,9 +5,10 @@ locked to a stimulus onset. Oddball trials carry an evoked-response template
 (negativity ~190 ms strongest occipitally, positivity ~290 ms on all
 channels) on top of Gaussian noise; non-oddball trials are noise only.
 Preprocessing discards the first 100 ms of every channel and flattens the
-8 x 60 remainder channel-major into a 480-dimensional vector.
+8 x 60 remainder channel-major into a 480-dimensional vector; a stack of
+windows is preprocessed in one call.
 
-For online simulation, trials are cut from one continuous rolling signal so
+Trials are cut from one continuous rolling signal per session timeline, so
 that at short inter-trial intervals the response evoked by one stimulus
 bleeds into the next trial's window, as it does in a real acquisition.
 Onsets must not go backwards. Only the noise from the current onset on is
@@ -33,13 +34,10 @@ __all__ = [
     "ErpComponent",
     "ErpTemplate",
     "SubjectModel",
-    "Trial",
     "default_erp_template",
     "subject_preset",
-    "synthesize_trial",
     "preprocess",
     "SessionSynthesizer",
-    "trials_to_matrix",
 ]
 
 FS = 200                 # Hz
@@ -160,29 +158,6 @@ def subject_preset(name: str) -> SubjectModel:
     raise ValueError(f"unknown subject preset {name!r}")
 
 
-@dataclass(frozen=True)
-class Trial:
-    """One stimulus-locked EEG segment with its ground-truth label."""
-
-    samples: np.ndarray            # (8, 80) microvolt
-    is_oddball: bool
-    stimulus: tuple[str, ...] = ()
-    onset_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.shape != (N_CHANNELS, N_SAMPLES):
-            raise ValueError(f"trial samples must be {(N_CHANNELS, N_SAMPLES)}")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("trial samples must be finite")
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def label(self) -> str:
-        return ODDBALL if self.is_oddball else NON_ODDBALL
-
-
 def _erp_fires(subject: SubjectModel, rng: np.random.Generator) -> tuple[bool, float]:
     """Attention and latency draws for one oddball stimulus, in fixed order."""
     if subject.oracle:
@@ -193,46 +168,21 @@ def _erp_fires(subject: SubjectModel, rng: np.random.Generator) -> tuple[bool, f
     return True, jitter
 
 
-def _white_noise(subject: SubjectModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    if subject.oracle or subject.noise_sigma_uv == 0.0:
-        return np.zeros((N_CHANNELS, n))
-    return rng.normal(0.0, subject.noise_sigma_uv, size=(N_CHANNELS, n))
-
-
-def synthesize_trial(
-    subject: SubjectModel,
-    is_oddball: bool,
-    rng: np.random.Generator,
-    *,
-    stimulus: tuple[str, ...] = (),
-    onset_s: float = 0.0,
-) -> Trial:
-    """Generate one isolated labeled trial.
-
-    Draw order per call: attention uniform (oddball only), latency jitter
-    normal (if the response fires), then the noise block. Isolated trials use
-    white noise; the AR coloring only matters on continuous signals, see
-    SessionSynthesizer.
-    """
-    samples = _white_noise(subject, N_SAMPLES, rng)
-    if is_oddball:
-        fires, jitter = _erp_fires(subject, rng)
-        if fires:
-            samples = samples + subject.template.render(jitter)
-    return Trial(samples=samples, is_oddball=is_oddball, stimulus=stimulus, onset_s=onset_s)
-
-
-def preprocess(trial: Trial | np.ndarray) -> np.ndarray:
+def preprocess(samples: np.ndarray) -> np.ndarray:
     """Truncate the first 100 ms and flatten channel-major to 480-D.
 
-    Layout: output[c * 60 + k] = samples[c, 20 + k].
+    Takes one (8, 80) window or an (n, 8, 80) stack and returns (480,) or
+    (n, 480). Layout: out[..., c * 60 + k] = samples[..., c, 20 + k].
     """
-    samples = trial.samples if isinstance(trial, Trial) else np.asarray(trial, dtype=float)
-    if samples.shape != (N_CHANNELS, N_SAMPLES):
-        raise ValueError(f"expected {(N_CHANNELS, N_SAMPLES)} samples, got {samples.shape}")
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim not in (2, 3) or samples.shape[-2:] != (N_CHANNELS, N_SAMPLES):
+        raise ValueError(
+            f"expected {(N_CHANNELS, N_SAMPLES)} or (n, {N_CHANNELS}, {N_SAMPLES}) samples, "
+            f"got {samples.shape}"
+        )
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
-    return samples[:, DISCARD_SAMPLES:].reshape(FEATURE_DIM).copy()
+    return samples[..., DISCARD_SAMPLES:].reshape(samples.shape[:-2] + (FEATURE_DIM,))
 
 
 class SessionSynthesizer:
@@ -281,13 +231,8 @@ class SessionSynthesizer:
             block, self._ar_zi = lfilter([scale], [1.0, -a], w, axis=1, zi=self._ar_zi)
         self._noise = np.concatenate([self._noise, block], axis=1)
 
-    def trial(
-        self,
-        onset_s: float,
-        stimulus: tuple[str, ...],
-        is_oddball: bool,
-    ) -> Trial:
-        """Register one stimulus and return its trial window.
+    def trial(self, onset_s: float, is_oddball: bool) -> np.ndarray:
+        """Register one stimulus and return its (8, 80) trial window.
 
         Raises ValueError for an onset that is not finite, is negative, or
         lies before the previous onset."""
@@ -324,12 +269,5 @@ class SessionSynthesizer:
                 ]
         # events can no longer reach windows this far along
         self._events = [e for e in self._events if e[0] + N_SAMPLES > onset_sample]
-        return Trial(samples=window, is_oddball=is_oddball, stimulus=stimulus, onset_s=onset_s)
-
-
-def trials_to_matrix(trials: list[Trial]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack preprocessed trials into (n, 480) features and boolean labels."""
-    x = np.stack([preprocess(t) for t in trials])
-    y = np.array([t.is_oddball for t in trials], dtype=bool)
-    return x, y
+        return window
 

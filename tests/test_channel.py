@@ -73,6 +73,14 @@ class TestChannelSpec:
         with pytest.raises(ValueError):
             ChannelSpec(ConfusionMatrix.perfect(), 0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "prior_o, prior_e",
+        [(math.nan, 0.5), (0.5, math.nan), (math.inf, -math.inf)],
+    )
+    def test_priors_must_be_finite(self, prior_o, prior_e):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelSpec(ConfusionMatrix.perfect(), prior_o, prior_e)
+
     def test_output_probs(self):
         conf = ConfusionMatrix(0.8, 0.2, 0.1, 0.9)
         spec = ChannelSpec(conf, *PRIOR_16)

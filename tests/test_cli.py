@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -209,6 +210,12 @@ class TestItr:
         code, _, err = run_cli(capsys, "itr", "--wolpaw", "--classes", "2", "--pc", "1.5")
         assert code == 2
         assert "error" in err
+
+    def test_nan_prior_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "itr", "--p-oo", "0.9", "--p-ee", "0.95", "--prior-o", "nan")
+        assert code == 2
+        assert err.startswith("error:") and "finite" in err
+        assert "mutual information" not in out
 
 
 class TestMc:
@@ -514,6 +521,16 @@ class TestMalformedModel:
         code, _, err = self._spell(capsys, workdir, oracle_cfg, path)
         assert code == 2
         assert err.startswith("error: subspace basis must be (d, m)")
+
+    def test_mean_whose_offset_overflows(self, capsys, workdir, oracle_cfg, parts):
+        # every value is finite, but mean @ basis is not
+        meta, arrays = parts
+        path = workdir / "huge_mean.bin"
+        save_container(path, meta, dict(arrays, o_mean=np.full_like(arrays["o_mean"], 1.7e308)))
+        code, out, err = self._spell(capsys, workdir, oracle_cfg, path)
+        assert code == 2
+        assert err.startswith("error: subspace offset")
+        assert "completed:" not in out
 
     def test_string_eta(self, capsys, workdir, oracle_cfg, parts):
         meta, arrays = parts

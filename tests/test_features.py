@@ -149,6 +149,23 @@ def test_cpca_validation():
         fit_cpca(bad, y)
 
 
+def test_model_parts_reject_values_that_overflow():
+    # every input is finite, but the Gram matrix, the offset or norm(t) is not
+    d = 12
+    column = np.full((d, 1), 1.0 / np.sqrt(d))
+    with pytest.raises(ValueError, match="offset"):
+        ClassSubspace(mean=np.full(d, 1.7e308), basis=column, energy_fraction=1.0)
+    with pytest.raises(ValueError, match="orthonormal"):
+        ClassSubspace(mean=np.zeros(d), basis=np.full((d, 2), 1e200), energy_fraction=1.0)
+    with pytest.raises(ValueError, match="unit norm"):
+        BranchDiscriminant(t=np.full(3, 1e200), feature_means=np.zeros(2), feature_vars=np.ones(2))
+    with pytest.raises(ValueError, match="unit norm"):
+        BranchDiscriminant(t=np.full(3, np.nan), feature_means=np.zeros(2), feature_vars=np.ones(2))
+    branch = BranchDiscriminant(t=np.ones(1), feature_means=np.zeros(2), feature_vars=np.ones(2))
+    with pytest.raises(ValueError, match="sum to 1"):
+        DiscriminantModel(oddball=branch, non_oddball=branch, log_priors=np.array([1000.0, 0.0]))
+
+
 def _projection_inputs(rng, n=40_000, m=8, cov=None, sep=1.0):
     """Shared-covariance two-class data already in subspace coordinates."""
     if cov is None:

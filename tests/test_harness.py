@@ -14,6 +14,7 @@ from spellersim.harness import (
     SPEED_ITI_MS,
     CvResult,
     ProtocolConfig,
+    TrialBatch,
     cross_validate,
     cv_row,
     fit_final_model,
@@ -101,7 +102,11 @@ class TestProtocolConfig:
 class TestRunTraining:
     @pytest.mark.parametrize("speed", SPEEDS)
     def test_session_lengths(self, speed, oracle_sessions):
-        assert len(oracle_sessions[speed]) == EXPECTED_TRAIN_COUNTS[speed]
+        trials, n = oracle_sessions[speed], EXPECTED_TRAIN_COUNTS[speed]
+        assert len(trials) == len(trials.stimuli) == n
+        assert trials.samples.shape == (n, 8, 80)
+        assert trials.is_oddball.shape == trials.onsets_s.shape == (n,)
+        assert trials.is_oddball.dtype == bool
 
     def test_each_complete_cycle_has_one_oddball(self, oracle_sessions, config_by_speed):
         symbols = sorted(default_character_set().symbols)
@@ -109,36 +114,40 @@ class TestRunTraining:
             trials = oracle_sessions[speed]
             per_char = config_by_speed[speed].trials_per_char
             for start in range(0, len(trials), per_char):
-                block = trials[start : start + per_char]
-                for c in range(len(block) // 7):
-                    cycle = block[7 * c : 7 * c + 7]
-                    assert sum(t.is_oddball for t in cycle) == 1
-                    shown = sorted(s for t in cycle for s in t.stimulus)
-                    assert shown == symbols
-                leftover = block[7 * (len(block) // 7) :]
-                assert sum(t.is_oddball for t in leftover) <= 1
+                odd = trials.is_oddball[start : start + per_char]
+                groups = trials.stimuli[start : start + per_char]
+                full = 7 * (per_char // 7)
+                for c in range(0, full, 7):
+                    assert int(odd[c : c + 7].sum()) == 1
+                    assert sorted(s for group in groups[c : c + 7] for s in group) == symbols
+                assert int(odd[full:].sum()) <= 1
 
     def test_label_ratio_near_one_in_seven(self, oracle_sessions):
         for speed in SPEEDS:
-            frac = np.mean([t.is_oddball for t in oracle_sessions[speed]])
+            frac = np.mean(oracle_sessions[speed].is_oddball)
             assert abs(frac - 1.0 / 7.0) < 0.01
 
     def test_onsets_restart_each_block(self, oracle_sessions, config_by_speed):
         cfg = config_by_speed["slow"]
         trials = oracle_sessions["slow"]
         step_s = (cfg.iti_ms + cfg.overhead_ms) / 1000.0
-        for i, trial in enumerate(trials):
-            assert trial.onset_s == (i % cfg.trials_per_char) * step_s
+        want = [(i % cfg.trials_per_char) * step_s for i in range(len(trials))]
+        assert trials.onsets_s.tolist() == want
 
     def test_same_seed_reproduces_the_session(self, oracle, config_by_speed):
         cfg = config_by_speed["slow"]
         a = run_training(cfg, oracle, np.random.default_rng(3))
         b = run_training(cfg, oracle, np.random.default_rng(3))
         assert len(a) == len(b)
-        for ta, tb in zip(a, b):
-            assert ta.stimulus == tb.stimulus
-            assert ta.is_oddball == tb.is_oddball
-            assert np.array_equal(ta.samples, tb.samples)
+        assert a.stimuli == b.stimuli
+        assert np.array_equal(a.is_oddball, b.is_oddball)
+        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a.onsets_s, b.onsets_s)
+
+    def test_batch_rejects_columns_of_different_lengths(self, oracle_sessions):
+        trials = oracle_sessions["slow"]
+        with pytest.raises(ValueError, match="same length"):
+            TrialBatch(trials.samples, trials.is_oddball[:-1], trials.stimuli, trials.onsets_s)
 
 
 class TestCrossValidate:
@@ -189,6 +198,16 @@ class TestSubsampleCheck:
     def test_rejects_sessions_smaller_than_target(self, oracle_sessions):
         with pytest.raises(ValueError):
             subsample_check(oracle_sessions["slow"], target=1000)
+
+    def test_short_class_counts_are_named(self, oracle_sessions):
+        trials = oracle_sessions["slow"]
+        n_odd = int(trials.is_oddball.sum())
+        assert n_odd > 750 // 7  # enough oddballs, too few other trials
+        want = (
+            f"need 107 oddball and 643 other trials; the session has {n_odd} and {750 - n_odd}"
+        )
+        with pytest.raises(ValueError, match=want):
+            subsample_check(trials, target=750)
 
 
 class TestFitFinalModel:

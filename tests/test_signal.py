@@ -11,12 +11,9 @@ from spellersim.signal import (
     FEATURE_DIM,
     SessionSynthesizer,
     SubjectModel,
-    Trial,
     default_erp_template,
     preprocess,
     subject_preset,
-    synthesize_trial,
-    trials_to_matrix,
     _erp_fires,
 )
 
@@ -62,42 +59,26 @@ def test_render_jitter_shifts_peak():
     assert np.all(T_MS[np.argmax(wave, axis=1)] == 300.0)
 
 
-def test_oracle_trials_are_deterministic_templates():
-    subject = subject_preset("oracle")
-    rng = np.random.default_rng(0)
-    odd = synthesize_trial(subject, True, rng)
-    non = synthesize_trial(subject, False, rng)
-    assert np.array_equal(odd.samples, subject.template.render())
-    assert np.array_equal(non.samples, np.zeros((N_CHANNELS, N_SAMPLES)))
-
-
-def test_trial_synthesis_is_seed_deterministic():
-    subject = subject_preset("midsnr")
-    a = synthesize_trial(subject, True, np.random.default_rng(7))
-    b = synthesize_trial(subject, True, np.random.default_rng(7))
-    assert np.array_equal(a.samples, b.samples)
+# one window apart: no response reaches the next trial's window
+_APART_S = N_SAMPLES / FS
 
 
 def test_attention_zero_never_fires():
     subject = subject_preset("noise")
-    rng = np.random.default_rng(3)
-    trials = [synthesize_trial(subject, True, rng) for _ in range(50)]
+    session = SessionSynthesizer(subject, np.random.default_rng(3))
     peak = subject.template.render()[4].max()
-    for trial in trials:
+    for i in range(50):
+        window = session.trial(i * _APART_S, True)
         # oddball windows are label-free noise, so no systematic positivity
-        assert abs(trial.samples[4].mean()) < peak
+        assert abs(window[4].mean()) < peak
 
 
 def test_attention_rate_matches_probability():
     template = default_erp_template()
     subject = SubjectModel(template, 0.0, 0.7, 0.0)
-    rng = np.random.default_rng(11)
-    fired = 0
+    session = SessionSynthesizer(subject, np.random.default_rng(11))
     n = 4000
-    for _ in range(n):
-        trial = synthesize_trial(subject, True, rng)
-        if trial.samples.any():
-            fired += 1
+    fired = sum(bool(session.trial(i * _APART_S, True).any()) for i in range(n))
     assert fired / n == pytest.approx(0.7, abs=0.02)
 
 
@@ -115,15 +96,6 @@ def test_subject_model_validation():
         subject_preset("nope")
 
 
-def test_trial_validation():
-    with pytest.raises(ValueError):
-        Trial(samples=np.zeros((N_CHANNELS, N_SAMPLES - 1)), is_oddball=False)
-    bad = np.zeros((N_CHANNELS, N_SAMPLES))
-    bad[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        Trial(samples=bad, is_oddball=False)
-
-
 def test_preprocess_layout_and_linearity():
     rng = np.random.default_rng(5)
     samples = rng.normal(size=(N_CHANNELS, N_SAMPLES))
@@ -139,10 +111,25 @@ def test_preprocess_layout_and_linearity():
 
 
 def test_preprocess_accepts_trial_and_validates():
-    trial = synthesize_trial(subject_preset("oracle"), True, np.random.default_rng(0))
-    assert np.array_equal(preprocess(trial), preprocess(trial.samples))
+    rng = np.random.default_rng(0)
+    batch = rng.normal(size=(5, N_CHANNELS, N_SAMPLES))
+    x = preprocess(batch)
+    assert x.shape == (5, FEATURE_DIM)
+    for i in range(5):
+        assert np.array_equal(x[i], preprocess(batch[i]))
+    assert preprocess(batch[:0]).shape == (0, FEATURE_DIM)
     with pytest.raises(ValueError):
         preprocess(np.zeros((N_CHANNELS, 10)))
+    with pytest.raises(ValueError):
+        preprocess(np.zeros((5, N_CHANNELS, 10)))
+    with pytest.raises(ValueError):
+        preprocess(np.zeros((2, 5, N_CHANNELS, N_SAMPLES)))
+    with pytest.raises(ValueError):
+        preprocess(np.zeros(N_SAMPLES))
+    bad = batch.copy()
+    bad[3, 2, 40] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        preprocess(bad)
 
 
 def test_session_bleed_at_short_iti():
@@ -150,28 +137,28 @@ def test_session_bleed_at_short_iti():
     subject = subject_preset("oracle")
     session = SessionSynthesizer(subject, np.random.default_rng(0))
     wave = subject.template.render()
-    first = session.trial(0.0, ("A",), True)
-    second = session.trial(0.160, ("B",), False)
-    assert np.array_equal(first.samples, wave)
+    first = session.trial(0.0, True)
+    second = session.trial(0.160, False)
+    assert np.array_equal(first, wave)
     # 160 ms = 32 samples: the tail of the first response leaks in
-    assert np.array_equal(second.samples[:, :48], wave[:, 32:])
-    assert np.all(second.samples[:, 48:] == 0.0)
+    assert np.array_equal(second[:, :48], wave[:, 32:])
+    assert np.all(second[:, 48:] == 0.0)
 
 
 def test_session_no_bleed_at_long_iti():
     subject = subject_preset("oracle")
     session = SessionSynthesizer(subject, np.random.default_rng(0))
-    session.trial(0.0, ("A",), True)
-    second = session.trial(0.400, ("B",), False)
-    assert np.all(second.samples == 0.0)
+    session.trial(0.0, True)
+    second = session.trial(0.400, False)
+    assert np.all(second == 0.0)
 
 
 def test_session_overlapping_windows_share_noise():
     subject = SubjectModel(default_erp_template(), 4.0, 1.0, 0.0)
     session = SessionSynthesizer(subject, np.random.default_rng(21))
-    first = session.trial(0.0, ("A",), False)
-    second = session.trial(0.160, ("B",), False)
-    assert np.array_equal(second.samples[:, :48], first.samples[:, 32:])
+    first = session.trial(0.0, False)
+    second = session.trial(0.160, False)
+    assert np.array_equal(second[:, :48], first[:, 32:])
 
 
 def test_session_ar_noise_statistics():
@@ -233,7 +220,7 @@ class FullBufferSynthesizer:
         self._buf[:, have:n_total] = block
         self._len = n_total
 
-    def trial(self, onset_s, stimulus, is_oddball):
+    def trial(self, onset_s, is_oddball):
         onset_sample = int(round(onset_s * FS))
         if is_oddball:
             fires, jitter = _erp_fires(self.subject, self.rng)
@@ -249,7 +236,7 @@ class FullBufferSynthesizer:
                     :, lo - ev_sample : hi - ev_sample
                 ]
         self._events = [e for e in self._events if e[0] + N_SAMPLES > onset_sample]
-        return Trial(samples=window, is_oddball=is_oddball, stimulus=stimulus, onset_s=onset_s)
+        return window
 
 
 # onset steps in seconds: online steps at each speed (ITI + 12 ms), a repeat,
@@ -283,25 +270,48 @@ def test_session_windows_match_full_buffer_reference(subject):
     session = SessionSynthesizer(subject, np.random.default_rng(8))
     reference = FullBufferSynthesizer(subject, np.random.default_rng(8))
     for onset, is_odd in zip(onsets.tolist(), oddball.tolist()):
-        got = session.trial(onset, ("A",), is_odd)
-        want = reference.trial(onset, ("A",), is_odd)
-        assert np.array_equal(got.samples, want.samples)
+        got = session.trial(onset, is_odd)
+        want = reference.trial(onset, is_odd)
+        assert np.array_equal(got, want)
     # both consumed the same draws
     assert session.rng.random() == reference.rng.random()
 
 
-@pytest.mark.parametrize("iti_ms", [160.0, 400.0])
-def test_training_session_matches_full_buffer_reference(monkeypatch, iti_ms):
-    config = ProtocolConfig(iti_ms=iti_ms)
+@pytest.fixture(scope="module")
+def training_sessions():
     subject = subject_preset("midsnr")
-    trials = run_training(config, subject, np.random.default_rng(4))
+    return {
+        iti_ms: run_training(ProtocolConfig(iti_ms=iti_ms), subject, np.random.default_rng(4))
+        for iti_ms in (160.0, 400.0)
+    }
+
+
+@pytest.mark.parametrize("iti_ms", [160.0, 400.0])
+def test_training_session_matches_full_buffer_reference(monkeypatch, training_sessions, iti_ms):
+    config = ProtocolConfig(iti_ms=iti_ms)
+    trials = training_sessions[iti_ms]
     monkeypatch.setattr("spellersim.harness.SessionSynthesizer", FullBufferSynthesizer)
-    reference = run_training(config, subject, np.random.default_rng(4))
+    reference = run_training(config, subject_preset("midsnr"), np.random.default_rng(4))
     assert len(trials) == len(reference) == config.train_trial_count
-    for got, want in zip(trials, reference):
-        assert np.array_equal(got.samples, want.samples)
-        assert got.is_oddball == want.is_oddball
-        assert got.onset_s == want.onset_s
+    assert np.array_equal(trials.samples, reference.samples)
+    assert np.array_equal(trials.is_oddball, reference.is_oddball)
+    assert trials.stimuli == reference.stimuli
+    assert np.array_equal(trials.onsets_s, reference.onsets_s)
+
+
+def _preprocess_one_by_one(samples):
+    """The per-trial path the batch call replaced: truncate and flatten each
+    window into its own copy, then stack the copies."""
+    return np.stack([w[:, DISCARD_SAMPLES:].reshape(FEATURE_DIM).copy() for w in samples])
+
+
+@pytest.mark.parametrize("iti_ms", [160.0, 400.0])
+def test_batch_preprocess_matches_per_trial_reference(training_sessions, iti_ms):
+    samples = training_sessions[iti_ms].samples
+    x = preprocess(samples)
+    want = _preprocess_one_by_one(samples)
+    assert x.shape == want.shape and x.dtype == want.dtype
+    assert x.tobytes() == want.tobytes()
 
 
 def test_session_buffer_stays_bounded():
@@ -309,31 +319,20 @@ def test_session_buffer_stays_bounded():
     max_step = int(round(float(np.max(np.diff(onsets))) * FS)) + 1
     session = SessionSynthesizer(subject_preset("midsnr"), np.random.default_rng(0))
     for onset, is_odd in zip(onsets.tolist(), oddball.tolist()):
-        session.trial(onset, ("A",), is_odd)
+        session.trial(onset, is_odd)
         assert session._noise.shape[1] <= N_SAMPLES + max_step
 
 
 def test_session_rejects_backward_onset():
     session = SessionSynthesizer(subject_preset("midsnr"), np.random.default_rng(0))
-    session.trial(1.0, ("A",), False)
-    session.trial(1.0, ("B",), True)  # a repeated onset is legal
+    session.trial(1.0, False)
+    session.trial(1.0, True)  # a repeated onset is legal
     with pytest.raises(ValueError, match=r"onset sample 199 .* previous onset sample 200"):
-        session.trial(0.995, ("C",), False)
+        session.trial(0.995, False)
 
 
 @pytest.mark.parametrize("onset_s", [float("nan"), float("inf"), -float("inf"), 1e308, -0.1])
 def test_session_rejects_bad_onset(onset_s):
     session = SessionSynthesizer(subject_preset("midsnr"), np.random.default_rng(0))
     with pytest.raises(ValueError, match="onset"):
-        session.trial(onset_s, ("A",), False)
-
-
-def test_trials_to_matrix():
-    subject = subject_preset("oracle")
-    rng = np.random.default_rng(0)
-    trials = [synthesize_trial(subject, bool(i % 2), rng) for i in range(4)]
-    x, y = trials_to_matrix(trials)
-    assert x.shape == (4, FEATURE_DIM)
-    assert np.array_equal(y, [False, True, False, True])
-    assert np.array_equal(x[1], preprocess(trials[1]))
-
+        session.trial(onset_s, False)
