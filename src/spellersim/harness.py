@@ -7,15 +7,22 @@ plus the fixed-size subsample control), and running the closed online loop
 (synthesize trial, extract, classify, step the speller, account the clock).
 
 Everything is driven by one caller-provided Generator; identical seeds give
-bit-identical sessions.
+bit-identical sessions. Cross-validation and the final fit also give the
+same bits at any BLAS thread count and any number of worker processes.
 """
 from __future__ import annotations
 
 import csv
+import ctypes
 import math
+import multiprocessing
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .alphabet import (
     BACKSPACE,
@@ -195,6 +202,47 @@ def run_training(
 # ---------------------------------------------------------------------------
 # offline evaluation
 
+# numpy's and scipy's wheels each bundle an OpenBLAS with its own thread pool:
+# (package, library glob under its site directory, symbol suffix)
+_OPENBLAS = (
+    (np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
+    (scipy, "scipy.libs/libscipy_openblas*.so", ""),
+)
+
+
+def _openblas_pools() -> list:
+    """(get, set) thread-count functions of each bundled OpenBLAS found; none
+    for a build without one (MKL, Accelerate, a system BLAS)."""
+    pools = []
+    for package, pattern, suffix in _OPENBLAS:
+        for path in sorted(Path(package.__file__).parents[1].glob(pattern)):
+            try:
+                lib = ctypes.CDLL(str(path))
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            pools.append((get, set_threads))
+    return pools
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with every bundled OpenBLAS at one thread, then restore
+    the previous counts. Model fits then give the same bits at any thread
+    count, and the two pools do not contend."""
+    pools = _openblas_pools()
+    previous = [get() for get, _ in pools]
+    for _, set_threads in pools:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), n in zip(pools, previous):
+            set_threads(n)
+
 
 def _stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> np.ndarray:
     """Fold index per trial; each class spread round-robin after a shuffle."""
@@ -206,6 +254,48 @@ def _stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> np
     return assignment
 
 
+def _fold_counts(x, y, assignments, eta, m_max, repeat, fold) -> tuple[int, int, int, int, int]:
+    """Fit on every fold of one repeat but one, test on that one: correct,
+    hits, omissions, false alarms, rejections."""
+    train = assignments[repeat] != fold
+    test = ~train
+    model, f_train = _fit_with_training_features(x[train], y[train], eta, m_max)
+    params = fit_classifier(f_train, y[train])
+    decisions = decide_batch(params, extract_batch(model, x[test]))
+    truth = y[test]
+    return (
+        int(np.sum(decisions == truth)),
+        int(np.sum(decisions & truth)),
+        int(np.sum(~decisions & truth)),
+        int(np.sum(decisions & ~truth)),
+        int(np.sum(~decisions & ~truth)),
+    )
+
+
+_fold_inputs: tuple = ()  # set in forked fold workers only
+
+
+def _init_fold_worker(*inputs) -> None:
+    """Keep the inherited inputs and pin this worker to one BLAS thread: a
+    fork inherits the parent's count, and the workers would oversubscribe
+    the cores."""
+    global _fold_inputs
+    _fold_inputs = inputs
+    for _, set_threads in _openblas_pools():
+        set_threads(1)
+
+
+def _fold_job(job: tuple[int, int]) -> tuple[int, int, int, int, int]:
+    return _fold_counts(*_fold_inputs, *job)
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
 def cross_validate(
     trials: TrialBatch,
     repeats: int = 10,
@@ -214,23 +304,31 @@ def cross_validate(
     *,
     eta: float = 0.9,
     m_max: int = 30,
+    workers: int | None = None,
 ) -> CvResult:
     """Repeated stratified k-fold of the full pipeline at theta = 1.
 
     Folds approximately preserve the oddball ratio; each repeat re-randomizes
     the folds. Priors and the classifier are refit per fold from its training
-    partition alone."""
+    partition alone. The folds are fitted in up to `workers` forked processes
+    (default: one per available core) at one BLAS thread each; the result is
+    the same at any worker count."""
     if rng is None:
         rng = np.random.default_rng(0)
     if repeats < 1 or folds < 2:
         raise ValueError("need repeats >= 1 and folds >= 2")
+    if workers is not None and (
+        isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1
+    ):
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     x, y = preprocess(trials.samples), trials.is_oddball
     for cls in (True, False):
         if int(np.sum(y == cls)) < folds:
             raise ValueError("need at least one trial per class per fold")
 
-    accuracies = []
-    hits = omissions = false_alarms = rejections = 0
+    # every draw happens here, before any fit, so the folds do not depend on
+    # where or in which order they are fitted
+    assignments = []
     for _ in range(repeats):
         for _attempt in range(100):
             assignment = _stratified_folds(y, folds, rng)
@@ -241,22 +339,24 @@ def cross_validate(
                 break
         else:
             raise RuntimeError("could not stratify folds with both classes present")
-        correct = 0
-        for k in range(folds):
-            train = assignment != k
-            test = ~train
-            model, f_train = _fit_with_training_features(x[train], y[train], eta, m_max)
-            params = fit_classifier(f_train, y[train])
-            decisions = decide_batch(params, extract_batch(model, x[test]))
-            truth = y[test]
-            correct += int(np.sum(decisions == truth))
-            hits += int(np.sum(decisions & truth))
-            omissions += int(np.sum(~decisions & truth))
-            false_alarms += int(np.sum(decisions & ~truth))
-            rejections += int(np.sum(~decisions & ~truth))
-        accuracies.append(correct / y.size)
+        assignments.append(assignment)
 
-    acc = np.array(accuracies)
+    jobs = [(r, k) for r in range(repeats) for k in range(folds)]
+    inputs = (x, y, assignments, eta, m_max)
+    n_workers = min(workers or _available_cpus(), len(jobs))
+    if n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        with _one_blas_thread():
+            counts = [_fold_counts(*inputs, *job) for job in jobs]
+    else:
+        # forked workers inherit the inputs instead of receiving a pickled
+        # copy; OpenBLAS shuts its threads down around a fork, so it is safe
+        context = multiprocessing.get_context("fork")
+        with context.Pool(n_workers, _init_fold_worker, inputs) as pool:
+            counts = pool.map(_fold_job, jobs, chunksize=1)
+
+    per_repeat = np.array(counts).reshape(repeats, folds, 5).sum(axis=1)
+    acc = per_repeat[:, 0] / y.size
+    hits, omissions, false_alarms, rejections = (int(c) for c in per_repeat[:, 1:].sum(axis=0))
     confusion = ConfusionMatrix.from_counts(hits, omissions, false_alarms, rejections)
     prior_o = float(np.mean(y))
     bits = mutual_information(ChannelSpec(confusion, prior_o, 1.0 - prior_o))
@@ -314,7 +414,8 @@ def fit_final_model(
     The classifier keeps the design priors (1:6), not the realized label
     counts; thresholds are applied per mode at decision time."""
     x, y = preprocess(trials.samples), trials.is_oddball
-    model, f_train = _fit_with_training_features(x, y, config.eta, config.m_max)
+    with _one_blas_thread():
+        model, f_train = _fit_with_training_features(x, y, config.eta, config.m_max)
     params = fit_classifier(f_train, y, priors=ONLINE_PRIORS)
     return model, params
 

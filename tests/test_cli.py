@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import struct
 import subprocess
@@ -327,6 +328,23 @@ class TestTrain:
         capsys.readouterr()
         assert code == 0
         assert (other / "model.bin").read_bytes() != (trained / "model.bin").read_bytes()
+
+    def test_artifacts_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # at one BLAS thread and at two, this session's final fit used to differ
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("iti_ms = 160\nsubject = midsnr\ntrain_chars = 4\ncv_repeats = 1\ncv_folds = 2\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            argv = ["train", "--config", str(cfg), "--seed", "1", "--out", str(out)]
+            subprocess.run(
+                [sys.executable, "-m", "spellersim.cli", *argv],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            outputs.append({name: (out / name).read_bytes() for name in ("model.bin", "train_cv.csv")})
+        assert outputs[0] == outputs[1]
 
     def test_manifest_digests_are_real(self, trained):
         doc = json.loads((trained / "train_manifest.json").read_text())

@@ -2,12 +2,18 @@
 
 import csv
 import math
+import multiprocessing
+import time
+import types
 
 import numpy as np
 import pytest
 
+from spellersim import harness
 from spellersim.alphabet import default_character_set
-from spellersim.channel import ConfusionMatrix
+from spellersim.channel import ChannelSpec, ConfusionMatrix, mutual_information
+from spellersim.classifier import decide_batch, fit as fit_classifier
+from spellersim.features import _fit_with_training_features, extract_batch
 from spellersim.harness import (
     BENCHMARK_SENTENCE,
     ONLINE_PRIORS,
@@ -25,7 +31,7 @@ from spellersim.harness import (
     write_cv_csv,
     write_session_csv,
 )
-from spellersim.signal import subject_preset
+from spellersim.signal import preprocess, subject_preset
 from spellersim.speller import load_session_log
 
 SPEEDS = ("slow", "medium", "fast")
@@ -174,12 +180,160 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(oracle_sessions["slow"], folds=1)
 
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, "2", True])
+    def test_rejects_bad_worker_counts(self, oracle_sessions, workers):
+        with pytest.raises(ValueError, match="workers must be a positive integer"):
+            cross_validate(oracle_sessions["slow"], repeats=1, folds=2, workers=workers)
+
     def test_result_validation(self):
         conf = ConfusionMatrix.perfect()
         with pytest.raises(ValueError):
             CvResult(1.2, 0.0, 1.0, (1.0,), conf, 0.5)
         with pytest.raises(ValueError):
             CvResult(0.9, -0.1, 1.0, (0.9,), conf, 0.5)
+
+
+def _cross_validate_one_by_one(trials, repeats, folds, rng, eta=0.9, m_max=30):
+    """The serial loop the fold pool replaced: each repeat draws its folds
+    right before fitting them."""
+    x, y = preprocess(trials.samples), trials.is_oddball
+    accuracies = []
+    hits = omissions = false_alarms = rejections = 0
+    for _ in range(repeats):
+        for _attempt in range(100):
+            assignment = harness._stratified_folds(y, folds, rng)
+            if all(np.any(y[assignment != k]) and np.any(~y[assignment != k]) for k in range(folds)):
+                break
+        correct = 0
+        for k in range(folds):
+            train = assignment != k
+            model, f_train = _fit_with_training_features(x[train], y[train], eta, m_max)
+            decisions = decide_batch(fit_classifier(f_train, y[train]), extract_batch(model, x[~train]))
+            truth = y[~train]
+            correct += int(np.sum(decisions == truth))
+            hits += int(np.sum(decisions & truth))
+            omissions += int(np.sum(~decisions & truth))
+            false_alarms += int(np.sum(decisions & ~truth))
+            rejections += int(np.sum(~decisions & ~truth))
+        accuracies.append(correct / y.size)
+    acc = np.array(accuracies)
+    confusion = ConfusionMatrix.from_counts(hits, omissions, false_alarms, rejections)
+    prior_o = float(np.mean(y))
+    return CvResult(
+        accuracy_mean=float(acc.mean()),
+        accuracy_std=float(acc.std(ddof=1)) if acc.size > 1 else 0.0,
+        accuracy_best=float(acc.max()),
+        accuracies=tuple(float(a) for a in acc),
+        confusion=confusion,
+        bits_per_trial=mutual_information(ChannelSpec(confusion, prior_o, 1.0 - prior_o)),
+    )
+
+
+def _blas_thread_counts() -> list[int]:
+    return [get() for get, _ in harness._openblas_pools()]
+
+
+class TestFoldPool:
+    @pytest.fixture(scope="class")
+    def sessions(self, config_by_speed, oracle_sessions):
+        return {
+            "midsnr": run_training(config_by_speed["fast"], subject_preset("midsnr"), np.random.default_rng(5)),
+            "noise": run_training(config_by_speed["medium"], subject_preset("noise"), np.random.default_rng(7)),
+            "oracle": oracle_sessions["slow"],
+        }
+
+    @pytest.mark.parametrize("subject", ["midsnr", "noise", "oracle"])
+    def test_result_is_the_same_at_any_worker_count(self, sessions, subject):
+        # 2 repeats of 7 folds: 14 jobs, so the two workers' shares interleave
+        one, two = (
+            cross_validate(sessions[subject], repeats=2, folds=7, rng=np.random.default_rng(4), workers=n)
+            for n in (1, 2)
+        )
+        assert one == two
+
+    def test_matches_the_serial_loop_it_replaced(self, sessions):
+        trials = sessions["midsnr"]
+        want = _cross_validate_one_by_one(trials, 2, 5, np.random.default_rng(9))
+        assert cross_validate(trials, repeats=2, folds=5, rng=np.random.default_rng(9), workers=2) == want
+
+    def test_subsample_check_is_the_same_at_any_worker_count(self, sessions):
+        a, b = (
+            subsample_check(sessions["midsnr"], target=750, rng=np.random.default_rng(2), repeats=2, workers=n)
+            for n in (1, 2)
+        )
+        assert a == b
+
+    def test_counts_are_summed_in_fold_order_whatever_finishes_first(self, sessions, monkeypatch):
+        def fold_counts(x, y, assignments, eta, m_max, repeat, fold):
+            if (repeat, fold) == (0, 0):
+                time.sleep(0.5)  # the other worker finishes every later fold first
+            return (10 * repeat, 1, 1, 1, 1)
+
+        monkeypatch.setattr(harness, "_fold_counts", fold_counts)
+        trials = sessions["oracle"]
+        cv = cross_validate(trials, repeats=3, folds=4, workers=2)
+        assert cv.accuracies == tuple(40 * r / len(trials) for r in range(3))
+        assert cv.confusion == ConfusionMatrix.from_counts(12, 12, 12, 12)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fold_error_reaches_the_caller_and_leaves_nothing_behind(
+        self, sessions, monkeypatch, workers
+    ):
+        def broken_fit(*args):
+            raise RuntimeError("fold fit failed")
+
+        before = _blas_thread_counts()
+        monkeypatch.setattr(harness, "_fit_with_training_features", broken_fit)  # forks inherit it
+        with pytest.raises(RuntimeError, match="fold fit failed"):
+            cross_validate(sessions["oracle"], repeats=1, folds=4, workers=workers)
+        assert multiprocessing.active_children() == []
+        assert _blas_thread_counts() == before
+        assert harness._fold_inputs == ()
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """Every bundled OpenBLAS at two threads, as a fork would inherit them;
+    the previous counts come back afterwards."""
+    pools = harness._openblas_pools()
+    if not pools:
+        pytest.skip("no bundled OpenBLAS in this numpy/scipy build")
+    before = _blas_thread_counts()
+    for _, set_threads in pools:
+        set_threads(2)
+    yield len(pools)
+    for (_, set_threads), n in zip(pools, before):
+        set_threads(n)
+
+
+class TestOneBlasThread:
+    def test_pins_inside_and_restores_after_an_exception(self, blas_at_two_threads):
+        with pytest.raises(KeyError):
+            with harness._one_blas_thread():
+                assert _blas_thread_counts() == [1] * blas_at_two_threads
+                raise KeyError("inside")
+        assert _blas_thread_counts() == [2] * blas_at_two_threads
+
+    def test_fold_workers_run_at_one_thread(self, blas_at_two_threads):
+        with multiprocessing.get_context("fork").Pool(1, harness._init_fold_worker) as pool:
+            assert pool.apply(_blas_thread_counts) == [1] * blas_at_two_threads
+
+    def test_missing_library_or_symbol_is_a_silent_no_op(self, tmp_path, monkeypatch):
+        before = _blas_thread_counts()
+        (tmp_path / "fake.libs").mkdir()
+        (tmp_path / "fake.libs" / "libscipy_openblas.so").write_text("not a shared library")
+        fake = types.SimpleNamespace(__file__=str(tmp_path / "fake" / "__init__.py"))
+        stub = (
+            (np, "no_such.libs/libscipy_openblas64_*.so", "64_"),  # no library
+            (fake, "fake.libs/libscipy_openblas*.so", ""),  # not loadable
+            (np, "numpy.libs/libscipy_openblas64_*.so", "_no_such_symbol"),
+        )
+        monkeypatch.setattr(harness, "_OPENBLAS", stub)
+        assert harness._openblas_pools() == []
+        with harness._one_blas_thread():
+            pass
+        monkeypatch.undo()
+        assert _blas_thread_counts() == before
 
 
 class TestSubsampleCheck:
