@@ -8,8 +8,10 @@ uniform block randomization.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import accumulate
 
 import numpy as np
 
@@ -189,6 +191,10 @@ def build_cdf(freq: FrequencyTable) -> Cdf:
     return Cdf(freq.symbols, np.cumsum(freq.probs))
 
 
+# Runs per block of monte_carlo_group_stats: each (1024, 42) array fits in L2.
+_BLOCK_RUNS = 1024
+
+
 def _draw_batch(masses: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Weighted permutations without replacement, one per row of u.
 
@@ -196,7 +202,9 @@ def _draw_batch(masses: np.ndarray, u: np.ndarray) -> np.ndarray:
     the uniform is scaled onto the remaining total and inverted through the
     running CDF, and the drawn symbol's mass is zeroed (proportional
     renormalization). Row r consumes u[r, 0], u[r, 1], ... in order, so a
-    batch of n rows is bit-identical to n sequential single draws.
+    batch of n rows is bit-identical to n sequential single draws, and to
+    _draw_row on each row. Every step streams the whole of u's shape, so
+    callers with many rows pass them in blocks of _BLOCK_RUNS.
     """
     n_runs, n_syms = u.shape
     m = np.repeat(masses[None, :], n_runs, axis=0)
@@ -215,6 +223,32 @@ def _draw_batch(masses: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _draw_row(masses: list[float], u: list[float]) -> list[int]:
+    """One row of _draw_batch in plain Python: the same sums, picks and indices.
+
+    A drawn symbol's mass is removed rather than zeroed; adding 0.0 is exact,
+    so the running sums over the symbols left are the same floats.
+    """
+    left = list(range(len(masses)))
+    m = list(masses)
+    out = []
+    for uk in u:
+        cum = list(accumulate(m))
+        j = bisect_right(cum, uk * cum[-1])
+        if j == len(m):  # u rounded up onto the full remaining mass
+            j = max(i for i, w in enumerate(m) if w > 0.0)
+        out.append(left.pop(j))
+        del m[j]
+    return out
+
+
+def _check_runs(n_runs) -> None:
+    if isinstance(n_runs, bool) or not isinstance(n_runs, (int, np.integer)):
+        raise ValueError(f"n_runs must be an integer, got {n_runs!r}")
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
+
+
 def draw_permutation(cdf: Cdf, rng: np.random.Generator) -> tuple[str, ...]:
     """Draw one biased permutation of all symbols without replacement.
 
@@ -230,8 +264,7 @@ def draw_permutation(cdf: Cdf, rng: np.random.Generator) -> tuple[str, ...]:
     tuple of symbols, most-probable-first in expectation.
     """
     u = rng.random(len(cdf.symbols))
-    idx = _draw_batch(cdf.masses, u[None, :])[0]
-    return tuple(cdf.symbols[int(i)] for i in idx)
+    return tuple(cdf.symbols[i] for i in _draw_row(cdf.masses.tolist(), u.tolist()))
 
 
 def draw_permutations(cdf: Cdf, n_runs: int, rng: np.random.Generator) -> np.ndarray:
@@ -240,10 +273,15 @@ def draw_permutations(cdf: Cdf, n_runs: int, rng: np.random.Generator) -> np.nda
     Distribution and stream consumption match n_runs sequential calls to
     draw_permutation exactly (row r uses the r-th block of 42 uniforms).
     """
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
+    _check_runs(n_runs)
     u = rng.random((n_runs, len(cdf.symbols)))
     return _draw_batch(cdf.masses, u)
+
+
+def _check_group_size(n_syms: int, group_size) -> None:
+    is_int = isinstance(group_size, (int, np.integer)) and not isinstance(group_size, bool)
+    if not is_int or group_size < 1 or n_syms % group_size != 0:
+        raise ValueError(f"{n_syms} symbols do not split into groups of {group_size!r}")
 
 
 @dataclass(frozen=True)
@@ -263,8 +301,7 @@ def form_cycle(permutation: tuple[str, ...], group_size: int = 6) -> Illuminatio
     perm = tuple(permutation)
     if len(set(perm)) != len(perm):
         raise ValueError("input is not a permutation (repeated symbols)")
-    if len(perm) % group_size != 0:
-        raise ValueError(f"{len(perm)} symbols do not split into groups of {group_size}")
+    _check_group_size(len(perm), group_size)
     groups = tuple(perm[i : i + group_size] for i in range(0, len(perm), group_size))
     return IlluminationCycle(order=perm, groups=groups)
 
@@ -293,18 +330,29 @@ def monte_carlo_group_stats(
     """Estimate per-symbol mean group index and mean draw position.
 
     Statistics are over n_runs independent permutations; deterministic for a
-    given stream.
+    given stream. Runs are drawn in blocks of _BLOCK_RUNS from the same stream
+    a single draw_permutations call consumes, into exact int64 per-symbol
+    sums, so memory is constant in n_runs and the means are bit-identical.
     """
-    cdf = build_cdf(freq)
-    orders = draw_permutations(cdf, n_runs, rng)
     n_syms = len(freq.symbols)
-    positions = np.empty_like(orders)
-    rows = np.arange(n_runs)[:, None]
-    positions[rows, orders] = np.arange(n_syms)[None, :]
+    _check_runs(n_runs)
+    _check_group_size(n_syms, group_size)
+    cdf = build_cdf(freq)
+    group_sum = np.zeros(n_syms, dtype=np.int64)
+    position_sum = np.zeros(n_syms, dtype=np.int64)
+    first_draw_counts = np.zeros(n_syms, dtype=np.int64)
+    ranks = np.arange(n_syms)
+    for start in range(0, n_runs, _BLOCK_RUNS):
+        orders = draw_permutations(cdf, min(_BLOCK_RUNS, n_runs - start), rng)
+        positions = np.empty_like(orders)
+        positions[np.arange(len(orders))[:, None], orders] = ranks
+        group_sum += (positions // group_size).sum(axis=0)
+        position_sum += positions.sum(axis=0)
+        first_draw_counts += np.bincount(orders[:, 0], minlength=n_syms)
     return GroupStats(
         symbols=freq.symbols,
-        mean_group=(positions // group_size + 1).mean(axis=0),
-        mean_position=(positions + 1).mean(axis=0),
-        first_draw_counts=np.bincount(orders[:, 0], minlength=n_syms),
+        mean_group=(group_sum + n_runs) / n_runs,
+        mean_position=(position_sum + n_runs) / n_runs,
+        first_draw_counts=first_draw_counts,
         n_runs=n_runs,
     )

@@ -1,10 +1,16 @@
 """Alphabet layer: the 6x7 matrix, the frequency bias, inverse-sampled cycles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from spellersim.alphabet import (
+    _draw_batch,
+    _draw_row,
     BACKSPACE,
     EXIT,
     SPACE,
@@ -148,9 +154,9 @@ class TestDrawPermutation:
 
     def test_batch_matches_sequential(self, table):
         cdf = build_cdf(table)
-        batch = draw_permutations(cdf, 5, np.random.default_rng(11))
+        batch = draw_permutations(cdf, 2000, np.random.default_rng(11))
         rng = np.random.default_rng(11)
-        for r in range(5):
+        for r in range(2000):
             perm = draw_permutation(cdf, rng)
             assert tuple(cdf.symbols[int(i)] for i in batch[r]) == perm
 
@@ -160,6 +166,12 @@ class TestDrawPermutation:
         result = stats.chisquare(biased_stats.first_draw_counts, f_exp=expected)
         assert result.pvalue > 0.01
 
+    def test_rejects_non_integer_runs(self, table):
+        cdf = build_cdf(table)
+        for bad in (2.5, True, "3", None):
+            with pytest.raises(ValueError, match="n_runs must be an integer"):
+                draw_permutations(cdf, bad, np.random.default_rng(0))
+
     def test_uniform_position_marginals(self, table):
         cdf = build_cdf(uniform_frequency_table(table.symbols))
         orders = draw_permutations(cdf, 20_000, np.random.default_rng(5))
@@ -168,6 +180,54 @@ class TestDrawPermutation:
             counts = np.bincount(orders[:, pos], minlength=42)
             result = stats.chisquare(counts)
             assert result.pvalue > 0.01
+
+
+# nextafter(1.0, 0.0) is the largest value rng.random returns; its scaled
+# target still falls below the remaining total. 1.0 reaches the total, so no
+# running sum exceeds it and the stuck-row rule picks the last symbol left.
+_EDGE_UNIFORMS = (np.nextafter(1.0, 0.0), 1.0)
+
+
+@st.composite
+def masses_and_uniforms(draw):
+    n = draw(st.integers(2, 42))
+    if draw(st.booleans()):
+        masses = np.full(n, 1.0 / n)
+    else:
+        masses = np.array(
+            draw(st.lists(st.floats(1e-9, 1e3), min_size=n, max_size=n)), dtype=float
+        )
+    rows = draw(st.integers(1, 6))
+    u = np.array(
+        draw(
+            st.lists(
+                st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(_EDGE_UNIFORMS)),
+                min_size=rows * n,
+                max_size=rows * n,
+            )
+        )
+    ).reshape(rows, n)
+    return masses, u
+
+
+class TestKernelEquivalence:
+    """_draw_row and _draw_batch are each other's oracle: identical indices."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(masses_and_uniforms())
+    def test_row_kernel_equals_batch_kernel(self, case):
+        masses, u = case
+        batch = _draw_batch(masses, u)
+        for r in range(u.shape[0]):
+            row = _draw_row(masses.tolist(), u[r].tolist())
+            assert row == batch[r].tolist()
+            assert sorted(row) == list(range(masses.size))
+
+    def test_unit_uniform_takes_the_last_symbol_left(self):
+        masses = np.array([0.5, 0.3, 0.2])
+        u = np.ones((1, 3))
+        assert _draw_batch(masses, u).tolist() == [[2, 1, 0]]
+        assert _draw_row(masses.tolist(), u[0].tolist()) == [2, 1, 0]
 
 
 class TestFormCycle:
@@ -222,6 +282,40 @@ class TestMonteCarloStats:
     def test_rejects_zero_runs(self, table):
         with pytest.raises(ValueError):
             monte_carlo_group_stats(table, 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [2.5, True, "3", None])
+    def test_rejects_non_integer_runs(self, table, bad):
+        with pytest.raises(ValueError, match="n_runs must be an integer"):
+            monte_carlo_group_stats(table, bad, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [0, -6, 5, 4.5, True, None])
+    def test_rejects_group_size_that_does_not_divide_the_alphabet(self, table, bad):
+        with pytest.raises(ValueError, match="do not split into groups"):
+            monte_carlo_group_stats(table, 10, np.random.default_rng(0), group_size=bad)
+
+    @pytest.mark.parametrize("n_runs", [1, 1023, 1024, 1025, 5000])
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_streamed_blocks_equal_one_batch(self, table, n_runs, uniform):
+        freq = uniform_frequency_table(table.symbols) if uniform else table
+        rng_blocks = np.random.default_rng(n_runs)
+        rng_batch = np.random.default_rng(n_runs)
+        got = monte_carlo_group_stats(freq, n_runs, rng_blocks, group_size=7)
+        orders = draw_permutations(build_cdf(freq), n_runs, rng_batch)
+        positions = np.argsort(orders, axis=1)
+        assert np.array_equal(got.mean_group, (positions // 7 + 1).mean(axis=0))
+        assert np.array_equal(got.mean_position, (positions + 1).mean(axis=0))
+        assert np.array_equal(got.first_draw_counts, np.bincount(orders[:, 0], minlength=42))
+        assert rng_blocks.bit_generator.state == rng_batch.bit_generator.state
+
+    def test_memory_does_not_grow_with_runs(self, table):
+        tracemalloc.start()
+        try:
+            monte_carlo_group_stats(table, 200_000, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one (200000, 42) int64 array alone is 67 MB
+        assert peak < 4_000_000
 
 
 class TestTableLoader:

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spellersim._container import load_container, save_container
+from spellersim.alphabet import default_frequency_table
 from spellersim.cli import _PROTOCOL_KEYS, _RUN_KEYS, RunSpec, load_config, main
 from spellersim.harness import ProtocolConfig
 
@@ -269,6 +270,33 @@ class TestMc:
         means = [float(row[2]) for row in table_rows if row[2][0].isdigit()]
         assert len(means) == 42
         assert all(mean.is_integer() for mean in means)
+
+    # Digests of mc.csv for `mc --runs 3000 --seed 0`, pinned so that a change
+    # to the permutation engine cannot move the bytes unnoticed.
+    GOLDEN_MC_CSV = {
+        "builtin": "b7e968d0d11b55de092ecc426a206b13bc677906b2b58c71ca1143853b36dcdd",
+        "uniform": "fcb442c1edbb15a39b10b3bdaf9c2cd18ad6610a1e9b9bbbbd7a661dbceeb36c",
+        "table": "12ed30037e24c5610bd1c99b1cf6b213210d4e12437b549bd6b1b34070ec7589",
+    }
+
+    @pytest.mark.parametrize("source", sorted(GOLDEN_MC_CSV))
+    def test_csv_bytes_are_pinned(self, capsys, tmp_path, source):
+        flags = {"builtin": [], "uniform": ["--uniform"]}.get(source)
+        if flags is None:
+            # linear weights 1..41 over the other symbols, the largest (42) on space
+            symbols = [s for s in default_frequency_table().symbols if s != ">"]
+            lines = [f"> {42 / 903!r}"]
+            lines += [f"{s} {(k + 1) / 903!r}" for k, s in enumerate(symbols)]
+            path = tmp_path / "linear.txt"
+            path.write_text("\n".join(lines) + "\n")
+            flags = ["--table", str(path)]
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys, "mc", *flags, "--runs", "3000", "--seed", "0", "--out", str(out_dir)
+        )
+        assert code == 0
+        digest = hashlib.sha256((out_dir / "mc.csv").read_bytes()).hexdigest()
+        assert digest == self.GOLDEN_MC_CSV[source]
 
     def test_invalid_table_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bad_table.txt"
