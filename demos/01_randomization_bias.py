@@ -36,8 +36,7 @@ cycle = form_cycle(order)
 print("\nfirst group of one draw:", " ".join(cycle.groups[0]))
 
 # A single draw is noisy; the mean group index over many draws is the
-# quantity that matters for selection speed. 100,000 permutations take a
-# couple of seconds.
+# quantity that matters for selection speed.
 stats = monte_carlo_group_stats(table, 100_000, rng)
 print("\nmean group index (1..7) over 100,000 draws:")
 for symbol in (">", "E", "T", "Q", "*"):

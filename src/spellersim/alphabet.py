@@ -80,6 +80,13 @@ def default_character_set() -> CharacterSet:
     return CharacterSet(_LETTERS + _DIGITS + (SPACE, BACKSPACE, EXIT) + _PUNCT)
 
 
+def _index_of(symbols: tuple[str, ...], symbol: str) -> int:
+    try:
+        return symbols.index(symbol)
+    except ValueError:
+        raise ValueError(f"unknown symbol {symbol!r}") from None
+
+
 @dataclass(frozen=True)
 class FrequencyTable:
     """Per-symbol selection probabilities, the bias source for randomization."""
@@ -92,7 +99,7 @@ class FrequencyTable:
         probs = np.asarray(self.probs, dtype=float)
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
-        if len(self.symbols) != probs.size:
+        if probs.ndim != 1 or len(self.symbols) != probs.size:
             raise ValueError("symbol/probability length mismatch")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("symbols must be distinct")
@@ -108,7 +115,7 @@ class FrequencyTable:
             raise ValueError("space symbol must carry the largest probability")
 
     def prob(self, symbol: str) -> float:
-        return float(self.probs[self.symbols.index(symbol)])
+        return float(self.probs[_index_of(self.symbols, symbol)])
 
     def restrict(self, subset: tuple[str, ...]) -> "FrequencyTable":
         """Renormalized table over a subset of symbols, preserving table order.
@@ -117,13 +124,21 @@ class FrequencyTable:
         biased by the same relative frequencies. Exempt from the space-symbol
         dominance rule since subsets usually exclude it.
         """
-        keep = [s for s in self.symbols if s in set(subset)]
-        if len(keep) != len(subset):
-            raise ValueError("subset contains symbols not in the table")
-        p = np.array([self.probs[self.symbols.index(s)] for s in keep])
+        subset = tuple(subset)
+        wanted = set(subset)
+        if not wanted:
+            raise ValueError("subset must hold at least one symbol")
+        if len(wanted) != len(subset):
+            repeated = sorted({s for s in subset if subset.count(s) > 1})
+            raise ValueError(f"subset repeats symbols {repeated}")
+        missing = wanted.difference(self.symbols)
+        if missing:
+            raise ValueError(f"subset contains symbols not in the table: {sorted(missing)}")
+        keep = [i for i, s in enumerate(self.symbols) if s in wanted]
+        p = self.probs[keep]
         p = p / p.sum()
         table = object.__new__(FrequencyTable)
-        object.__setattr__(table, "symbols", tuple(keep))
+        object.__setattr__(table, "symbols", tuple(self.symbols[i] for i in keep))
         p.flags.writeable = False
         object.__setattr__(table, "probs", p)
         object.__setattr__(table, "source", self.source)
@@ -176,6 +191,10 @@ class Cdf:
         object.__setattr__(self, "breakpoints", br)
         if br.size != len(self.symbols):
             raise ValueError("breakpoint/symbol length mismatch")
+        # _draw_batch counts running sums at or below its target, which needs
+        # finite, non-negative masses
+        if br.ndim != 1 or br.size == 0 or not np.all(np.isfinite(br)):
+            raise ValueError("breakpoints must be a finite and non-empty 1-D array")
         if np.any(np.diff(br) <= 0.0) or br[0] <= 0.0:
             raise ValueError("breakpoints must be strictly increasing and positive")
         if abs(float(br[-1]) - 1.0) > 1e-12:
@@ -203,23 +222,36 @@ def _draw_batch(masses: np.ndarray, u: np.ndarray) -> np.ndarray:
     running CDF, and the drawn symbol's mass is zeroed (proportional
     renormalization). Row r consumes u[r, 0], u[r, 1], ... in order, so a
     batch of n rows is bit-identical to n sequential single draws, and to
-    _draw_row on each row. Every step streams the whole of u's shape, so
-    callers with many rows pass them in blocks of _BLOCK_RUNS.
+    _draw_row on each row.
+
+    The masses are held as (n_syms, n_runs), one run per lane of the fast
+    axis, so the running sums are n_syms - 1 vector adds across all runs, in
+    the same order as a per-row cumsum. The masses are non-negative, so the
+    sums never decrease and the pick, the first sum above the target, is the
+    count of sums at or below it. A count of n_syms means u rounded up onto
+    the full remaining mass; that run takes its last symbol with mass left.
+    Every step streams n_syms x n_runs floats, so callers with many rows pass
+    them in blocks of _BLOCK_RUNS.
     """
     n_runs, n_syms = u.shape
-    m = np.repeat(masses[None, :], n_runs, axis=0)
+    m = np.repeat(masses[:, None], n_runs, axis=1)
+    cum = np.empty_like(m)
+    below = np.empty(m.shape, dtype=bool)
+    count = np.min_scalar_type(n_syms)  # narrowest type for 0..n_syms: a cheap sum
     out = np.empty((n_runs, n_syms), dtype=np.int64)
-    rows = np.arange(n_runs)
+    runs = np.arange(n_runs)
+    steps = list(zip(cum[:-1], m[1:], cum[1:]))
     for k in range(n_syms):
-        cum = np.cumsum(m, axis=1)
-        target = u[:, k] * cum[:, -1]
-        hit = cum > target[:, None]
-        j = hit.argmax(axis=1)
-        stuck = ~hit[rows, j]  # u rounded up onto the full remaining mass
-        if stuck.any():
-            j[stuck] = n_syms - 1 - (m[stuck, ::-1] > 0.0).argmax(axis=1)
+        cum[0] = m[0]
+        for prev, row, cur in steps:
+            np.add(prev, row, cur)
+        np.less_equal(cum, u[:, k] * cum[-1], out=below)
+        j = below.sum(axis=0, dtype=count)
+        if j.max() == n_syms:
+            stuck = j == n_syms
+            j[stuck] = n_syms - 1 - (m[::-1, stuck] > 0.0).argmax(axis=0)
         out[:, k] = j
-        m[rows, j] = 0.0
+        m[j, runs] = 0.0
     return out
 
 
@@ -317,7 +349,7 @@ class GroupStats:
     n_runs: int
 
     def mean_group_of(self, symbol: str) -> float:
-        return float(self.mean_group[self.symbols.index(symbol)])
+        return float(self.mean_group[_index_of(self.symbols, symbol)])
 
 
 def monte_carlo_group_stats(

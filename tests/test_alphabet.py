@@ -92,6 +92,10 @@ class TestFrequencyTable:
         with pytest.raises(ValueError):
             FrequencyTable((SPACE, "E"), np.array([1.0, 0.0]))
 
+    def test_rejects_a_probability_matrix(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            FrequencyTable((SPACE, "E"), np.array([[0.5, 0.5]]))
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             FrequencyTable((SPACE, "E"), np.array([0.9, 0.2]))
@@ -115,8 +119,22 @@ class TestFrequencyTable:
         assert np.isclose(sub.prob("E") / sub.prob("T"), ratio)
 
     def test_restrict_rejects_foreign_symbols(self, table):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"not in the table: \['#'\]"):
             table.restrict(("E", "#"))
+
+    def test_restrict_rejects_an_empty_subset(self, table):
+        with pytest.raises(ValueError, match="at least one symbol"):
+            table.restrict(())
+
+    def test_restrict_reports_a_repeated_symbol(self, table):
+        with pytest.raises(ValueError, match=r"repeats symbols \['E'\]"):
+            table.restrict(("E", "T", "E"))
+
+    def test_unknown_symbol_is_named(self, table, biased_stats):
+        with pytest.raises(ValueError, match="unknown symbol '#'"):
+            table.prob("#")
+        with pytest.raises(ValueError, match="unknown symbol '#'"):
+            biased_stats.mean_group_of("#")
 
 
 class TestCdf:
@@ -135,6 +153,19 @@ class TestCdf:
     def test_rejects_nonmonotone_breakpoints(self):
         with pytest.raises(ValueError):
             Cdf((SPACE, "E"), np.array([0.6, 0.6]))
+
+    @pytest.mark.parametrize("bad", [[np.nan, 1.0], [0.5, np.nan], [-np.inf, 1.0]])
+    def test_rejects_non_finite_breakpoints(self, bad):
+        with pytest.raises(ValueError, match="finite and non-empty"):
+            Cdf((SPACE, "E"), np.array(bad))
+
+    def test_rejects_empty_breakpoints(self):
+        with pytest.raises(ValueError, match="finite and non-empty"):
+            Cdf((), np.array([]))
+
+    def test_rejects_a_breakpoint_matrix(self):
+        with pytest.raises(ValueError, match="finite and non-empty 1-D"):
+            Cdf((SPACE, "E"), np.array([[0.5, 1.0]]))
 
 
 class TestDrawPermutation:
@@ -189,14 +220,18 @@ _EDGE_UNIFORMS = (np.nextafter(1.0, 0.0), 1.0)
 
 
 @st.composite
-def masses_and_uniforms(draw):
+def positive_masses(draw):
+    """2-42 strictly positive masses; half of them uniform tables."""
     n = draw(st.integers(2, 42))
     if draw(st.booleans()):
-        masses = np.full(n, 1.0 / n)
-    else:
-        masses = np.array(
-            draw(st.lists(st.floats(1e-9, 1e3), min_size=n, max_size=n)), dtype=float
-        )
+        return np.full(n, 1.0 / n)
+    return np.array(draw(st.lists(st.floats(1e-9, 1e3), min_size=n, max_size=n)), dtype=float)
+
+
+@st.composite
+def masses_and_uniforms(draw):
+    masses = draw(positive_masses())
+    n = masses.size
     rows = draw(st.integers(1, 6))
     u = np.array(
         draw(
@@ -228,6 +263,76 @@ class TestKernelEquivalence:
         u = np.ones((1, 3))
         assert _draw_batch(masses, u).tolist() == [[2, 1, 0]]
         assert _draw_row(masses.tolist(), u[0].tolist()) == [2, 1, 0]
+
+
+def _draw_batch_by_rows(masses: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The row-major _draw_batch that the run-major kernel replaced, verbatim."""
+    n_runs, n_syms = u.shape
+    m = np.repeat(masses[None, :], n_runs, axis=0)
+    out = np.empty((n_runs, n_syms), dtype=np.int64)
+    rows = np.arange(n_runs)
+    for k in range(n_syms):
+        cum = np.cumsum(m, axis=1)
+        target = u[:, k] * cum[:, -1]
+        hit = cum > target[:, None]
+        j = hit.argmax(axis=1)
+        stuck = ~hit[rows, j]  # u rounded up onto the full remaining mass
+        if stuck.any():
+            j[stuck] = n_syms - 1 - (m[stuck, ::-1] > 0.0).argmax(axis=1)
+        out[:, k] = j
+        m[rows, j] = 0.0
+    return out
+
+
+_KERNEL_RUNS = (1, 2, 1023, 1024, 1025)
+
+
+@st.composite
+def masses_and_block(draw):
+    """Masses and a seeded uniform block of one of _KERNEL_RUNS rows.
+
+    A few cells are set to the edge uniforms, and a few first draws to ties:
+    uniforms whose target lands on a running sum, where "first sum above the
+    target" and "count of sums at or below it" must agree.
+    """
+    masses = draw(positive_masses())
+    n = masses.size
+    n_runs = draw(st.sampled_from(_KERNEL_RUNS))
+    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n_runs, n))
+    cells = st.tuples(
+        st.integers(0, n_runs - 1), st.integers(0, n - 1), st.sampled_from(_EDGE_UNIFORMS)
+    )
+    for r, k, value in draw(st.lists(cells, max_size=8)):
+        u[r, k] = value
+    cum = np.cumsum(masses)
+    ties = st.tuples(st.integers(0, n_runs - 1), st.integers(0, n - 1))
+    for r, i in draw(st.lists(ties, max_size=8)):
+        u[r, 0] = cum[i] / cum[-1]
+    return masses, u
+
+
+class TestRunMajorKernel:
+    """_draw_batch makes the same picks as the row-major kernel it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(masses_and_block())
+    def test_equals_the_row_major_kernel(self, case):
+        masses, u = case
+        got = _draw_batch(masses, u)
+        assert got.dtype == np.int64 and got.shape == u.shape
+        assert np.array_equal(got, _draw_batch_by_rows(masses, u))
+
+    @pytest.mark.parametrize("n_runs", _KERNEL_RUNS)
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_stuck_rows_in_every_column(self, table, n_runs, uniform):
+        freq = uniform_frequency_table(table.symbols) if uniform else table
+        masses = build_cdf(freq).masses
+        u = np.random.default_rng(n_runs).random((n_runs, 42))
+        # run r is stuck at step r % 42; with n_runs >= 42 every step has one
+        u[np.arange(n_runs), np.arange(n_runs) % 42] = 1.0
+        want = _draw_batch_by_rows(masses, u)
+        assert np.array_equal(_draw_batch(masses, u), want)
+        assert all(sorted(row) == list(range(42)) for row in want.tolist())
 
 
 class TestFormCycle:
