@@ -15,6 +15,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from ._fork import fork_map, worker_count
+
 __all__ = [
     "SPACE",
     "BACKSPACE",
@@ -352,35 +354,78 @@ class GroupStats:
         return float(self.mean_group[_index_of(self.symbols, symbol)])
 
 
+# Fewest blocks worth a worker of monte_carlo_group_stats: starting the pool
+# costs about 20-30 ms, a block about 5.5 ms.
+_MIN_WORKER_BLOCKS = 8
+
+
+def _block_sums(cdf: Cdf, n_runs: int, rng: np.random.Generator, group_size: int) -> np.ndarray:
+    """Per-symbol int64 sums of 0-based group and position, and first-draw
+    counts, over n_runs permutations drawn in blocks of _BLOCK_RUNS."""
+    n_syms = len(cdf.symbols)
+    sums = np.zeros((3, n_syms), dtype=np.int64)
+    ranks = np.arange(n_syms)
+    for start in range(0, n_runs, _BLOCK_RUNS):
+        orders = draw_permutations(cdf, min(_BLOCK_RUNS, n_runs - start), rng)
+        positions = np.empty_like(orders)
+        positions[np.arange(len(orders))[:, None], orders] = ranks
+        sums[0] += (positions // group_size).sum(axis=0)
+        sums[1] += positions.sum(axis=0)
+        sums[2] += np.bincount(orders[:, 0], minlength=n_syms)
+    return sums
+
+
+def _range_sums(cdf: Cdf, state: dict, group_size: int, start: int, stop: int) -> np.ndarray:
+    """_block_sums of runs start..stop of the stream that a PCG64 at `state`
+    gives: each run takes len(cdf.symbols) doubles of one 64-bit output each."""
+    bit_generator = np.random.PCG64()
+    bit_generator.state = state
+    bit_generator.advance(start * len(cdf.symbols))
+    return _block_sums(cdf, stop - start, np.random.Generator(bit_generator), group_size)
+
+
 def monte_carlo_group_stats(
     freq: FrequencyTable,
     n_runs: int,
     rng: np.random.Generator,
     *,
     group_size: int = 6,
+    workers: int | None = None,
 ) -> GroupStats:
     """Estimate per-symbol mean group index and mean draw position.
 
-    Statistics are over n_runs independent permutations; deterministic for a
-    given stream. Runs are drawn in blocks of _BLOCK_RUNS from the same stream
-    a single draw_permutations call consumes, into exact int64 per-symbol
-    sums, so memory is constant in n_runs and the means are bit-identical.
+    Statistics are over n_runs independent permutations, drawn in blocks of
+    _BLOCK_RUNS from the stream a single draw_permutations call consumes, into
+    exact int64 per-symbol sums, so memory is constant in n_runs and the
+    result depends only on the stream. For a PCG64 stream the runs are cut
+    into one contiguous range per worker, in up to `workers` forked processes
+    (default: one per available core) of at least _MIN_WORKER_BLOCKS blocks
+    each. Every worker advances a copy of the generator to its first run, and
+    rng is then advanced past all the runs, keeping its buffered 32-bit value.
+    The result and the state of rng afterwards are the same at any worker
+    count.
     """
     n_syms = len(freq.symbols)
     _check_runs(n_runs)
     _check_group_size(n_syms, group_size)
+    n_blocks = -(-n_runs // _BLOCK_RUNS)
+    n_workers = min(worker_count(workers), n_blocks // _MIN_WORKER_BLOCKS)
     cdf = build_cdf(freq)
-    group_sum = np.zeros(n_syms, dtype=np.int64)
-    position_sum = np.zeros(n_syms, dtype=np.int64)
-    first_draw_counts = np.zeros(n_syms, dtype=np.int64)
-    ranks = np.arange(n_syms)
-    for start in range(0, n_runs, _BLOCK_RUNS):
-        orders = draw_permutations(cdf, min(_BLOCK_RUNS, n_runs - start), rng)
-        positions = np.empty_like(orders)
-        positions[np.arange(len(orders))[:, None], orders] = ranks
-        group_sum += (positions // group_size).sum(axis=0)
-        position_sum += positions.sum(axis=0)
-        first_draw_counts += np.bincount(orders[:, 0], minlength=n_syms)
+    bit_generator = rng.bit_generator
+    if n_workers <= 1 or not isinstance(bit_generator, np.random.PCG64):
+        sums = _block_sums(cdf, n_runs, rng, group_size)
+    else:
+        state = bit_generator.state
+        edges = [min(n_blocks * k // n_workers * _BLOCK_RUNS, n_runs) for k in range(n_workers + 1)]
+        ranges = list(zip(edges[:-1], edges[1:]))
+        sums = sum(fork_map(_range_sums, ranges, (cdf, state, group_size), n_workers))
+        bit_generator.advance(n_runs * n_syms)  # which drops the buffered value
+        bit_generator.state = {
+            **bit_generator.state,
+            "has_uint32": state["has_uint32"],
+            "uinteger": state["uinteger"],
+        }
+    group_sum, position_sum, first_draw_counts = sums
     return GroupStats(
         symbols=freq.symbols,
         mean_group=(group_sum + n_runs) / n_runs,

@@ -13,17 +13,12 @@ same bits at any BLAS thread count and any number of worker processes.
 from __future__ import annotations
 
 import csv
-import ctypes
 import math
-import multiprocessing
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
-import scipy
 
+from ._fork import _one_blas_thread, fork_map, worker_count
 from .alphabet import (
     BACKSPACE,
     CharacterSet,
@@ -202,48 +197,6 @@ def run_training(
 # ---------------------------------------------------------------------------
 # offline evaluation
 
-# numpy's and scipy's wheels each bundle an OpenBLAS with its own thread pool:
-# (package, library glob under its site directory, symbol suffix)
-_OPENBLAS = (
-    (np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
-    (scipy, "scipy.libs/libscipy_openblas*.so", ""),
-)
-
-
-def _openblas_pools() -> list:
-    """(get, set) thread-count functions of each bundled OpenBLAS found; none
-    for a build without one (MKL, Accelerate, a system BLAS)."""
-    pools = []
-    for package, pattern, suffix in _OPENBLAS:
-        for path in sorted(Path(package.__file__).parents[1].glob(pattern)):
-            try:
-                lib = ctypes.CDLL(str(path))
-                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-                set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-            except (OSError, AttributeError):
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            pools.append((get, set_threads))
-    return pools
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body with every bundled OpenBLAS at one thread, then restore
-    the previous counts. Model fits then give the same bits at any thread
-    count, and the two pools do not contend."""
-    pools = _openblas_pools()
-    previous = [get() for get, _ in pools]
-    for _, set_threads in pools:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for (_, set_threads), n in zip(pools, previous):
-            set_threads(n)
-
-
 def _stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> np.ndarray:
     """Fold index per trial; each class spread round-robin after a shuffle."""
     assignment = np.empty(y.shape[0], dtype=int)
@@ -272,30 +225,6 @@ def _fold_counts(x, y, assignments, eta, m_max, repeat, fold) -> tuple[int, int,
     )
 
 
-_fold_inputs: tuple = ()  # set in forked fold workers only
-
-
-def _init_fold_worker(*inputs) -> None:
-    """Keep the inherited inputs and pin this worker to one BLAS thread: a
-    fork inherits the parent's count, and the workers would oversubscribe
-    the cores."""
-    global _fold_inputs
-    _fold_inputs = inputs
-    for _, set_threads in _openblas_pools():
-        set_threads(1)
-
-
-def _fold_job(job: tuple[int, int]) -> tuple[int, int, int, int, int]:
-    return _fold_counts(*_fold_inputs, *job)
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
 def cross_validate(
     trials: TrialBatch,
     repeats: int = 10,
@@ -317,10 +246,7 @@ def cross_validate(
         rng = np.random.default_rng(0)
     if repeats < 1 or folds < 2:
         raise ValueError("need repeats >= 1 and folds >= 2")
-    if workers is not None and (
-        isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1
-    ):
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    workers = worker_count(workers)
     x, y = preprocess(trials.samples), trials.is_oddball
     for cls in (True, False):
         if int(np.sum(y == cls)) < folds:
@@ -342,17 +268,7 @@ def cross_validate(
         assignments.append(assignment)
 
     jobs = [(r, k) for r in range(repeats) for k in range(folds)]
-    inputs = (x, y, assignments, eta, m_max)
-    n_workers = min(workers or _available_cpus(), len(jobs))
-    if n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        with _one_blas_thread():
-            counts = [_fold_counts(*inputs, *job) for job in jobs]
-    else:
-        # forked workers inherit the inputs instead of receiving a pickled
-        # copy; OpenBLAS shuts its threads down around a fork, so it is safe
-        context = multiprocessing.get_context("fork")
-        with context.Pool(n_workers, _init_fold_worker, inputs) as pool:
-            counts = pool.map(_fold_job, jobs, chunksize=1)
+    counts = fork_map(_fold_counts, jobs, (x, y, assignments, eta, m_max), workers)
 
     per_repeat = np.array(counts).reshape(repeats, folds, 5).sum(axis=1)
     acc = per_repeat[:, 0] / y.size

@@ -279,8 +279,16 @@ class TestMc:
         "table": "12ed30037e24c5610bd1c99b1cf6b213210d4e12437b549bd6b1b34070ec7589",
     }
 
-    @pytest.mark.parametrize("source", sorted(GOLDEN_MC_CSV))
-    def test_csv_bytes_are_pinned(self, capsys, tmp_path, source):
+    # The same at 20,000 runs (20 blocks), which is enough to split the runs
+    # across worker processes; pinned before the runs were split.
+    GOLDEN_MC_CSV_20000 = {
+        "builtin": "9272cc187d2ec8bb287024da65faa38fd301b09991f82186f08e7d6d4c70b393",
+        "uniform": "5c4bef6cb9efecb82d90fa968643272575f9cd1cd1d3493aaacbdb0eb622b484",
+        "table": "b83ba1ff68fca0c3f43ad7e4ef67c6e871004262f3c34795bc50c9561825b332",
+    }
+
+    @staticmethod
+    def mc_csv_digest(capsys, tmp_path, source, runs):
         flags = {"builtin": [], "uniform": ["--uniform"]}.get(source)
         if flags is None:
             # linear weights 1..41 over the other symbols, the largest (42) on space
@@ -292,11 +300,19 @@ class TestMc:
             flags = ["--table", str(path)]
         out_dir = tmp_path / "out"
         code, _, _ = run_cli(
-            capsys, "mc", *flags, "--runs", "3000", "--seed", "0", "--out", str(out_dir)
+            capsys, "mc", *flags, "--runs", str(runs), "--seed", "0", "--out", str(out_dir)
         )
         assert code == 0
-        digest = hashlib.sha256((out_dir / "mc.csv").read_bytes()).hexdigest()
-        assert digest == self.GOLDEN_MC_CSV[source]
+        return hashlib.sha256((out_dir / "mc.csv").read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("source", sorted(GOLDEN_MC_CSV))
+    def test_csv_bytes_are_pinned(self, capsys, tmp_path, source):
+        assert self.mc_csv_digest(capsys, tmp_path, source, 3000) == self.GOLDEN_MC_CSV[source]
+
+    @pytest.mark.parametrize("source", sorted(GOLDEN_MC_CSV_20000))
+    def test_split_run_csv_bytes_are_pinned(self, capsys, tmp_path, source):
+        got = self.mc_csv_digest(capsys, tmp_path, source, 20_000)
+        assert got == self.GOLDEN_MC_CSV_20000[source]
 
     def test_invalid_table_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bad_table.txt"

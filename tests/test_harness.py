@@ -3,13 +3,14 @@
 import csv
 import math
 import multiprocessing
+import os
 import time
 import types
 
 import numpy as np
 import pytest
 
-from spellersim import harness
+from spellersim import _fork, harness
 from spellersim.alphabet import default_character_set
 from spellersim.channel import ChannelSpec, ConfusionMatrix, mutual_information
 from spellersim.classifier import decide_batch, fit as fit_classifier
@@ -230,7 +231,11 @@ def _cross_validate_one_by_one(trials, repeats, folds, rng, eta=0.9, m_max=30):
 
 
 def _blas_thread_counts() -> list[int]:
-    return [get() for get, _ in harness._openblas_pools()]
+    return [get() for get, _ in _fork._openblas_pools()]
+
+
+def _threads_and_blas_counts() -> tuple[int, list[int]]:
+    return len(os.listdir("/proc/self/task")), _blas_thread_counts()
 
 
 class TestFoldPool:
@@ -288,14 +293,14 @@ class TestFoldPool:
             cross_validate(sessions["oracle"], repeats=1, folds=4, workers=workers)
         assert multiprocessing.active_children() == []
         assert _blas_thread_counts() == before
-        assert harness._fold_inputs == ()
+        assert _fork._inputs == ()
 
 
 @pytest.fixture
 def blas_at_two_threads():
     """Every bundled OpenBLAS at two threads, as a fork would inherit them;
     the previous counts come back afterwards."""
-    pools = harness._openblas_pools()
+    pools = _fork._openblas_pools()
     if not pools:
         pytest.skip("no bundled OpenBLAS in this numpy/scipy build")
     before = _blas_thread_counts()
@@ -309,14 +314,23 @@ def blas_at_two_threads():
 class TestOneBlasThread:
     def test_pins_inside_and_restores_after_an_exception(self, blas_at_two_threads):
         with pytest.raises(KeyError):
-            with harness._one_blas_thread():
+            with _fork._one_blas_thread():
                 assert _blas_thread_counts() == [1] * blas_at_two_threads
                 raise KeyError("inside")
         assert _blas_thread_counts() == [2] * blas_at_two_threads
 
     def test_fold_workers_run_at_one_thread(self, blas_at_two_threads):
-        with multiprocessing.get_context("fork").Pool(1, harness._init_fold_worker) as pool:
+        with multiprocessing.get_context("fork").Pool(1, _fork._init_worker, (None, ())) as pool:
             assert pool.apply(_blas_thread_counts) == [1] * blas_at_two_threads
+
+    def test_pool_workers_start_no_blas_threads(self, blas_at_two_threads):
+        # a worker that sets its count restarts the OpenBLAS threads the fork
+        # stopped, and they spin beside the job
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no per-thread entries in /proc on this platform")
+        workers = _fork.fork_map(_threads_and_blas_counts, [(), ()], (), workers=2)
+        assert workers == [(1, [1] * blas_at_two_threads)] * 2
+        assert _blas_thread_counts() == [2] * blas_at_two_threads
 
     def test_missing_library_or_symbol_is_a_silent_no_op(self, tmp_path, monkeypatch):
         before = _blas_thread_counts()
@@ -328,9 +342,9 @@ class TestOneBlasThread:
             (fake, "fake.libs/libscipy_openblas*.so", ""),  # not loadable
             (np, "numpy.libs/libscipy_openblas64_*.so", "_no_such_symbol"),
         )
-        monkeypatch.setattr(harness, "_OPENBLAS", stub)
-        assert harness._openblas_pools() == []
-        with harness._one_blas_thread():
+        monkeypatch.setattr(_fork, "_OPENBLAS", stub)
+        assert _fork._openblas_pools() == []
+        with _fork._one_blas_thread():
             pass
         monkeypatch.undo()
         assert _blas_thread_counts() == before
