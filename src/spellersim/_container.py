@@ -70,7 +70,8 @@ def load_container(path) -> tuple[dict, dict[str, np.ndarray]]:
                 name = spec["name"]
                 dtype = np.dtype(spec["dtype"])
                 shape = tuple(spec["shape"])
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, SyntaxError) as exc:
+                # numpy parses a dtype string such as "08f8" with ast.literal_eval
                 raise ValueError(f"bad array entry in container header: {spec!r}") from exc
             if (
                 not isinstance(name, str)

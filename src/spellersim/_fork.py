@@ -79,35 +79,29 @@ _inputs: tuple = ()
 
 
 def _init_worker(fn, inputs: tuple) -> None:
-    """Keep the inherited job function and inputs, and pin this worker to one
-    BLAS thread: a fork inherits the parent's count, and the workers would
-    oversubscribe the cores. A count that is already one is left alone:
-    setting it starts the OpenBLAS threads that the fork shut down, and they
-    spin for about 0.1 s, taking the cores from the workers."""
+    """Keep the inherited job function and inputs."""
     global _fn, _inputs
     _fn, _inputs = fn, inputs
-    for get, set_threads in _openblas_pools():
-        if get() != 1:
-            set_threads(1)
 
 
 def _run_job(job: tuple):
     return _fn(*_inputs, *job)
 
 
-def fork_map(fn, jobs: list, inputs: tuple, workers: int | None = None) -> list:
+def fork_map(fn, jobs: list, inputs: tuple, workers: int) -> list:
     """[fn(*inputs, *job) for job in jobs], in up to `workers` forked processes
-    (default: one per available core) at one BLAS thread each.
+    (a count checked by worker_count) at one BLAS thread each.
 
     Runs in this process when one worker is enough or the platform cannot
     fork. A job's error reaches the caller, and no worker outlives the call.
     """
-    n_workers = min(worker_count(workers), len(jobs))
+    n_workers = min(workers, len(jobs))
     if n_workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         with _one_blas_thread():
             return [fn(*inputs, *job) for job in jobs]
-    # OpenBLAS shuts its threads down around a fork, so it is safe; the
-    # workers are forked at one BLAS thread and inherit that count
+    # the workers are forked at one BLAS thread and inherit that count: a
+    # worker that set its own count would restart the OpenBLAS threads the
+    # fork shut down, and they would spin beside the job for about 0.1 s
     context = multiprocessing.get_context("fork")
     with _one_blas_thread(), context.Pool(n_workers, _init_worker, (fn, inputs)) as pool:
         return pool.map(_run_job, jobs, chunksize=1)

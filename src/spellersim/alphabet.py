@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._fork import fork_map, worker_count
+from . import _fork
 
 __all__ = [
     "SPACE",
@@ -390,7 +390,6 @@ def monte_carlo_group_stats(
     rng: np.random.Generator,
     *,
     group_size: int = 6,
-    workers: int | None = None,
 ) -> GroupStats:
     """Estimate per-symbol mean group index and mean draw position.
 
@@ -398,18 +397,17 @@ def monte_carlo_group_stats(
     _BLOCK_RUNS from the stream a single draw_permutations call consumes, into
     exact int64 per-symbol sums, so memory is constant in n_runs and the
     result depends only on the stream. For a PCG64 stream the runs are cut
-    into one contiguous range per worker, in up to `workers` forked processes
-    (default: one per available core) of at least _MIN_WORKER_BLOCKS blocks
-    each. Every worker advances a copy of the generator to its first run, and
-    rng is then advanced past all the runs, keeping its buffered 32-bit value.
-    The result and the state of rng afterwards are the same at any worker
-    count.
+    into one contiguous range per forked worker, with up to one worker per
+    available core and at least _MIN_WORKER_BLOCKS blocks each. Every worker
+    advances a copy of the generator to its first run, and rng is then
+    advanced past all the runs, keeping its buffered 32-bit value. The result
+    and the state of rng afterwards are the same at any worker count.
     """
     n_syms = len(freq.symbols)
     _check_runs(n_runs)
     _check_group_size(n_syms, group_size)
     n_blocks = -(-n_runs // _BLOCK_RUNS)
-    n_workers = min(worker_count(workers), n_blocks // _MIN_WORKER_BLOCKS)
+    n_workers = min(_fork._available_cpus(), n_blocks // _MIN_WORKER_BLOCKS)
     cdf = build_cdf(freq)
     bit_generator = rng.bit_generator
     if n_workers <= 1 or not isinstance(bit_generator, np.random.PCG64):
@@ -418,7 +416,7 @@ def monte_carlo_group_stats(
         state = bit_generator.state
         edges = [min(n_blocks * k // n_workers * _BLOCK_RUNS, n_runs) for k in range(n_workers + 1)]
         ranges = list(zip(edges[:-1], edges[1:]))
-        sums = sum(fork_map(_range_sums, ranges, (cdf, state, group_size), n_workers))
+        sums = sum(_fork.fork_map(_range_sums, ranges, (cdf, state, group_size), n_workers))
         bit_generator.advance(n_runs * n_syms)  # which drops the buffered value
         bit_generator.state = {
             **bit_generator.state,

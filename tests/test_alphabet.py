@@ -2,7 +2,6 @@
 
 import functools
 import multiprocessing
-import re
 import tracemalloc
 
 import numpy as np
@@ -428,73 +427,78 @@ class TestMonteCarloStats:
 
 
 @functools.cache
-def _one_process_stats(n_runs: int):
-    """The serial block loop's result and the generator state it leaves."""
+def _serial_sums(n_runs: int):
+    """The serial block loop's sums and the generator state it leaves."""
     rng = np.random.default_rng(n_runs)
-    stats = monte_carlo_group_stats(default_frequency_table(), n_runs, rng, workers=1)
-    return stats, rng.bit_generator.state
+    sums = alphabet._block_sums(build_cdf(default_frequency_table()), n_runs, rng, 6)
+    return sums, rng.bit_generator.state
 
 
-def _same_stats(a, b) -> bool:
-    return all(
-        np.array_equal(getattr(a, name), getattr(b, name))
-        for name in ("mean_group", "mean_position", "first_draw_counts")
-    ) and a.n_runs == b.n_runs
+def _matches(stats, sums) -> bool:
+    n = stats.n_runs
+    return (
+        np.array_equal(stats.mean_group, (sums[0] + n) / n)
+        and np.array_equal(stats.mean_position, (sums[1] + n) / n)
+        and np.array_equal(stats.first_draw_counts, sums[2])
+    )
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the number of cores monte_carlo_group_stats sees."""
+    return lambda n: monkeypatch.setattr(_fork, "_available_cpus", lambda: n)
 
 
 class TestMonteCarloPool:
     # 8191 runs is the largest count that stays in one process (8 blocks);
     # 16383-16385 split into two ranges around a partial last block
     @pytest.mark.parametrize("n_runs", [1, 1024, 8191, 16383, 16384, 16385, 100_000])
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_equals_the_serial_block_loop(self, table, n_runs, workers):
-        want, want_state = _one_process_stats(n_runs)
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_equals_the_serial_block_loop(self, table, cpus, n_runs, n_cpus):
+        cpus(n_cpus)
+        want, want_state = _serial_sums(n_runs)
         rng = np.random.default_rng(n_runs)
-        got = monte_carlo_group_stats(table, n_runs, rng, workers=workers)
-        assert _same_stats(got, want)
+        got = monte_carlo_group_stats(table, n_runs, rng)
+        assert _matches(got, want)
         assert rng.bit_generator.state == want_state
 
-    def test_keeps_a_buffered_32_bit_value(self, table):
+    def test_keeps_a_buffered_32_bit_value(self, table, cpus):
+        cpus(2)
         pooled, serial = np.random.default_rng(6), np.random.default_rng(6)
         for rng in (pooled, serial):
             rng.integers(0, 2**32, dtype=np.uint32)
         assert pooled.bit_generator.state["has_uint32"] == 1
-        got = monte_carlo_group_stats(table, 20_000, pooled, workers=2)
-        want = monte_carlo_group_stats(table, 20_000, serial, workers=1)
-        assert _same_stats(got, want)
+        got = monte_carlo_group_stats(table, 20_000, pooled)
+        assert _matches(got, alphabet._block_sums(build_cdf(table), 20_000, serial, 6))
         assert pooled.bit_generator.state == serial.bit_generator.state
         assert pooled.integers(0, 2**32, dtype=np.uint32) == serial.integers(0, 2**32, dtype=np.uint32)
 
-    def test_other_bit_generators_stay_in_one_process(self, table, monkeypatch):
+    def test_other_bit_generators_stay_in_one_process(self, table, cpus, monkeypatch):
+        cpus(2)
         serial = np.random.Generator(np.random.MT19937(3))
-        want = monte_carlo_group_stats(table, 20_000, serial, workers=1)
+        want = alphabet._block_sums(build_cdf(table), 20_000, serial, 6)
 
         def no_pool(*args):
             raise AssertionError("forked a pool for an MT19937 stream")
 
-        monkeypatch.setattr(alphabet, "fork_map", no_pool)
+        monkeypatch.setattr(_fork, "fork_map", no_pool)
         rng = np.random.Generator(np.random.MT19937(3))
-        got = monte_carlo_group_stats(table, 20_000, rng, workers=2)
-        assert _same_stats(got, want)
+        assert _matches(monte_carlo_group_stats(table, 20_000, rng), want)
         got_state, want_state = (r.bit_generator.state["state"] for r in (rng, serial))
         assert got_state["pos"] == want_state["pos"]
         assert np.array_equal(got_state["key"], want_state["key"])
 
-    def test_worker_error_reaches_the_caller_and_leaves_nothing_behind(self, table, monkeypatch):
+    def test_worker_error_reaches_the_caller_and_leaves_nothing_behind(self, table, cpus, monkeypatch):
+        cpus(2)
+
         def broken_draw(*args):
             raise RuntimeError("draw failed")
 
         monkeypatch.setattr(alphabet, "draw_permutations", broken_draw)  # forks inherit it
         with pytest.raises(RuntimeError, match="draw failed"):
-            monte_carlo_group_stats(table, 20_000, np.random.default_rng(0), workers=2)
+            monte_carlo_group_stats(table, 20_000, np.random.default_rng(0))
         assert multiprocessing.active_children() == []
         assert _fork._fn is None and _fork._inputs == ()
-
-    @pytest.mark.parametrize("bad", [0, -1, True, 2.5])
-    def test_rejects_bad_worker_counts(self, table, bad):
-        message = re.escape(f"workers must be a positive integer, got {bad!r}")
-        with pytest.raises(ValueError, match=message):
-            monte_carlo_group_stats(table, 10, np.random.default_rng(0), workers=bad)
 
     def test_worker_memory_does_not_grow_with_runs(self, table):
         state = np.random.default_rng(0).bit_generator.state

@@ -632,6 +632,13 @@ class TestContainerFuzz:
         blob = saved_model.read_bytes()
         self._load(tmp_path, blob[: int(keep * len(blob))])
 
+    @pytest.mark.parametrize("dtype", ["08f8", "<f8,08"])
+    def test_dtype_string_numpy_cannot_parse(self, tmp_path, dtype):
+        path = tmp_path / "bad_dtype.bin"
+        path.write_bytes(_raw_header({"meta": {}, "arrays": [{"name": "a", "dtype": dtype, "shape": [1]}]}))
+        with pytest.raises(ValueError, match="bad array entry"):
+            load_container(path)
+
     @settings(max_examples=300, **_FUZZ)
     @given(
         flips=st.lists(

@@ -234,8 +234,11 @@ def _blas_thread_counts() -> list[int]:
     return [get() for get, _ in _fork._openblas_pools()]
 
 
-def _threads_and_blas_counts() -> tuple[int, list[int]]:
-    return len(os.listdir("/proc/self/task")), _blas_thread_counts()
+def _threads_and_blas_counts() -> tuple[int | None, list[int]]:
+    """This process's thread count where /proc lists it, and its BLAS counts."""
+    tasks = "/proc/self/task"
+    threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+    return threads, _blas_thread_counts()
 
 
 class TestFoldPool:
@@ -320,16 +323,12 @@ class TestOneBlasThread:
         assert _blas_thread_counts() == [2] * blas_at_two_threads
 
     def test_fold_workers_run_at_one_thread(self, blas_at_two_threads):
-        with multiprocessing.get_context("fork").Pool(1, _fork._init_worker, (None, ())) as pool:
-            assert pool.apply(_blas_thread_counts) == [1] * blas_at_two_threads
-
-    def test_pool_workers_start_no_blas_threads(self, blas_at_two_threads):
-        # a worker that sets its count restarts the OpenBLAS threads the fork
-        # stopped, and they spin beside the job
-        if not os.path.isdir("/proc/self/task"):
-            pytest.skip("no per-thread entries in /proc on this platform")
-        workers = _fork.fork_map(_threads_and_blas_counts, [(), ()], (), workers=2)
-        assert workers == [(1, [1] * blas_at_two_threads)] * 2
+        # the workers inherit the count from the fork; one that set it itself
+        # would restart the OpenBLAS threads the fork stopped, and they would
+        # spin beside the job
+        workers = _fork.fork_map(_threads_and_blas_counts, [(), ()], (), 2)
+        assert [counts for _, counts in workers] == [[1] * blas_at_two_threads] * 2
+        assert all(threads in (1, None) for threads, _ in workers)
         assert _blas_thread_counts() == [2] * blas_at_two_threads
 
     def test_missing_library_or_symbol_is_a_silent_no_op(self, tmp_path, monkeypatch):
