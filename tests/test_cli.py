@@ -10,6 +10,7 @@ import re
 import struct
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from spellersim._container import load_container, save_container
 from spellersim.alphabet import default_frequency_table
 from spellersim.cli import _PROTOCOL_KEYS, _RUN_KEYS, RunSpec, load_config, main
-from spellersim.harness import ProtocolConfig
+from spellersim.harness import BENCHMARK_SENTENCE, ProtocolConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -169,6 +170,10 @@ class TestConfigFuzz:
             value = getattr(spec.protocol, key)
             assert isinstance(value, int) or math.isfinite(value), key
         assert spec.protocol.trials_per_char >= 1
+
+
+def load_preset_text(name: str) -> str:
+    return resources.files("spellersim").joinpath(f"presets/{name}.cfg").read_text()
 
 
 def load_config_by_name(name: str):
@@ -326,6 +331,87 @@ class TestMc:
         table.write_text("A 1.0\n")
         code, _, err = run_cli(capsys, "mc", "--uniform", "--table", str(table))
         assert code == 2
+
+
+class TestSpellBytes:
+    # Digests of the spell outputs at seed 0, pinned so that a change to the
+    # online trial path (synthesis, extract, decide, speller step) cannot move
+    # the bytes unnoticed. The run's manifest digest, which both the log header
+    # and the report carry, is blanked before hashing: it covers the library
+    # version strings, not the session. The model comes from a 1x2 CV train;
+    # the model depends only on the training session, so a default-CV train
+    # gives the same one.
+    GOLDEN_SPELL = {
+        "fast_oracle": {
+            "session.jsonl": "a6a540a154aa99b544608531132eeef4edd134a11f5465a7fb3eb50718c6b029",
+            "session_report.json": "a03d176b71c2454741a6a6a2fa9f4bb50ce2e8cea788cb0a505366059aad1f06",
+            "session.csv": "57c18921226c7f6c2568c88463df9205ecfd4f479ac97c5fe621a74c1bf4458c",
+        },
+        "fast_midsnr": {
+            "session.jsonl": "720b139735b00441791a2f40df30eabc3b3c9dac4e3ecd183b6bb79b8e3924b1",
+            "session_report.json": "53376fbf6f5529adb06d6084ab6aa7a630f858f0221e248e0c2accead9582409",
+            "session.csv": "f18ceb663bae8963a9d455f7310ddba625d16440d7561336d3cea66ad534bd7b",
+        },
+        "fast_noise": {
+            "session.jsonl": "6806447bb64fbfbcd0452dcdb189c838735428318bbebbf6b43cb6413fb12263",
+            "session_report.json": "9df66382d4c0722f95c06c840ec4037a76c3d9b7729a6c724e90c71ea84d5b58",
+            "session.csv": "908124b36c355dd17069bc37af595732bda61f68f321e896bbf9d99a25319a58",
+        },
+    }
+
+    # the midsnr session repeats the benchmark sentence so that it errs,
+    # backspaces and selects by every mechanism
+    EXTRA_LINES = {
+        "fast_midsnr": [
+            "sentence = " + ">".join([BENCHMARK_SENTENCE.rstrip("*")] * 5) + "*",
+            "trial_budget = 3000",
+        ],
+    }
+
+    # trials, and selections per mechanism (backspaces under "<")
+    EXPECTED_COUNTS = {
+        "fast_oracle": (153, {"Stage2": 20, "CompletionMode": 24}),
+        "fast_midsnr": (1204, {"Stage2": 110, "CompletionMode": 120, "Integration": 2, "<": 6}),
+        "fast_noise": (1909, {"Integration": 11}),
+    }
+
+    @pytest.fixture(scope="class", params=sorted(GOLDEN_SPELL))
+    def spelled(self, request, tmp_path_factory):
+        preset = request.param
+        work = tmp_path_factory.mktemp(f"golden_{preset}")
+        cfg = work / f"{preset}.cfg"
+        lines = ["cv_repeats = 1", "cv_folds = 2", *self.EXTRA_LINES.get(preset, [])]
+        cfg.write_text(load_preset_text(preset) + "".join(f"{line}\n" for line in lines))
+        model = work / "model"
+        assert main(["train", "--config", str(cfg), "--seed", "0", "--out", str(model)]) == 0
+        out = work / "spell"
+        argv = ["spell", "--config", str(cfg), "--model", str(model / "model.bin")]
+        assert main([*argv, "--seed", "0", "--out", str(out)]) == 0
+        return preset, out
+
+    def test_session_bytes_are_pinned(self, capsys, spelled):
+        capsys.readouterr()
+        preset, out = spelled
+        digest = json.loads((out / "spell_manifest.json").read_text())["digest"].encode()
+        got = {
+            name: hashlib.sha256((out / name).read_bytes().replace(digest, b"")).hexdigest()
+            for name in self.GOLDEN_SPELL[preset]
+        }
+        assert got == self.GOLDEN_SPELL[preset]
+
+    def test_sessions_cover_every_mechanism(self, capsys, spelled):
+        capsys.readouterr()
+        preset, out = spelled
+        with open(out / "session.jsonl", encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        selections = [r for r in records if r["record"] == "selection"]
+        counts = {}
+        for r in selections:
+            counts[r["mechanism"]] = counts.get(r["mechanism"], 0) + 1
+            if r["symbol"] == "<":
+                counts["<"] = counts.get("<", 0) + 1
+        n_trials = sum(r["record"] == "trial" for r in records)
+        assert (n_trials, counts) == self.EXPECTED_COUNTS[preset]
 
 
 class TestTrain:
