@@ -186,6 +186,7 @@ class Cdf:
 
     symbols: tuple[str, ...]
     breakpoints: np.ndarray
+    masses: np.ndarray = field(init=False, repr=False, compare=False)  # read-only breakpoint steps
 
     def __post_init__(self) -> None:
         br = np.asarray(self.breakpoints, dtype=float)
@@ -197,14 +198,14 @@ class Cdf:
         # finite, non-negative masses
         if br.ndim != 1 or br.size == 0 or not np.all(np.isfinite(br)):
             raise ValueError("breakpoints must be a finite and non-empty 1-D array")
-        if np.any(np.diff(br) <= 0.0) or br[0] <= 0.0:
+        masses = br.copy()  # the steps of br from 0, as np.diff(br, prepend=0.0)
+        masses[1:] -= br[:-1]
+        if (masses <= 0.0).any():
             raise ValueError("breakpoints must be strictly increasing and positive")
         if abs(float(br[-1]) - 1.0) > 1e-12:
             raise ValueError("final breakpoint must equal 1")
-
-    @property
-    def masses(self) -> np.ndarray:
-        return np.diff(self.breakpoints, prepend=0.0)
+        masses.flags.writeable = False
+        object.__setattr__(self, "masses", masses)
 
 
 def build_cdf(freq: FrequencyTable) -> Cdf:

@@ -52,6 +52,7 @@ __all__ = [
 
 _EIG_TOL = 1e-10
 _VAR_FLOOR = 1e-24
+_LOG2 = math.log(2.0)  # numpy's logaddexp adds this when its arguments are equal
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -230,6 +231,8 @@ class BranchDiscriminant:
     t: np.ndarray               # (m,), unit norm
     feature_means: np.ndarray   # (2,): oddball, non-oddball feature means
     feature_vars: np.ndarray    # (2,): matching variances, floored positive
+    # (2,), read-only: the Gaussian normalizers 0.5 * log(2 pi var)
+    log_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         with np.errstate(over="ignore"):
@@ -240,6 +243,10 @@ class BranchDiscriminant:
             raise ValueError("per-class statistics must have shape (2,)")
         if not np.all(self.feature_vars > 0.0):
             raise ValueError("feature variances must be positive")
+        with np.errstate(over="ignore"):
+            log_norms = 0.5 * np.log(2.0 * np.pi * self.feature_vars)
+        log_norms.flags.writeable = False
+        object.__setattr__(self, "log_norms", log_norms)
 
 
 @dataclass(frozen=True)
@@ -247,6 +254,9 @@ class DiscriminantModel:
     oddball: BranchDiscriminant
     non_oddball: BranchDiscriminant
     log_priors: np.ndarray      # (2,): log p(oddball), log p(non-oddball)
+    # per branch, per class: (mean, variance, log normalizer, log prior) as
+    # floats, for the scalar gate of extract
+    gate: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.log_priors.shape != (2,):
@@ -255,6 +265,12 @@ class DiscriminantModel:
             total = np.exp(self.log_priors).sum()
         if abs(total - 1.0) > 1e-12:
             raise ValueError("gate priors must sum to 1")
+        priors = self.log_priors.tolist()
+        gate = tuple(
+            tuple(zip(b.feature_means.tolist(), b.feature_vars.tolist(), b.log_norms.tolist(), priors))
+            for b in (self.oddball, self.non_oddball)
+        )
+        object.__setattr__(self, "gate", gate)
 
 
 def _fisher_direction(z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -349,12 +365,27 @@ def _branch_scores(model: FeatureModel, features: np.ndarray) -> np.ndarray:
         f = features[:, j, None]
         log_lik = (
             -0.5 * ((f - branch.feature_means) ** 2 / branch.feature_vars)
-            - 0.5 * np.log(2.0 * np.pi * branch.feature_vars)
+            - branch.log_norms
             + model.disc.log_priors
         )
         norm = np.logaddexp(log_lik[:, 0], log_lik[:, 1])
         scores[:, j] = log_lik.max(axis=1) - norm
     return scores
+
+
+def _branch_score(gate: tuple, f: float) -> float:
+    """One branch's entry of _branch_scores at one feature, in float math.
+
+    gate is the branch's entry of DiscriminantModel.gate. The operations
+    and their order are those of the array path, and the normalizer mirrors
+    numpy's logaddexp, so the result is the same float."""
+    (m_o, v_o, c_o, p_o), (m_e, v_e, c_e, p_e) = gate
+    d_o, d_e = f - m_o, f - m_e
+    a = -0.5 * (d_o * d_o / v_o) - c_o + p_o
+    b = -0.5 * (d_e * d_e / v_e) - c_e + p_e
+    top = max(a, b)
+    norm = a + _LOG2 if a == b else top + math.log1p(math.exp(-abs(a - b)))
+    return top - norm
 
 
 def _select_features(model: FeatureModel, z_o: np.ndarray, z_e: np.ndarray) -> np.ndarray:
@@ -377,11 +408,22 @@ def extract_batch(model: FeatureModel, vectors) -> np.ndarray:
 
 
 def extract(model: FeatureModel, x) -> float:
-    """Scalar discriminant feature for a single input vector."""
+    """Scalar discriminant feature for a single input vector.
+
+    Equals extract_batch(model, x[None])[0]: the row is projected as a
+    (1, d) array, so BLAS runs the batch path's kernels, and the gate
+    between the two branch features runs in float math."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.cpca.global_mean.shape[0],):
         raise ValueError(f"expected a {model.cpca.global_mean.shape[0]}-vector, got {x.shape}")
-    return float(extract_batch(model, x[None, :])[0])
+    if not np.isfinite(x).all():
+        raise ValueError("vectors must be finite")
+    row = x[None, :]
+    disc = model.disc
+    f_o = float((model.cpca.oddball.project(row) @ disc.oddball.t)[0])
+    f_e = float((model.cpca.non_oddball.project(row) @ disc.non_oddball.t)[0])
+    # oddball branch on ties
+    return f_o if _branch_score(disc.gate[0], f_o) >= _branch_score(disc.gate[1], f_e) else f_e
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .alphabet import (
     form_cycle,
 )
 from .channel import ChannelSpec, ConfusionMatrix, ItrReport, mutual_information, per_trial_itr_from_session, practical_itr
-from .classifier import ClassifierParams, decide_batch, fit as fit_classifier, posterior_oddball, with_theta
+from .classifier import ClassifierParams, classify, decide_batch, fit as fit_classifier, posterior_oddball, with_theta
 from .features import FeatureModel, _fit_with_training_features, extract, extract_batch
 from .signal import N_CHANNELS, N_SAMPLES, NON_ODDBALL, ODDBALL, SessionSynthesizer, SubjectModel, preprocess
 from .speller import EXITED, STAGE1, Dictionary, SessionLog, Speller
@@ -424,7 +424,7 @@ def run_online(
         is_odd = desired in stimulus
         feature = extract(model, preprocess(synth.trial(onset_s, is_odd)))
         theta_params = group_params if mode == STAGE1 else single_params
-        decision = bool(decide_batch(theta_params, np.array([feature]))[0])
+        decision = classify(theta_params, feature)
         posterior = posterior_oddball(params, feature)
 
         prompt_before = speller.prompt

@@ -205,6 +205,9 @@ class SessionSynthesizer:
         self._last_onset: int | None = None
         self._ar_zi: np.ndarray | None = None
         self._events: list[tuple[int, np.ndarray]] = []
+        # the waveform of every jitter-free response, shared read-only
+        self._still = subject.template.render(0.0)
+        self._still.flags.writeable = False
 
     def _extend_noise(self, n_total: int) -> None:
         """Draw the noise stream up to absolute sample n_total; never trims."""
@@ -251,7 +254,8 @@ class SessionSynthesizer:
         if is_oddball:
             fires, jitter = _erp_fires(self.subject, self.rng)
             if fires:
-                self._events.append((onset_sample, self.subject.template.render(jitter)))
+                waveform = self._still if jitter == 0.0 else self.subject.template.render(jitter)
+                self._events.append((onset_sample, waveform))
         # no window from here on starts before this onset
         drop = min(onset_sample - self._origin, self._noise.shape[1])
         if drop > 0:

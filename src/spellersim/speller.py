@@ -85,12 +85,18 @@ class Dictionary:
             if not set(word) <= _LETTERS:
                 raise ValueError(f"dictionary word {word!r} contains non-letters")
         self.words: tuple[str, ...] = tuple(cleaned)
+        self._next_chars: dict[str, tuple[str, ...]] = {}
 
     def lookup(self, prefix: str) -> tuple[str, ...]:
-        """Distinct next characters of words strictly extending prefix, sorted."""
-        prefix = prefix.upper()
-        chars = {w[len(prefix)] for w in self.words if w.startswith(prefix) and len(w) > len(prefix)}
-        return tuple(sorted(chars))
+        """Distinct next characters of words strictly extending prefix, sorted.
+
+        Each prefix scans the word list once; later lookups are memoized."""
+        chars = self._next_chars.get(prefix)
+        if chars is None:
+            key = prefix.upper()
+            found = {w[len(key)] for w in self.words if w.startswith(key) and len(w) > len(key)}
+            chars = self._next_chars[prefix] = tuple(sorted(found))
+        return chars
 
     def __len__(self) -> int:
         return len(self.words)
@@ -388,17 +394,16 @@ class Speller:
         if not (math.isfinite(posterior) and 0.0 <= posterior <= 1.0):
             raise ValueError(f"posterior must lie in [0, 1], got {posterior!r}")
         p = min(max(posterior, _CLAMP), 1.0 - _CLAMP)
-        lit = np.zeros(self._log_acc.size, dtype=bool)
         for symbol in stimulus:
             if symbol not in self._index:
                 raise ValueError(f"unknown symbol {symbol!r}")
-            lit[self._index[symbol]] = True
-        self._log_acc[lit] += math.log(p)
-        self._log_acc[~lit] += math.log(1.0 - p)
-        top = self._log_acc.max()
-        winners = np.flatnonzero(self._log_acc == top)
-        if winners.size == 1:
-            idx = int(winners[0])
+        # one add per symbol: log(p) where lit, log(1 - p) elsewhere
+        step = np.full(self._log_acc.size, math.log(1.0 - p))
+        step[[self._index[symbol] for symbol in stimulus]] = math.log(p)
+        acc = self._log_acc
+        acc += step
+        idx = int(acc.argmax())
+        if np.count_nonzero(acc == acc[idx]) == 1:
             self._streak = self._streak + 1 if idx == self._streak_idx else 1
             self._streak_idx = idx
         else:

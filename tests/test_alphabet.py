@@ -153,6 +153,13 @@ class TestCdf:
         cdf = build_cdf(table)
         assert np.allclose(cdf.masses, table.probs, atol=1e-15)
 
+    def test_masses_are_computed_once_and_read_only(self, table):
+        cdf = build_cdf(table)
+        assert cdf.masses is cdf.masses
+        assert cdf.masses.tobytes() == np.diff(cdf.breakpoints, prepend=0.0).tobytes()
+        with pytest.raises(ValueError):
+            cdf.masses[0] = 1.0
+
     def test_rejects_nonmonotone_breakpoints(self):
         with pytest.raises(ValueError):
             Cdf((SPACE, "E"), np.array([0.6, 0.6]))

@@ -311,3 +311,44 @@ def test_batch_log_odds_match_the_scalar_references_elementwise():
         assert np.array_equal(decide_batch(params, f), _reference_decide_batch(params, f))
     with pytest.raises(ValueError):
         decide_batch(_params(), np.array([0.0, np.nan]))
+
+
+def _stage_threshold_grid():
+    """Params at both stage thresholds (theta 1 and 0.5) and, for each, a run
+    of features around the point where the log odds equal log theta, found by
+    stepping one ulp at a time. Besides the design priors (1:6), priors of
+    1:2 and 1:1 put the log odds exactly at log 0.5 and log 1 at the
+    midpoint of the class means."""
+    rng = np.random.default_rng(77)
+    for prior_o, prior_e in ((1.0 / 7.0, 1.0 - 1.0 / 7.0), (1.0 / 3.0, 2.0 / 3.0), (0.5, 0.5)):
+        for _ in range(20):
+            mu_o, mu_e = rng.normal(0.0, 20.0, size=2)
+            sigma2 = 10.0 ** rng.uniform(-1, 3)
+            for theta in (1.0, 0.5):
+                values = (mu_o, mu_e, sigma2, prior_o, prior_e, theta, 1.0)
+                params = ClassifierParams(*map(float, values))
+                slope = (params.mu_o - params.mu_e) / params.sigma2
+                midpoint = 0.5 * (params.mu_o + params.mu_e)
+                at = midpoint + (math.log(theta) - math.log(prior_o / prior_e)) / slope
+                grid = [midpoint, at]
+                for direction in (math.inf, -math.inf):
+                    f = at
+                    for _ in range(40):
+                        f = math.nextafter(f, direction)
+                        grid.append(f)
+                grid += rng.normal(at, 30.0, size=20).tolist()
+                yield params, grid
+
+
+def test_scalar_decision_equals_decide_batch_at_both_stage_thresholds():
+    ties = {1.0: 0, 0.5: 0}
+    for params, grid in _stage_threshold_grid():
+        batch = decide_batch(params, np.array(grid))
+        odds = log_posterior_odds(params, np.array(grid))
+        for f, decision, log_odds in zip(grid, batch.tolist(), odds.tolist()):
+            assert classify(params, f) is decision
+            assert posterior_oddball(params, f) == _reference_posterior(params, f)
+            if log_odds == math.log(params.theta):
+                ties[params.theta] += 1
+                assert decision is False
+    assert ties[1.0] >= 20 and ties[0.5] >= 20

@@ -682,3 +682,162 @@ class TestContainerFuzz:
         path = tmp_path / "part.bin"
         save_container(path, dict(meta, **{meta_key: meta_value}), arrays)
         self._load(tmp_path, path.read_bytes())
+
+
+# ---------------------------------------------------------------------------
+# the one-row extract against the batch path it replaced
+
+
+def _reference_branch_scores(model, features):
+    """_branch_scores as it was, with the Gaussian normalizer computed inline."""
+    scores = np.empty_like(features)
+    for j, branch in enumerate((model.disc.oddball, model.disc.non_oddball)):
+        f = features[:, j, None]
+        log_lik = (
+            -0.5 * ((f - branch.feature_means) ** 2 / branch.feature_vars)
+            - 0.5 * np.log(2.0 * np.pi * branch.feature_vars)
+            + model.disc.log_priors
+        )
+        norm = np.logaddexp(log_lik[:, 0], log_lik[:, 1])
+        scores[:, j] = log_lik.max(axis=1) - norm
+    return scores
+
+
+def _reference_extract(model, x):
+    """extract as it was: extract_batch on the one-row stack x[None]."""
+    row = np.asarray(x, dtype=float)[None, :]
+    sub_o, sub_e = model.cpca.subspaces()
+    features = np.column_stack(
+        [sub_o.project(row) @ model.disc.oddball.t, sub_e.project(row) @ model.disc.non_oddball.t]
+    )
+    scores = _reference_branch_scores(model, features)
+    return float(np.where(scores[:, 0] >= scores[:, 1], features[:, 0], features[:, 1])[0])
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.fixture(scope="module")
+def online_models():
+    """Deployment models of the midsnr and oracle subjects at 160 ms, each
+    with 11,220 rows from six other training sessions (the oracle's rows
+    also carry noise at six levels, since its own windows barely vary)."""
+    from spellersim.harness import ProtocolConfig, fit_final_model, run_training
+    from spellersim.signal import preprocess, subject_preset
+
+    config = ProtocolConfig(iti_ms=160.0)
+    out = {}
+    for name in ("midsnr", "oracle"):
+        subject = subject_preset(name)
+        model, _ = fit_final_model(run_training(config, subject, np.random.default_rng(0)), config)
+        if name == "midsnr":
+            rows = np.vstack([
+                preprocess(run_training(config, subject, np.random.default_rng(seed)).samples)
+                for seed in range(1, 7)
+            ])
+        else:
+            clean = preprocess(run_training(config, subject, np.random.default_rng(1)).samples)
+            noise = np.random.default_rng(2).normal(size=(6,) + clean.shape)
+            rows = np.vstack([clean + s * n for s, n in zip((0.0, 0.01, 0.3, 1.0, 3.0, 15.0), noise)])
+        out[name] = (model, rows)
+    return out
+
+
+@pytest.mark.parametrize("name", ["midsnr", "oracle"])
+def test_extract_equals_the_one_row_batch_bitwise(online_models, name):
+    model, rows = online_models[name]
+    assert len(rows) >= 10_000
+    got = [extract(model, x) for x in rows]
+    assert _bits(got) == _bits([_reference_extract(model, x) for x in rows])
+    assert _bits(got) == _bits([extract_batch(model, x[None])[0] for x in rows])
+    # both branches win on some rows, so the gate is exercised both ways
+    sub_o = model.cpca.oddball
+    f_o = (sub_o.project(rows) @ model.disc.oddball.t).tolist()
+    took_oddball = [g == f for g, f in zip(got, f_o)]
+    assert any(took_oddball) and not all(took_oddball)
+
+
+@pytest.mark.parametrize("name", ["midsnr", "oracle"])
+def test_branch_scores_read_the_stored_normalizers(online_models, name):
+    model, rows = online_models[name]
+    subs, discs = model.cpca.subspaces(), (model.disc.oddball, model.disc.non_oddball)
+    features = np.column_stack([s.project(rows) @ b.t for s, b in zip(subs, discs)])
+    assert _bits(_branch_scores(model, features)) == _bits(_reference_branch_scores(model, features))
+
+
+@pytest.mark.parametrize("case", ["rank5", "zero_variance", "full_rank_isotropic"])
+def test_extract_equals_the_one_row_batch_on_tied_and_plain_gates(case):
+    # rank5 and zero_variance tie the gate on every row, so rounding decides it
+    x, y, eta, m_max = EQUIVALENCE_CASES[case]
+    model = fit_feature_model(x, y, eta=eta, m_max=m_max)
+    rows = np.vstack([x[::3], np.random.default_rng(36).normal(size=(300, x.shape[1])) + x.mean(axis=0)])
+    got = [extract(model, r) for r in rows]
+    assert _bits(got) == _bits([_reference_extract(model, r) for r in rows])
+
+
+def _mirrored_branch_model(d=12, m=3, seed=11):
+    """Two branches with identical statistics on one subspace, their
+    directions opposite: the features differ in sign and the gate ties."""
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.normal(size=(d, m)))[0]
+    sub = ClassSubspace(mean=rng.normal(size=d), basis=basis, energy_fraction=1.0)
+    t = np.linalg.qr(rng.normal(size=(m, 1)))[0][:, 0]
+    stats = dict(feature_means=np.array([1.0, -1.0]), feature_vars=np.array([2.0, 2.0]))
+    model = FeatureModel(
+        cpca=CpcaModel(eta=0.9, m_max=30, global_mean=sub.mean, oddball=sub, non_oddball=sub),
+        disc=DiscriminantModel(
+            oddball=BranchDiscriminant(t=t, **stats),
+            non_oddball=BranchDiscriminant(t=-t, **stats),
+            log_priors=np.log([0.5, 0.5]),
+        ),
+    )
+    return model, rng
+
+
+def test_exact_gate_ties_go_to_the_oddball_branch():
+    model, rng = _mirrored_branch_model()
+    rows = np.vstack([model.cpca.oddball.mean, rng.normal(size=(200, 12))])
+    sub, t = model.cpca.oddball, model.disc.oddball.t
+    for x in rows:
+        f_o = float((sub.project(x[None]) @ t)[0])
+        features = np.array([[f_o, -f_o]])
+        scores = _reference_branch_scores(model, features)
+        assert scores[0, 0] == scores[0, 1]
+        got = extract(model, x)
+        assert _bits(got) == _bits(f_o) == _bits(extract_batch(model, x[None])[0])
+    # at the class mean both log likelihoods are equal too (logaddexp's log 2 case)
+    assert extract(model, sub.mean) == 0.0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.full(12, np.nan),
+        np.r_[np.zeros(11), np.inf],
+        np.r_[np.zeros(11), -np.inf],
+        np.zeros(11),
+        np.zeros(13),
+        np.zeros((1, 12)),
+        np.zeros((12, 1)),
+        np.float64(0.0),
+    ],
+)
+def test_extract_rejects_non_finite_and_misshapen_rows(bad):
+    model, _ = _mirrored_branch_model()
+    with pytest.raises(ValueError):
+        extract(model, bad)
+
+
+def test_gate_constants_are_read_only():
+    model, _ = _mirrored_branch_model()
+    branch = model.disc.oddball
+    assert not branch.log_norms.flags.writeable
+    with pytest.raises(ValueError):
+        branch.log_norms[0] = 0.0
+    assert _bits(branch.log_norms) == _bits(0.5 * np.log(2.0 * np.pi * branch.feature_vars))
+    gate = model.disc.gate
+    assert isinstance(gate, tuple) and all(isinstance(g, tuple) for g in gate)
+    assert all(type(v) is float for g in gate for cls in g for v in cls)
+    with pytest.raises(TypeError):
+        gate[0][0] = (0.0, 1.0, 0.0, 0.0)

@@ -336,3 +336,16 @@ def test_session_rejects_bad_onset(onset_s):
     session = SessionSynthesizer(subject_preset("midsnr"), np.random.default_rng(0))
     with pytest.raises(ValueError, match="onset"):
         session.trial(onset_s, False)
+
+
+def test_jitter_free_waveform_is_rendered_once_and_read_only():
+    subject = subject_preset("oracle")
+    session = SessionSynthesizer(subject, np.random.default_rng(0))
+    still = session._still
+    assert np.array_equal(still, subject.template.render(0.0))
+    with pytest.raises(ValueError):
+        still[0, 0] = 1.0
+    session.trial(0.0, True)
+    session.trial(0.16, True)
+    # every jitter-free response shares the one waveform
+    assert all(waveform is still for _, waveform in session._events)

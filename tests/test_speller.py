@@ -307,6 +307,24 @@ class TestIntegration:
         with pytest.raises(ValueError):
             speller.update_integration(("??",), 0.5)
 
+    def test_rejected_input_leaves_the_state_unchanged(self):
+        speller = make_speller()
+        for k, stimulus in enumerate((("E", "T", "A"), ("E",), ("T", "O"))):
+            speller.update_integration(stimulus, (0.9, 0.8, 0.7)[k])
+        assert speller.streak == 2
+        before = (speller._log_acc.tobytes(), speller._streak, speller._streak_idx)
+        # the unknown symbol comes after a known one: no symbol may be added to
+        for stimulus, posterior in (
+            (("E", "??"), 0.5),
+            (("E",), 1.5),
+            (("E",), -1e-300),
+            (("E",), float("nan")),
+            (("E",), float("inf")),
+        ):
+            with pytest.raises(ValueError):
+                speller.update_integration(stimulus, posterior)
+            assert (speller._log_acc.tobytes(), speller._streak, speller._streak_idx) == before
+
     def test_reset_after_any_selection(self):
         speller = make_speller(seed=15)
         group = speller.next_stimulus()
@@ -459,3 +477,81 @@ class TestSessionLog:
         path.write_text(json.dumps({"record": "header", "schema_version": 99}) + "\n")
         with pytest.raises(ValueError):
             load_session_log(path)
+
+
+# ---------------------------------------------------------------------------
+# the one-add evidence update and the prefix memo against the code they replaced
+
+
+def _reference_update(log_acc, streak, streak_idx, index, stimulus, posterior):
+    """update_integration as it was: boolean masks and flatnonzero."""
+    p = min(max(posterior, 1e-12), 1.0 - 1e-12)
+    lit = np.zeros(log_acc.size, dtype=bool)
+    for symbol in stimulus:
+        lit[index[symbol]] = True
+    log_acc[lit] += math.log(p)
+    log_acc[~lit] += math.log(1.0 - p)
+    top = log_acc.max()
+    winners = np.flatnonzero(log_acc == top)
+    if winners.size == 1:
+        idx = int(winners[0])
+        return streak + 1 if idx == streak_idx else 1, idx
+    return 0, None
+
+
+def _update_cases(n, seed):
+    """Stimuli of 0-42 symbols (six-symbol groups most often) and posteriors
+    that include 0, 1, the clamps and values beyond them, and 0.5, where lit
+    and unlit symbols gain the same and argmax ties persist."""
+    rng = np.random.default_rng(seed)
+    symbols = default_character_set().symbols
+    special = [0.0, 1.0, 0.5, 1e-12, 1.0 - 1e-12, 5e-13, 1e-300, 1.0 - 1e-13, math.nextafter(1.0, 0.0)]
+    for k in range(n):
+        size = int(rng.choice([0, 1, 6, 6, 6, 2, 42]))
+        stimulus = tuple(symbols[int(i)] for i in rng.choice(42, size=size, replace=False))
+        posterior = special[k % len(special)] if k % 3 == 0 else float(rng.uniform())
+        yield stimulus, posterior
+
+
+class TestIntegrationEquivalence:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_update_equals_the_mask_version_bitwise(self, seed):
+        speller = make_speller(seed=seed)
+        acc = speller._log_acc.copy()
+        streak, streak_idx = 0, None
+        n_ties = n_streaks = 0
+        for k, (stimulus, posterior) in enumerate(_update_cases(3000, seed)):
+            if k % 500 == 0:
+                # a fresh, fully tied accumulator
+                speller._reset_integration()
+                acc.fill(speller._log_reset)
+                streak, streak_idx = 0, None
+            speller.update_integration(stimulus, posterior)
+            streak, streak_idx = _reference_update(
+                acc, streak, streak_idx, speller._index, stimulus, posterior
+            )
+            assert speller._log_acc.tobytes() == acc.tobytes()
+            assert (speller._streak, speller._streak_idx) == (streak, streak_idx)
+            n_ties += streak_idx is None
+            n_streaks += streak >= 2
+        assert n_ties > 50 and n_streaks > 50
+
+
+class TestDictionaryMemo:
+    @staticmethod
+    def scan(dictionary, prefix):
+        """Dictionary.lookup as it was: one linear scan per call."""
+        prefix = prefix.upper()
+        chars = {w[len(prefix)] for w in dictionary.words if w.startswith(prefix) and len(w) > len(prefix)}
+        return tuple(sorted(chars))
+
+    def test_memo_equals_the_linear_scan(self):
+        dictionary = default_dictionary()
+        prefixes = {w[:k] for w in dictionary.words for k in range(len(w) + 1)}
+        prefixes |= {p.lower() for p in list(prefixes)[:500]} | {"Th", "qU"}
+        prefixes |= {"QX", "ZZZZ", "XQJ", "THEQ", "qzx", "", "A" * 40}
+        for _ in range(2):  # the second pass reads the memo
+            for prefix in sorted(prefixes):
+                assert dictionary.lookup(prefix) == self.scan(dictionary, prefix)
+        assert dictionary.lookup("QX") == ()
+        assert dictionary.lookup("th") == dictionary.lookup("TH") != ()
