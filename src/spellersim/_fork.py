@@ -11,25 +11,32 @@ import ctypes
 import multiprocessing
 import os
 from contextlib import contextmanager
+from importlib.util import find_spec
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 # numpy's and scipy's wheels each bundle an OpenBLAS with its own thread pool:
 # (package, library glob under its site directory, symbol suffix)
 _OPENBLAS = (
-    (np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
-    (scipy, "scipy.libs/libscipy_openblas*.so", ""),
+    ("numpy", "numpy.libs/libscipy_openblas64_*.so", "64_"),
+    ("scipy", "scipy.libs/libscipy_openblas*.so", ""),
 )
 
 
 def _openblas_pools() -> list:
     """(get, set) thread-count functions of each bundled OpenBLAS found; none
-    for a build without one (MKL, Accelerate, a system BLAS)."""
+    for a build without one (MKL, Accelerate, a system BLAS).
+
+    The packages are located without importing them: a command that never
+    fits a model does not load scipy, and a library loaded here first is the
+    one scipy binds to when it loads, already at the count set here."""
     pools = []
     for package, pattern, suffix in _OPENBLAS:
-        for path in sorted(Path(package.__file__).parents[1].glob(pattern)):
+        spec = find_spec(package)
+        if spec is None or spec.origin is None:
+            continue
+        for path in sorted(Path(spec.origin).parents[1].glob(pattern)):
             try:
                 lib = ctypes.CDLL(str(path))
                 get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")

@@ -13,9 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.special import xlogy
-
 __all__ = [
     "ConfusionMatrix",
     "ChannelSpec",
@@ -30,9 +27,19 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
+def _xlogy(x: float, y: float) -> float:
+    """x * log(y), and 0 where x == 0: scipy.special.xlogy on floats, bit for
+    bit. math.log raises where C's log returns -inf or nan, so those cases
+    are spelled out."""
+    if x == 0.0 and not math.isnan(y):
+        return 0.0
+    return float(x * (math.log(y) if y > 0.0 else -math.inf if y == 0.0 else math.nan))
+
+
 def _entropy_bits(probs) -> float:
-    p = np.asarray(probs, dtype=float)
-    return float(-np.sum(xlogy(p, p)) / _LN2)
+    """Entropy in bits of a two-outcome distribution (p, q)."""
+    p, q = probs
+    return -(_xlogy(p, p) + _xlogy(q, q)) / _LN2
 
 
 @dataclass(frozen=True)
@@ -126,7 +133,7 @@ def wolpaw_itr(n_classes: int, p_c: float) -> float:
     if not 0.0 <= p_c <= 1.0:
         raise ValueError("accuracy must lie in [0, 1]")
     p_err = 1.0 - p_c
-    bits = math.log2(n_classes) + float(xlogy(p_c, p_c) + xlogy(p_err, p_err / (n_classes - 1))) / _LN2
+    bits = math.log2(n_classes) + (_xlogy(p_c, p_c) + _xlogy(p_err, p_err / (n_classes - 1))) / _LN2
     return bits
 
 

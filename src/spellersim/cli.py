@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -27,9 +28,9 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
+from ._fork import _one_blas_thread
 from .alphabet import (
     FrequencyTable,
     default_frequency_table,
@@ -161,6 +162,16 @@ def _run_digest(identity: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+@functools.cache
+def _scipy_version() -> str:
+    """scipy's version from its installed metadata, read once per process
+    (a few ms a read): importing scipy for it would load scipy into the
+    commands that fit no model."""
+    from importlib.metadata import version
+
+    return version("scipy")
+
+
 def _run_identity(command: str, seed: int, config: dict, inputs: dict[str, str]) -> dict:
     return {
         "command": command,
@@ -170,7 +181,7 @@ def _run_identity(command: str, seed: int, config: dict, inputs: dict[str, str])
         "versions": {
             "spellersim": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
         },
     }
 
@@ -564,17 +575,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # one BLAS thread for the whole command: the pins around each fork pool
+    # then restore one thread, and no OpenBLAS threads restart and spin here
     try:
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "cv":
-            return cmd_cv(args)
-        if args.command == "spell":
-            return cmd_spell(args)
-        if args.command == "itr":
-            return cmd_itr(args, parser)
-        if args.command == "mc":
-            return cmd_mc(args)
+        with _one_blas_thread():
+            if args.command == "train":
+                return cmd_train(args)
+            if args.command == "cv":
+                return cmd_cv(args)
+            if args.command == "spell":
+                return cmd_spell(args)
+            if args.command == "itr":
+                return cmd_itr(args, parser)
+            if args.command == "mc":
+                return cmd_mc(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf
 
 from ._container import load_container, save_container
 from .classifier import ClassifierParams
@@ -121,18 +119,25 @@ def _class_eigensystem(centered: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     Returns eigenvalues (descending, at most k), eigenvectors (rows), the
     covariance trace, and whether the covariance has an eigenvalue at or
     below _EIG_TOL times the largest one."""
+    # scipy.linalg is imported where a model is fitted, so the commands that
+    # only load one (spell) or fit none (mc, itr) never pay for it
+    import scipy.linalg
+    from scipy.linalg.lapack import dpotrf
+
     n, d = centered.shape
     if n - 1 < d:
         # method of snapshots: the n x n Gram matrix shares the nonzero
         # spectrum, and its eigenvectors map back through the samples
-        gram = centered @ centered.T / (n - 1)
+        gram = centered @ centered.T
+        gram /= n - 1
         k = min(k, n)
         w, u = scipy.linalg.eigh(gram, subset_by_index=(n - k, n - 1), check_finite=False)
         v = centered.T @ u[:, ::-1]
         norms = np.linalg.norm(v, axis=0)
         v /= np.where(norms > 0.0, norms, 1.0)
         return w[::-1], v.T, float(np.trace(gram)), True
-    cov = centered.T @ centered / (n - 1)
+    cov = centered.T @ centered
+    cov /= n - 1
     k = min(k, d)
     w, v = scipy.linalg.eigh(cov, subset_by_index=(d - k, d - 1), check_finite=False)
     w, v = w[::-1], v[:, ::-1].T
@@ -157,12 +162,21 @@ def _mean_offset_direction(mean: np.ndarray, global_mean: np.ndarray, basis: np.
     return _fix_signs((resid / norm)[None, :])[0]
 
 
-def _fit_subspace(x_c: np.ndarray, global_mean: np.ndarray, eta: float, m_max: int) -> ClassSubspace:
+def _fit_subspace(
+    x: np.ndarray, rows: np.ndarray, global_mean: np.ndarray, eta: float, m_max: int
+) -> ClassSubspace:
+    """Subspace of the class whose rows of x the boolean mask `rows` selects.
+
+    The class is copied once and centered in place, so the fit holds one
+    class-sized array; x is left unchanged."""
+    x_c = x[rows]
+    # identical samples leave centering dust ~ eps * |x|; treat it as zero.
+    # max(|x_c|), taken before centering without an abs temporary
+    dust = (1e-10 * max(float(x_c.max()), -float(x_c.min()))) ** 2
     mean = x_c.mean(axis=0)
-    eigvals, vecs, trace, rank_deficient = _class_eigensystem(x_c - mean, m_max + 1)
+    x_c -= mean
+    eigvals, vecs, trace, rank_deficient = _class_eigensystem(x_c, m_max + 1)
     eigvals = np.clip(eigvals, 0.0, None)
-    # identical samples leave centering dust ~ eps * |x|; treat it as zero
-    dust = (1e-10 * float(np.max(np.abs(x_c)))) ** 2
     if eigvals.size == 0 or eigvals[0] <= dust:
         # degenerate class: all samples identical. Fall back to the single
         # direction pointing from the global mean to this class.
@@ -219,8 +233,8 @@ def fit_cpca(vectors, labels, eta: float = 0.9, m_max: int = 30) -> CpcaModel:
         eta=eta,
         m_max=m_max,
         global_mean=global_mean,
-        oddball=_fit_subspace(x[y], global_mean, eta, m_max),
-        non_oddball=_fit_subspace(x[~y], global_mean, eta, m_max),
+        oddball=_fit_subspace(x, y, global_mean, eta, m_max),
+        non_oddball=_fit_subspace(x, ~y, global_mean, eta, m_max),
     )
 
 
@@ -275,6 +289,8 @@ class DiscriminantModel:
 
 def _fisher_direction(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Leading eigenvector of between-class vs within-class scatter."""
+    import scipy.linalg
+
     m = z.shape[1]
     mu_o, mu_e = z[y].mean(axis=0), z[~y].mean(axis=0)
     mu = z.mean(axis=0)

@@ -267,6 +267,10 @@ def cross_validate(
             raise RuntimeError("could not stratify folds with both classes present")
         assignments.append(assignment)
 
+    # the fold fits load scipy.linalg; loaded here, the forked workers inherit
+    # it instead of each importing it
+    import scipy.linalg  # noqa: F401
+
     jobs = [(r, k) for r in range(repeats) for k in range(folds)]
     counts = fork_map(_fold_counts, jobs, (x, y, assignments, eta, m_max), workers)
 

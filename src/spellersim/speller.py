@@ -310,6 +310,8 @@ class Speller:
                         self.mode = STAGE1
                         self._cycle = None
                     else:
+                        if self._stage2_cdf is None:
+                            self._stage2_cdf = build_cdf(self.frequency.restrict(self._group))
                         self._stage2_order = draw_permutation(self._stage2_cdf, self.rng)
                         self._stage2_pos = 0
         elif self.mode == COMPLETION:
@@ -367,11 +369,12 @@ class Speller:
     def _enter_stage2(self, group: tuple[str, ...]) -> None:
         self._group = group
         # first pass keeps the stage-1 draw order; later passes redraw with
-        # the same frequency bias restricted to the group
+        # the same frequency bias restricted to the group, from a table built
+        # on the first redraw (most entries select or leave before one)
         self._stage2_order = group
         self._stage2_pos = 0
         self._stage2_cycles = 0
-        self._stage2_cdf = build_cdf(self.frequency.restrict(group))
+        self._stage2_cdf = None
         self.mode = STAGE2
 
     def _enter_completion(self, candidates: tuple[str, ...]) -> None:

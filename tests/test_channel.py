@@ -1,10 +1,13 @@
 """Channel math: exact mutual information, bounds, and rate reports."""
 import math
+import struct
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from spellersim.channel import (
+    _entropy_bits,
     ChannelSpec,
     ConfusionMatrix,
     ItrReport,
@@ -43,6 +46,83 @@ def random_spec(rng) -> ChannelSpec:
     prior_o = rng.uniform(1e-3, 1.0 - 1e-3)
     conf = ConfusionMatrix(p_oo, 1.0 - p_oo, p_oe, 1.0 - p_oe)
     return ChannelSpec(conf, prior_o, 1.0 - prior_o)
+
+
+# ---------------------------------------------------------------------------
+# the math.log entropy against the scipy.special.xlogy code it replaced
+
+_LN2 = math.log(2.0)
+
+
+def _xlogy_entropy_bits(probs) -> float:
+    p = np.asarray(probs, dtype=float)
+    return float(-np.sum(xlogy(p, p)) / _LN2)
+
+
+def _xlogy_mutual_information(spec: ChannelSpec) -> float:
+    c = spec.confusion
+    h_out = _xlogy_entropy_bits(spec.output_probs)
+    h_out_given_in = spec.prior_o * _xlogy_entropy_bits((c.p_oo, c.p_eo)) + spec.prior_e * _xlogy_entropy_bits(
+        (c.p_oe, c.p_ee)
+    )
+    return max(h_out - h_out_given_in, 0.0)
+
+
+def _xlogy_wolpaw_itr(n_classes: int, p_c: float) -> float:
+    p_err = 1.0 - p_c
+    return math.log2(n_classes) + float(xlogy(p_c, p_c) + xlogy(p_err, p_err / (n_classes - 1))) / _LN2
+
+
+def _xlogy_fano_lower_bound(prior_o: float, p_c: float) -> float:
+    return _xlogy_entropy_bits((prior_o, 1.0 - prior_o)) - _xlogy_entropy_bits((p_c, 1.0 - p_c))
+
+
+def _probability_grid() -> list[float]:
+    """Probabilities with the edges that separate log implementations: 0, 1,
+    subnormals, the smallest normal, and the neighbours of 0.5 and 1."""
+    edges = [
+        0.0, 5e-324, 1e-320, 2.2e-308, 1e-300, 1e-200, 1e-17, 2.0**-53, 1e-10, 1e-3,
+        0.1, 1.0 / 7.0, 0.25, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0),
+        0.75, 6.0 / 7.0, 0.9, 1.0 - 1e-10, math.nextafter(1.0, 0.0), 1.0,
+    ]
+    rng = np.random.default_rng(2024)
+    near_one = (1.0 - np.exp(rng.uniform(-36.0, 0.0, 40))).tolist()
+    return edges + rng.uniform(size=40).tolist() + np.exp(rng.uniform(-740.0, 0.0, 40)).tolist() + near_one
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return math.isnan(a) and math.isnan(b) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+class TestEntropyMatchesXlogy:
+    GRID = _probability_grid()
+
+    def test_entropy_of_every_pair(self):
+        # the pairs need not sum to one; 1 + 1e-13 and -1e-13 reach the
+        # branches where C's log returns nan
+        values = self.GRID + [-1e-13, 1.0 + 1e-13, -0.0, math.inf, math.nan]
+        for p in values:
+            for q in values:
+                assert _same_bits(_entropy_bits((p, q)), _xlogy_entropy_bits((p, q))), (p, q)
+
+    def test_mutual_information(self):
+        priors = [(1.0 / 7.0, 6.0 / 7.0), (0.5, 0.5), (5e-324, 1.0), (2.2e-308, 1.0), (0.9, 0.1)]
+        priors.append((math.nextafter(1.0, 0.0), 1.0 - math.nextafter(1.0, 0.0)))
+        for p_oo in self.GRID[::2]:
+            for p_ee in self.GRID[1::2]:
+                confusion = ConfusionMatrix(p_oo, 1.0 - p_oo, 1.0 - p_ee, p_ee)
+                for prior_o, prior_e in priors:
+                    spec = ChannelSpec(confusion, prior_o, prior_e)
+                    assert _same_bits(mutual_information(spec), _xlogy_mutual_information(spec))
+
+    def test_wolpaw_and_fano(self):
+        # at 2**1023 classes the error mass per class underflows to 0: -inf bits
+        assert wolpaw_itr(2**1023, 1.0 - 2.0**-53) == -math.inf
+        for p_c in self.GRID:
+            for n_classes in (2, 7, 42, 10**300, 2**1023):
+                assert _same_bits(wolpaw_itr(n_classes, p_c), _xlogy_wolpaw_itr(n_classes, p_c))
+            for prior_o in (p for p in self.GRID if 0.0 < p < 1.0):
+                assert _same_bits(fano_lower_bound(prior_o, p_c), _xlogy_fano_lower_bound(prior_o, p_c))
 
 
 class TestConfusionMatrix:

@@ -110,9 +110,74 @@ class TestConfigLoading:
         src = str(Path(__file__).resolve().parents[1] / "src")
         code = (
             f"import sys; sys.path.insert(0, {src!r}); import spellersim.cli; "
-            "assert 'scipy.signal' not in sys.modules, 'scipy.signal was imported'"
+            "loaded = [m for m in ('scipy.signal', 'scipy.linalg', 'scipy.special') if m in sys.modules]; "
+            "assert not loaded, f'{loaded} imported'"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def _loaded_after(argv: list[str]) -> dict:
+    """Run one command in a fresh interpreter; which scipy modules it loaded,
+    and how many bundled OpenBLAS libraries the BLAS pin found."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import json, sys; sys.path.insert(0, {src!r})\n"
+        "from spellersim import _fork\n"
+        "from spellersim.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "names = ('scipy', 'scipy.linalg', 'scipy.special', 'scipy.signal')\n"
+        "mods = [m for m in names if m in sys.modules]\n"
+        "print(json.dumps({'modules': mods, 'pools': len(_fork._openblas_pools())}))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True, timeout=300
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestImportsPerCommand:
+    # scipy.linalg and scipy.special made up about 280 ms of every start-up;
+    # only the commands that fit a model (train, cv) need scipy.linalg, and
+    # none needs scipy.special
+
+    def test_commands_that_fit_no_model_load_no_scipy_module(self, trained, tmp_path):
+        from spellersim import _fork
+
+        pools = len(_fork._openblas_pools())
+        model = str(trained / "model.bin")
+        cfg = str(trained.parent / "oracle.cfg")
+        for argv in (
+            ["spell", "--config", cfg, "--model", model, "--seed", "1", "--out", str(tmp_path / "spell")],
+            ["mc", "--runs", "3000", "--seed", "1", "--out", str(tmp_path / "mc")],
+            ["itr", "--p-oo", "0.9", "--p-ee", "0.95"],
+        ):
+            loaded = _loaded_after(argv)
+            assert loaded["modules"] == [], argv[0]
+            # the pin still finds scipy's OpenBLAS, without importing scipy
+            assert loaded["pools"] == pools, argv[0]
+
+    def test_train_loads_linalg_but_not_special(self, tmp_path):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("iti_ms = 160\nsubject = midsnr\ntrain_chars = 2\ncv_repeats = 1\ncv_folds = 2\n")
+        loaded = _loaded_after(["train", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "out")])
+        assert "scipy.linalg" in loaded["modules"]
+        assert "scipy.special" not in loaded["modules"]
+
+    def test_manifests_record_the_installed_scipy_version(self, trained, tmp_path, capsys):
+        import scipy
+
+        model, cfg = str(trained / "model.bin"), str(trained.parent / "oracle.cfg")
+        assert main(["spell", "--config", cfg, "--model", model, "--out", str(tmp_path)]) == 0
+        assert main(["mc", "--runs", "100", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        for manifest in (
+            trained / "train_manifest.json",
+            tmp_path / "spell_manifest.json",
+            tmp_path / "mc_manifest.json",
+        ):
+            versions = json.loads(manifest.read_text())["versions"]
+            assert versions["scipy"] == scipy.__version__
+            assert versions["numpy"] == np.__version__
 
 
 _KNOWN_KEYS = tuple(sorted(_PROTOCOL_KEYS)) + tuple(_RUN_KEYS)

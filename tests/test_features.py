@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -436,7 +437,7 @@ def test_subspace_fit_matches_full_spectrum_oracle(case):
     global_mean = x.mean(axis=0)
     for mask in (y, ~y):
         x_c = x[mask]
-        new = _fit_subspace(x_c, global_mean, eta, m_max)
+        new = _fit_subspace(x, mask, global_mean, eta, m_max)
         old, old_deficient = _oracle_fit_subspace(x_c, global_mean, eta, m_max)
         _, _, _, new_deficient = _class_eigensystem(x_c - x_c.mean(axis=0), m_max + 1)
         assert new_deficient == old_deficient
@@ -458,8 +459,93 @@ def test_rank_rule_sees_rank_beyond_the_computed_spectrum():
     # Cholesky test finds the 380 missing directions
     assert np.all(eigvals > 1e3 * _EIG_TOL * eigvals[0])
     assert deficient
-    sub = _fit_subspace(x_c, x.mean(axis=0), 0.9, m_max)
+    sub = _fit_subspace(x, y, x.mean(axis=0), 0.9, m_max)
     assert sub.m == m_max  # 29 spectral directions + the mean offset
+
+
+def _out_of_place_class_eigensystem(centered, k):
+    """_class_eigensystem as it was, dividing into new arrays."""
+    n, d = centered.shape
+    if n - 1 < d:
+        gram = centered @ centered.T / (n - 1)
+        k = min(k, n)
+        w, u = scipy.linalg.eigh(gram, subset_by_index=(n - k, n - 1), check_finite=False)
+        v = centered.T @ u[:, ::-1]
+        norms = np.linalg.norm(v, axis=0)
+        v /= np.where(norms > 0.0, norms, 1.0)
+        return w[::-1], v.T, float(np.trace(gram)), True
+    cov = centered.T @ centered / (n - 1)
+    k = min(k, d)
+    w, v = scipy.linalg.eigh(cov, subset_by_index=(d - k, d - 1), check_finite=False)
+    w, v = w[::-1], v[:, ::-1].T
+    trace = float(np.trace(cov))
+    cov.flat[:: d + 1] -= _EIG_TOL * max(w[0], 0.0)
+    _, info = scipy.linalg.lapack.dpotrf(cov, lower=True, clean=False, overwrite_a=True)
+    return w, v, trace, info != 0
+
+
+def _out_of_place_fit_subspace(x_c, global_mean, eta, m_max):
+    """_fit_subspace as it was: centers into a second class-sized array and
+    takes the dust scale from np.abs. Returns the subspace and the rank flag."""
+    mean = x_c.mean(axis=0)
+    eigvals, vecs, trace, rank_deficient = _out_of_place_class_eigensystem(x_c - mean, m_max + 1)
+    eigvals = np.clip(eigvals, 0.0, None)
+    dust = (1e-10 * float(np.max(np.abs(x_c)))) ** 2
+    if eigvals.size == 0 or eigvals[0] <= dust:
+        extra = _mean_offset_direction(mean, global_mean, None)
+        basis = extra if extra is not None else np.eye(len(mean))[0]
+        return ClassSubspace(mean=mean, basis=basis[:, None].copy(), energy_fraction=1.0), rank_deficient
+    keep = eigvals > _EIG_TOL * eigvals[0]
+    eigvals, vecs = eigvals[keep], vecs[keep]
+    fractions = np.cumsum(eigvals) / trace
+    m = min(int(np.searchsorted(fractions, eta - 1e-12) + 1), m_max, len(eigvals))
+    basis = _fix_signs(vecs[:m]).T.copy()
+    if rank_deficient:
+        extra = _mean_offset_direction(mean, global_mean, basis)
+        if extra is not None:
+            if basis.shape[1] >= m_max:
+                basis, m = basis[:, : m_max - 1], m_max - 1
+            basis = np.column_stack([basis, extra])
+    energy = float(fractions[m - 1]) if m >= 1 else 0.0
+    return ClassSubspace(mean=mean, basis=basis, energy_fraction=energy), rank_deficient
+
+
+def _centering_dust_classes():
+    """Seven identical oddball rows whose mean is off by an ulp, so centering
+    leaves dust that only the dust scale of the raw rows calls degenerate."""
+    rng = np.random.default_rng(36)
+    x = np.vstack([np.tile(rng.normal(size=40), (7, 1)), rng.normal(size=(60, 40))])
+    return x, np.arange(67) < 7, 0.9, 30
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES) + ["centering_dust"])
+def test_in_place_subspace_fit_equals_the_out_of_place_fit_bitwise(case):
+    x, y, eta, m_max = EQUIVALENCE_CASES[case] if case in EQUIVALENCE_CASES else _centering_dust_classes()
+    global_mean = x.mean(axis=0)
+    for mask in (y, ~y):
+        x_c = x[mask]
+        new = _fit_subspace(x, mask, global_mean, eta, m_max)
+        old, old_deficient = _out_of_place_fit_subspace(x_c, global_mean, eta, m_max)
+        assert _bits(new.mean) == _bits(old.mean)
+        assert new.basis.shape == old.basis.shape
+        assert _bits(new.basis) == _bits(old.basis)
+        assert _bits(new.energy_fraction) == _bits(old.energy_fraction)
+        centered = x_c - x_c.mean(axis=0)
+        got = _class_eigensystem(centered, m_max + 1)
+        want = _out_of_place_class_eigensystem(centered, m_max + 1)
+        assert got[3] == want[3] == old_deficient
+        for a, b in zip(got[:3], want[:3]):
+            assert _bits(a) == _bits(b)
+
+
+@pytest.mark.parametrize("case", ["full_rank", "snapshot_n_below_d", "zero_variance"])
+def test_fits_leave_the_callers_vectors_unchanged(case):
+    x, y, eta, m_max = EQUIVALENCE_CASES[case]
+    before = x.tobytes()
+    fit_cpca(x, y, eta=eta, m_max=m_max)
+    assert x.tobytes() == before
+    fit_feature_model(x, y, eta=eta, m_max=m_max)
+    assert x.tobytes() == before
 
 
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))

@@ -5,13 +5,12 @@ import math
 import multiprocessing
 import os
 import time
-import types
 
 import numpy as np
 import pytest
 
-from spellersim import _fork, harness
-from spellersim.alphabet import default_character_set
+from spellersim import _fork, harness, speller
+from spellersim.alphabet import build_cdf, default_character_set
 from spellersim.channel import ChannelSpec, ConfusionMatrix, mutual_information
 from spellersim.classifier import decide_batch, fit as fit_classifier
 from spellersim.features import _fit_with_training_features, extract_batch
@@ -33,7 +32,7 @@ from spellersim.harness import (
     write_session_csv,
 )
 from spellersim.signal import preprocess, subject_preset
-from spellersim.speller import load_session_log
+from spellersim.speller import Speller, load_session_log
 
 SPEEDS = ("slow", "medium", "fast")
 EXPECTED_TRAIN_COUNTS = {"slow": 750, "medium": 1250, "fast": 1870}
@@ -333,13 +332,16 @@ class TestOneBlasThread:
 
     def test_missing_library_or_symbol_is_a_silent_no_op(self, tmp_path, monkeypatch):
         before = _blas_thread_counts()
-        (tmp_path / "fake.libs").mkdir()
-        (tmp_path / "fake.libs" / "libscipy_openblas.so").write_text("not a shared library")
-        fake = types.SimpleNamespace(__file__=str(tmp_path / "fake" / "__init__.py"))
+        (tmp_path / "spellersim_fake_blas").mkdir()
+        (tmp_path / "spellersim_fake_blas" / "__init__.py").write_text("")
+        (tmp_path / "spellersim_fake_blas.libs").mkdir()
+        (tmp_path / "spellersim_fake_blas.libs" / "libscipy_openblas.so").write_text("not a shared library")
+        monkeypatch.syspath_prepend(str(tmp_path))
         stub = (
-            (np, "no_such.libs/libscipy_openblas64_*.so", "64_"),  # no library
-            (fake, "fake.libs/libscipy_openblas*.so", ""),  # not loadable
-            (np, "numpy.libs/libscipy_openblas64_*.so", "_no_such_symbol"),
+            ("spellersim_no_such_package", "*.so", ""),  # not installed
+            ("numpy", "no_such.libs/libscipy_openblas64_*.so", "64_"),  # no library
+            ("spellersim_fake_blas", "spellersim_fake_blas.libs/libscipy_openblas*.so", ""),  # not loadable
+            ("numpy", "numpy.libs/libscipy_openblas64_*.so", "_no_such_symbol"),
         )
         monkeypatch.setattr(_fork, "_OPENBLAS", stub)
         assert _fork._openblas_pools() == []
@@ -464,6 +466,41 @@ class TestOracleOnline:
             run_online(cfg, oracle, model, params, np.random.default_rng(0), sentence="a*")
         with pytest.raises(ValueError):
             run_online(cfg, oracle, model, params, np.random.default_rng(0), trial_budget=0)
+
+
+class _EagerStage2Speller(Speller):
+    """The speller as it was: builds the stage-2 table on every stage-2 entry."""
+
+    def _enter_stage2(self, group):
+        super()._enter_stage2(group)
+        self._stage2_cdf = speller.build_cdf(self.frequency.restrict(group))
+
+
+class TestStage2Table:
+    def test_table_built_on_first_redraw_gives_the_eager_session(self, monkeypatch, tmp_path):
+        cfg = ProtocolConfig(iti_ms=160.0)
+        subject = subject_preset("midsnr")
+        model, params = fit_final_model(run_training(cfg, subject, np.random.default_rng(3)), cfg)
+        builds = []
+
+        def counting_build_cdf(freq):
+            builds.append(freq.symbols)
+            return build_cdf(freq)
+
+        monkeypatch.setattr(speller, "build_cdf", counting_build_cdf)
+        logs = []
+        for cls in (Speller, _EagerStage2Speller):
+            builds.clear()
+            monkeypatch.setattr(harness, "Speller", cls)
+            log, report = run_online(cfg, subject, model, params, np.random.default_rng(8), trial_budget=1500)
+            log.write(tmp_path / f"{cls.__name__}.jsonl")
+            logs.append((report, (tmp_path / f"{cls.__name__}.jsonl").read_bytes(), len(builds)))
+        (lazy_report, lazy_log, lazy_builds), (eager_report, eager_log, eager_builds) = logs
+        assert lazy_report == eager_report
+        assert lazy_log == eager_log
+        # the session redraws in stage 2, yet most entries never do; the
+        # charset's own table is built once per speller
+        assert 1 < lazy_builds < eager_builds
 
 
 class TestTabularReports:
