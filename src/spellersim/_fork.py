@@ -14,8 +14,6 @@ from contextlib import contextmanager
 from importlib.util import find_spec
 from pathlib import Path
 
-import numpy as np
-
 # numpy's and scipy's wheels each bundle an OpenBLAS with its own thread pool:
 # (package, library glob under its site directory, symbol suffix)
 _OPENBLAS = (
@@ -72,15 +70,6 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def worker_count(workers) -> int:
-    """The checked number of worker processes; None means one per available core."""
-    if workers is None:
-        return _available_cpus()
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    return int(workers)
-
-
 _fn = None  # set in forked workers only
 _inputs: tuple = ()
 
@@ -95,14 +84,15 @@ def _run_job(job: tuple):
     return _fn(*_inputs, *job)
 
 
-def fork_map(fn, jobs: list, inputs: tuple, workers: int) -> list:
-    """[fn(*inputs, *job) for job in jobs], in up to `workers` forked processes
-    (a count checked by worker_count) at one BLAS thread each.
+def fork_map(fn, jobs: list, inputs: tuple) -> list:
+    """[fn(*inputs, *job) for job in jobs], in one forked process per job up
+    to the number of cores in this process's CPU affinity, at one BLAS
+    thread each.
 
     Runs in this process when one worker is enough or the platform cannot
     fork. A job's error reaches the caller, and no worker outlives the call.
     """
-    n_workers = min(workers, len(jobs))
+    n_workers = min(_available_cpus(), len(jobs))
     if n_workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         with _one_blas_thread():
             return [fn(*inputs, *job) for job in jobs]

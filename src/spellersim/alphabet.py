@@ -51,15 +51,10 @@ class CharacterSet:
     """An ordered 42-symbol alphabet laid out on a 6x7 grid (row-major)."""
 
     symbols: tuple[str, ...]
-    rows: int = 6
-    cols: int = 7
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.symbols) != self.rows * self.cols:
-            raise ValueError(
-                f"need {self.rows * self.cols} symbols, got {len(self.symbols)}"
-            )
+        if len(self.symbols) != 42:
+            raise ValueError(f"need 42 symbols, got {len(self.symbols)}")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("symbols must be distinct")
         for required in (SPACE, BACKSPACE, EXIT):
@@ -68,13 +63,6 @@ class CharacterSet:
         for letter in _LETTERS:
             if letter not in self.symbols:
                 raise ValueError(f"missing letter {letter!r}")
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self._index
 
 
 def default_character_set() -> CharacterSet:
@@ -213,6 +201,9 @@ def build_cdf(freq: FrequencyTable) -> Cdf:
     return Cdf(freq.symbols, np.cumsum(freq.probs))
 
 
+# Symbols lit together on one stage-1 trial: a cycle is 7 groups of 6.
+_GROUP_SIZE = 6
+
 # Runs per block of monte_carlo_group_stats: each (1024, 42) array fits in L2.
 _BLOCK_RUNS = 1024
 
@@ -313,10 +304,9 @@ def draw_permutations(cdf: Cdf, n_runs: int, rng: np.random.Generator) -> np.nda
     return _draw_batch(cdf.masses, u)
 
 
-def _check_group_size(n_syms: int, group_size) -> None:
-    is_int = isinstance(group_size, (int, np.integer)) and not isinstance(group_size, bool)
-    if not is_int or group_size < 1 or n_syms % group_size != 0:
-        raise ValueError(f"{n_syms} symbols do not split into groups of {group_size!r}")
+def _check_group_size(n_syms: int) -> None:
+    if n_syms % _GROUP_SIZE != 0:
+        raise ValueError(f"{n_syms} symbols do not split into groups of {_GROUP_SIZE}")
 
 
 @dataclass(frozen=True)
@@ -327,7 +317,7 @@ class IlluminationCycle:
     groups: tuple[tuple[str, ...], ...]
 
 
-def form_cycle(permutation: tuple[str, ...], group_size: int = 6) -> IlluminationCycle:
+def form_cycle(permutation: tuple[str, ...]) -> IlluminationCycle:
     """Cut a permutation into consecutive groups (stage-1 illumination sets).
 
     The within-group order is the draw order, which is also the stage-2
@@ -336,8 +326,8 @@ def form_cycle(permutation: tuple[str, ...], group_size: int = 6) -> Illuminatio
     perm = tuple(permutation)
     if len(set(perm)) != len(perm):
         raise ValueError("input is not a permutation (repeated symbols)")
-    _check_group_size(len(perm), group_size)
-    groups = tuple(perm[i : i + group_size] for i in range(0, len(perm), group_size))
+    _check_group_size(len(perm))
+    groups = tuple(perm[i : i + _GROUP_SIZE] for i in range(0, len(perm), _GROUP_SIZE))
     return IlluminationCycle(order=perm, groups=groups)
 
 
@@ -360,7 +350,7 @@ class GroupStats:
 _MIN_WORKER_BLOCKS = 8
 
 
-def _block_sums(cdf: Cdf, n_runs: int, rng: np.random.Generator, group_size: int) -> np.ndarray:
+def _block_sums(cdf: Cdf, n_runs: int, rng: np.random.Generator) -> np.ndarray:
     """Per-symbol int64 sums of 0-based group and position, and first-draw
     counts, over n_runs permutations drawn in blocks of _BLOCK_RUNS."""
     n_syms = len(cdf.symbols)
@@ -370,28 +360,22 @@ def _block_sums(cdf: Cdf, n_runs: int, rng: np.random.Generator, group_size: int
         orders = draw_permutations(cdf, min(_BLOCK_RUNS, n_runs - start), rng)
         positions = np.empty_like(orders)
         positions[np.arange(len(orders))[:, None], orders] = ranks
-        sums[0] += (positions // group_size).sum(axis=0)
+        sums[0] += (positions // _GROUP_SIZE).sum(axis=0)
         sums[1] += positions.sum(axis=0)
         sums[2] += np.bincount(orders[:, 0], minlength=n_syms)
     return sums
 
 
-def _range_sums(cdf: Cdf, state: dict, group_size: int, start: int, stop: int) -> np.ndarray:
+def _range_sums(cdf: Cdf, state: dict, start: int, stop: int) -> np.ndarray:
     """_block_sums of runs start..stop of the stream that a PCG64 at `state`
     gives: each run takes len(cdf.symbols) doubles of one 64-bit output each."""
     bit_generator = np.random.PCG64()
     bit_generator.state = state
     bit_generator.advance(start * len(cdf.symbols))
-    return _block_sums(cdf, stop - start, np.random.Generator(bit_generator), group_size)
+    return _block_sums(cdf, stop - start, np.random.Generator(bit_generator))
 
 
-def monte_carlo_group_stats(
-    freq: FrequencyTable,
-    n_runs: int,
-    rng: np.random.Generator,
-    *,
-    group_size: int = 6,
-) -> GroupStats:
+def monte_carlo_group_stats(freq: FrequencyTable, n_runs: int, rng: np.random.Generator) -> GroupStats:
     """Estimate per-symbol mean group index and mean draw position.
 
     Statistics are over n_runs independent permutations, drawn in blocks of
@@ -406,18 +390,18 @@ def monte_carlo_group_stats(
     """
     n_syms = len(freq.symbols)
     _check_runs(n_runs)
-    _check_group_size(n_syms, group_size)
+    _check_group_size(n_syms)
     n_blocks = -(-n_runs // _BLOCK_RUNS)
     n_workers = min(_fork._available_cpus(), n_blocks // _MIN_WORKER_BLOCKS)
     cdf = build_cdf(freq)
     bit_generator = rng.bit_generator
     if n_workers <= 1 or not isinstance(bit_generator, np.random.PCG64):
-        sums = _block_sums(cdf, n_runs, rng, group_size)
+        sums = _block_sums(cdf, n_runs, rng)
     else:
         state = bit_generator.state
         edges = [min(n_blocks * k // n_workers * _BLOCK_RUNS, n_runs) for k in range(n_workers + 1)]
         ranges = list(zip(edges[:-1], edges[1:]))
-        sums = sum(_fork.fork_map(_range_sums, ranges, (cdf, state, group_size), n_workers))
+        sums = sum(_fork.fork_map(_range_sums, ranges, (cdf, state)))
         bit_generator.advance(n_runs * n_syms)  # which drops the buffered value
         bit_generator.state = {
             **bit_generator.state,

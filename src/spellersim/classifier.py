@@ -53,18 +53,13 @@ class ClassifierParams:
         return self.lambda_fa / self.lambda_om
 
 
-def fit(
-    features,
-    labels,
-    priors: tuple[float, float] | None = None,
-    costs: tuple[float, float] = (1.0, 1.0),
-) -> ClassifierParams:
+def fit(features, labels, priors: tuple[float, float] | None = None) -> ClassifierParams:
     """Estimate class means and the shared variance from labeled features.
 
     The shared variance is the unconditional sample variance of all features
     about the global mean (ddof 1), not the within-class pooled variance.
-    priors = (p_o, p_e), estimated from label counts when omitted;
-    costs = (lambda_fa, lambda_om).
+    priors = (p_o, p_e), estimated from label counts when omitted. Both
+    error costs are 1 (theta = 1); with_theta sets another threshold.
     """
     f = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=bool)
@@ -85,8 +80,8 @@ def fit(
         sigma2=sigma2,
         prior_o=priors[0],
         prior_e=priors[1],
-        lambda_fa=costs[0],
-        lambda_om=costs[1],
+        lambda_fa=1.0,
+        lambda_om=1.0,
     )
 
 

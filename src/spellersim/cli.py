@@ -250,6 +250,10 @@ def _calibrate(spec: RunSpec, seed: int, frequency: FrequencyTable | None):
     return trials, cv
 
 
+# train and cv hold one BLAS thread from start to end: each fork pool and the
+# final fit pin one thread and then restore the count, and a restore to more
+# threads restarts OpenBLAS threads that spin beside the next fit
+@_one_blas_thread()
 def cmd_train(args) -> int:
     spec = load_config(_resolve_config(args.config))
     seed = _effective_seed(args, spec)
@@ -283,6 +287,7 @@ def cmd_train(args) -> int:
     return 0
 
 
+@_one_blas_thread()
 def cmd_cv(args) -> int:
     spec = load_config(_resolve_config(args.config))
     seed = _effective_seed(args, spec)
@@ -452,16 +457,12 @@ def cmd_mc(args) -> int:
     if args.runs < 1:
         print("error: --runs must be >= 1", file=sys.stderr)
         return 2
-    try:
-        if args.uniform:
-            table = uniform_frequency_table(default_frequency_table().symbols)
-        elif args.table is not None:
-            table = load_frequency_table(args.table)
-        else:
-            table = default_frequency_table()
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.uniform:
+        table = uniform_frequency_table(default_frequency_table().symbols)
+    elif args.table is not None:
+        table = load_frequency_table(args.table)
+    else:
+        table = default_frequency_table()
 
     seed = args.seed if args.seed is not None else 0
     stats = monte_carlo_group_stats(table, args.runs, substream(seed, "mc"))
@@ -575,20 +576,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # one BLAS thread for the whole command: the pins around each fork pool
-    # then restore one thread, and no OpenBLAS threads restart and spin here
     try:
-        with _one_blas_thread():
-            if args.command == "train":
-                return cmd_train(args)
-            if args.command == "cv":
-                return cmd_cv(args)
-            if args.command == "spell":
-                return cmd_spell(args)
-            if args.command == "itr":
-                return cmd_itr(args, parser)
-            if args.command == "mc":
-                return cmd_mc(args)
+        if args.command == "train":
+            return cmd_train(args)
+        if args.command == "cv":
+            return cmd_cv(args)
+        if args.command == "spell":
+            return cmd_spell(args)
+        if args.command == "itr":
+            return cmd_itr(args, parser)
+        if args.command == "mc":
+            return cmd_mc(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

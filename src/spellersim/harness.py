@@ -18,10 +18,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._fork import _one_blas_thread, fork_map, worker_count
+from ._fork import _one_blas_thread, fork_map
 from .alphabet import (
     BACKSPACE,
-    CharacterSet,
     FrequencyTable,
     build_cdf,
     default_character_set,
@@ -38,7 +37,6 @@ from .speller import EXITED, STAGE1, Dictionary, SessionLog, Speller
 __all__ = [
     "BENCHMARK_SENTENCE",
     "ONLINE_PRIORS",
-    "SPEED_ITI_MS",
     "ProtocolConfig",
     "TrialBatch",
     "CvResult",
@@ -58,8 +56,6 @@ BENCHMARK_SENTENCE = "THE>QUICK>BROWN>FOX>JUMPS>OVER>THE>LAZY>DOG*"
 
 # online classification uses the design ratio, not training label counts
 ONLINE_PRIORS = (1.0 / 7.0, 1.0 - 1.0 / 7.0)
-
-SPEED_ITI_MS = {"slow": 400.0, "medium": 240.0, "fast": 160.0}
 
 
 @dataclass(frozen=True)
@@ -154,7 +150,6 @@ def run_training(
     config: ProtocolConfig,
     subject: SubjectModel,
     rng: np.random.Generator,
-    charset: CharacterSet | None = None,
     frequency: FrequencyTable | None = None,
 ) -> TrialBatch:
     """Labeled copy-task session: block-randomized cycles, one target per block.
@@ -163,10 +158,9 @@ def run_training(
     own signal timeline, so evoked responses bleed between that block's
     overlapping windows but not across blocks. A trial is an oddball iff the
     target's group is the one illuminated."""
-    charset = charset if charset is not None else default_character_set()
     frequency = frequency if frequency is not None else default_frequency_table()
     cdf = build_cdf(frequency)
-    letters = [s for s in charset.symbols if s.isalpha()]
+    letters = [s for s in default_character_set().symbols if s.isalpha()]
     targets = [letters[int(i)] for i in rng.choice(len(letters), size=config.train_chars, replace=False)]
 
     # onsets advance by ITI plus the per-trial setup overhead, matching the
@@ -233,20 +227,18 @@ def cross_validate(
     *,
     eta: float = 0.9,
     m_max: int = 30,
-    workers: int | None = None,
 ) -> CvResult:
     """Repeated stratified k-fold of the full pipeline at theta = 1.
 
     Folds approximately preserve the oddball ratio; each repeat re-randomizes
     the folds. Priors and the classifier are refit per fold from its training
-    partition alone. The folds are fitted in up to `workers` forked processes
-    (default: one per available core) at one BLAS thread each; the result is
-    the same at any worker count."""
+    partition alone. The folds are fitted by fork_map, in up to one forked
+    process per core of this process's CPU affinity, at one BLAS thread
+    each; the result is the same at any core count."""
     if rng is None:
         rng = np.random.default_rng(0)
     if repeats < 1 or folds < 2:
         raise ValueError("need repeats >= 1 and folds >= 2")
-    workers = worker_count(workers)
     x, y = preprocess(trials.samples), trials.is_oddball
     for cls in (True, False):
         if int(np.sum(y == cls)) < folds:
@@ -272,7 +264,7 @@ def cross_validate(
     import scipy.linalg  # noqa: F401
 
     jobs = [(r, k) for r in range(repeats) for k in range(folds)]
-    counts = fork_map(_fold_counts, jobs, (x, y, assignments, eta, m_max), workers)
+    counts = fork_map(_fold_counts, jobs, (x, y, assignments, eta, m_max))
 
     per_repeat = np.array(counts).reshape(repeats, folds, 5).sum(axis=1)
     acc = per_repeat[:, 0] / y.size
@@ -378,7 +370,6 @@ def run_online(
     sentence: str = BENCHMARK_SENTENCE,
     trial_budget: int = 50_000,
     dictionary: Dictionary | None = None,
-    charset: CharacterSet | None = None,
     frequency: FrequencyTable | None = None,
 ) -> tuple[SessionLog, SessionReport]:
     """Closed-loop copy-spelling of one sentence.
@@ -393,7 +384,6 @@ def run_online(
         raise ValueError("sentence must be nonempty")
     speller = Speller(
         rng,
-        charset=charset,
         frequency=frequency,
         dictionary=dictionary,
         pause_s=config.pause_s,

@@ -28,7 +28,6 @@ __all__ = [
     "DISCARD_SAMPLES",
     "RETAINED_SAMPLES",
     "FEATURE_DIM",
-    "CHANNELS",
     "ODDBALL",
     "NON_ODDBALL",
     "ErpComponent",
@@ -46,8 +45,6 @@ N_SAMPLES = 80           # 400 ms acquisition window
 DISCARD_SAMPLES = 20     # first 100 ms dropped before classification
 RETAINED_SAMPLES = N_SAMPLES - DISCARD_SAMPLES
 FEATURE_DIM = N_CHANNELS * RETAINED_SAMPLES
-
-CHANNELS = ("C3", "Cz", "C4", "P3", "Pz", "P4", "O1", "O2")
 
 ODDBALL = "oddball"
 NON_ODDBALL = "non-oddball"

@@ -25,7 +25,6 @@ import numpy as np
 from .alphabet import (
     EXIT,
     BACKSPACE,
-    CharacterSet,
     FrequencyTable,
     build_cdf,
     default_character_set,
@@ -63,6 +62,12 @@ EXITED = "Exited"
 INTEGRATION = "Integration"
 
 _CLAMP = 1e-12
+# consecutive trials with the same strict evidence argmax that select it
+_STREAK_TARGET = 10
+# unanswered passes over a stage-2 group, or over the completion candidates,
+# before stage 1 resumes
+_STAGE2_MAX_CYCLES = 3
+_COMPLETION_MAX_CYCLES = 3
 _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
@@ -150,7 +155,7 @@ def apply_selection(prompt: str, symbol: str) -> str:
 
 
 class Speller:
-    """Selection state machine over one character set.
+    """Selection state machine over the default 42-symbol character set.
 
     Drive it one trial at a time:
 
@@ -163,29 +168,20 @@ class Speller:
     def __init__(
         self,
         rng: np.random.Generator,
-        charset: CharacterSet | None = None,
         frequency: FrequencyTable | None = None,
         dictionary: Dictionary | None = None,
         *,
         pause_s: float = 3.0,
-        streak_target: int = 10,
-        stage2_max_cycles: int = 3,
-        completion_max_cycles: int = 3,
     ) -> None:
         if pause_s < 0.0:
             raise ValueError("pause must be nonnegative")
-        if streak_target < 1 or stage2_max_cycles < 1 or completion_max_cycles < 1:
-            raise ValueError("limits must be >= 1")
         self.rng = rng
-        self.charset = charset if charset is not None else default_character_set()
+        self.charset = default_character_set()
         self.frequency = frequency if frequency is not None else default_frequency_table()
         self.dictionary = dictionary if dictionary is not None else default_dictionary()
         if self.frequency.symbols != self.charset.symbols:
             self.frequency = self.frequency.restrict(self.charset.symbols)
         self.pause_s = pause_s
-        self.streak_target = streak_target
-        self.stage2_max_cycles = stage2_max_cycles
-        self.completion_max_cycles = completion_max_cycles
 
         self._cdf = build_cdf(self.frequency)
         self._index = {s: i for i, s in enumerate(self.charset.symbols)}
@@ -233,21 +229,6 @@ class Speller:
     @property
     def pause_time_ms(self) -> float:
         return self._pause_ms
-
-    @property
-    def streak(self) -> int:
-        return self._streak
-
-    @property
-    def selected_group(self) -> tuple[str, ...] | None:
-        return self._group if self.mode == STAGE2 else None
-
-    @property
-    def integration(self) -> np.ndarray:
-        """Accumulated per-symbol evidence as normalized probabilities."""
-        shifted = self._log_acc - self._log_acc.max()
-        weights = np.exp(shifted)
-        return weights / weights.sum()
 
     # -- the trial loop -----------------------------------------------------
 
@@ -306,7 +287,7 @@ class Speller:
                 self._stage2_pos += 1
                 if self._stage2_pos >= len(self._stage2_order):
                     self._stage2_cycles += 1
-                    if self._stage2_cycles >= self.stage2_max_cycles:
+                    if self._stage2_cycles >= _STAGE2_MAX_CYCLES:
                         self.mode = STAGE1
                         self._cycle = None
                     else:
@@ -321,7 +302,7 @@ class Speller:
                 self._completion_pos += 1
                 if self._completion_pos >= len(self._completion_order):
                     self._completion_cycles += 1
-                    if self._completion_cycles >= self.completion_max_cycles:
+                    if self._completion_cycles >= _COMPLETION_MAX_CYCLES:
                         self.mode = STAGE1
                         self._cycle = None
                     else:
@@ -332,7 +313,7 @@ class Speller:
 
         # integrated evidence can select outright, skipping stage 2; a
         # same-trial single-trial selection takes precedence
-        if selected is None and self._streak >= self.streak_target:
+        if selected is None and self._streak >= _STREAK_TARGET:
             idx = int(np.argmax(self._log_acc))
             selected, mechanism = self.charset.symbols[idx], INTEGRATION
 
@@ -463,9 +444,6 @@ class SessionLog:
 
     def selections(self) -> list[dict]:
         return [r for r in self.records if r["record"] == "selection"]
-
-    def trials(self) -> list[dict]:
-        return [r for r in self.records if r["record"] == "trial"]
 
 
 def load_session_log(path) -> SessionLog:

@@ -53,13 +53,13 @@ def uniform_stats(table):
 
 class TestCharacterSet:
     def test_default_layout(self):
-        charset = default_character_set()
-        assert len(charset) == 42
-        assert len(set(charset.symbols)) == 42
+        symbols = default_character_set().symbols
+        assert len(symbols) == 42
+        assert len(set(symbols)) == 42
         for required in (SPACE, BACKSPACE, EXIT):
-            assert required in charset
+            assert required in symbols
         for letter in "ABCDEFGHIJKLMNOPQRSTUVWXYZ":
-            assert letter in charset
+            assert letter in symbols
 
     def test_rejects_wrong_count(self):
         with pytest.raises(ValueError):
@@ -403,10 +403,11 @@ class TestMonteCarloStats:
         with pytest.raises(ValueError, match="n_runs must be an integer"):
             monte_carlo_group_stats(table, bad, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("bad", [0, -6, 5, 4.5, True, None])
-    def test_rejects_group_size_that_does_not_divide_the_alphabet(self, table, bad):
-        with pytest.raises(ValueError, match="do not split into groups"):
-            monte_carlo_group_stats(table, 10, np.random.default_rng(0), group_size=bad)
+    @pytest.mark.parametrize("n_symbols", [5, 7, 41, 43])
+    def test_rejects_group_size_that_does_not_divide_the_alphabet(self, n_symbols):
+        symbols = tuple(f"s{i}" for i in range(n_symbols - 1)) + (SPACE,)
+        with pytest.raises(ValueError, match=f"{n_symbols} symbols do not split into groups of 6"):
+            monte_carlo_group_stats(uniform_frequency_table(symbols), 10, np.random.default_rng(0))
 
     @pytest.mark.parametrize("n_runs", [1, 1023, 1024, 1025, 5000])
     @pytest.mark.parametrize("uniform", [False, True])
@@ -414,10 +415,10 @@ class TestMonteCarloStats:
         freq = uniform_frequency_table(table.symbols) if uniform else table
         rng_blocks = np.random.default_rng(n_runs)
         rng_batch = np.random.default_rng(n_runs)
-        got = monte_carlo_group_stats(freq, n_runs, rng_blocks, group_size=7)
+        got = monte_carlo_group_stats(freq, n_runs, rng_blocks)
         orders = draw_permutations(build_cdf(freq), n_runs, rng_batch)
         positions = np.argsort(orders, axis=1)
-        assert np.array_equal(got.mean_group, (positions // 7 + 1).mean(axis=0))
+        assert np.array_equal(got.mean_group, (positions // 6 + 1).mean(axis=0))
         assert np.array_equal(got.mean_position, (positions + 1).mean(axis=0))
         assert np.array_equal(got.first_draw_counts, np.bincount(orders[:, 0], minlength=42))
         assert rng_blocks.bit_generator.state == rng_batch.bit_generator.state
@@ -437,7 +438,7 @@ class TestMonteCarloStats:
 def _serial_sums(n_runs: int):
     """The serial block loop's sums and the generator state it leaves."""
     rng = np.random.default_rng(n_runs)
-    sums = alphabet._block_sums(build_cdf(default_frequency_table()), n_runs, rng, 6)
+    sums = alphabet._block_sums(build_cdf(default_frequency_table()), n_runs, rng)
     return sums, rng.bit_generator.state
 
 
@@ -448,12 +449,6 @@ def _matches(stats, sums) -> bool:
         and np.array_equal(stats.mean_position, (sums[1] + n) / n)
         and np.array_equal(stats.first_draw_counts, sums[2])
     )
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the number of cores monte_carlo_group_stats sees."""
-    return lambda n: monkeypatch.setattr(_fork, "_available_cpus", lambda: n)
 
 
 class TestMonteCarloPool:
@@ -476,14 +471,14 @@ class TestMonteCarloPool:
             rng.integers(0, 2**32, dtype=np.uint32)
         assert pooled.bit_generator.state["has_uint32"] == 1
         got = monte_carlo_group_stats(table, 20_000, pooled)
-        assert _matches(got, alphabet._block_sums(build_cdf(table), 20_000, serial, 6))
+        assert _matches(got, alphabet._block_sums(build_cdf(table), 20_000, serial))
         assert pooled.bit_generator.state == serial.bit_generator.state
         assert pooled.integers(0, 2**32, dtype=np.uint32) == serial.integers(0, 2**32, dtype=np.uint32)
 
     def test_other_bit_generators_stay_in_one_process(self, table, cpus, monkeypatch):
         cpus(2)
         serial = np.random.Generator(np.random.MT19937(3))
-        want = alphabet._block_sums(build_cdf(table), 20_000, serial, 6)
+        want = alphabet._block_sums(build_cdf(table), 20_000, serial)
 
         def no_pool(*args):
             raise AssertionError("forked a pool for an MT19937 stream")
@@ -511,7 +506,7 @@ class TestMonteCarloPool:
         state = np.random.default_rng(0).bit_generator.state
         tracemalloc.start()
         try:
-            alphabet._range_sums(build_cdf(table), state, 6, 100_000, 160_000)
+            alphabet._range_sums(build_cdf(table), state, 100_000, 160_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

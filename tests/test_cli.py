@@ -118,16 +118,19 @@ class TestConfigLoading:
 
 def _loaded_after(argv: list[str]) -> dict:
     """Run one command in a fresh interpreter; which scipy modules it loaded,
-    and how many bundled OpenBLAS libraries the BLAS pin found."""
+    whether it mapped scipy's bundled OpenBLAS (None without /proc/self/maps),
+    and how many bundled OpenBLAS libraries the BLAS pin finds afterwards."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
-        f"import json, sys; sys.path.insert(0, {src!r})\n"
+        f"import json, os, sys; sys.path.insert(0, {src!r})\n"
         "from spellersim import _fork\n"
         "from spellersim.cli import main\n"
         f"assert main({argv!r}) == 0\n"
         "names = ('scipy', 'scipy.linalg', 'scipy.special', 'scipy.signal')\n"
         "mods = [m for m in names if m in sys.modules]\n"
-        "print(json.dumps({'modules': mods, 'pools': len(_fork._openblas_pools())}))\n"
+        "maps = '/proc/self/maps'\n"
+        "blas = 'scipy.libs/libscipy_openblas' in open(maps).read() if os.path.exists(maps) else None\n"
+        "print(json.dumps({'modules': mods, 'scipy_blas': blas, 'pools': len(_fork._openblas_pools())}))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], check=True, capture_output=True, text=True, timeout=300
@@ -153,7 +156,10 @@ class TestImportsPerCommand:
         ):
             loaded = _loaded_after(argv)
             assert loaded["modules"] == [], argv[0]
-            # the pin still finds scipy's OpenBLAS, without importing scipy
+            # only a BLAS pin maps scipy's OpenBLAS (1.4 MB), and these
+            # commands fit no model and, at these sizes, fork no pool
+            assert loaded["scipy_blas"] in (False, None), argv[0]
+            # the pin finds scipy's OpenBLAS without importing scipy
             assert loaded["pools"] == pools, argv[0]
 
     def test_train_loads_linalg_but_not_special(self, tmp_path):
@@ -390,6 +396,11 @@ class TestMc:
         code, _, err = run_cli(capsys, "mc", "--table", str(bad), "--runs", "10")
         assert code == 2
         assert "error" in err
+
+    def test_missing_table_rejected(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "mc", "--table", str(tmp_path / "absent.txt"), "--runs", "10")
+        assert code == 2
+        assert err.startswith("error: ") and "absent.txt" in err
 
     def test_uniform_and_table_conflict(self, capsys, tmp_path):
         table = tmp_path / "t.txt"
