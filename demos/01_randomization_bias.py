@@ -32,8 +32,8 @@ for prob, symbol in top6:
 # out first, so they land in the first groups of the cycle.
 cdf = build_cdf(table)
 order = draw_permutation(cdf, rng)
-cycle = form_cycle(order)
-print("\nfirst group of one draw:", " ".join(cycle.groups[0]))
+groups = form_cycle(order)
+print("\nfirst group of one draw:", " ".join(groups[0]))
 
 # A single draw is noisy; the mean group index over many draws is the
 # quantity that matters for selection speed.

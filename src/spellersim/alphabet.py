@@ -24,7 +24,6 @@ __all__ = [
     "CharacterSet",
     "FrequencyTable",
     "Cdf",
-    "IlluminationCycle",
     "GroupStats",
     "default_character_set",
     "default_frequency_table",
@@ -309,16 +308,9 @@ def _check_group_size(n_syms: int) -> None:
         raise ValueError(f"{n_syms} symbols do not split into groups of {_GROUP_SIZE}")
 
 
-@dataclass(frozen=True)
-class IlluminationCycle:
-    """One full pass over the alphabet: a permutation cut into groups of 6."""
-
-    order: tuple[str, ...]
-    groups: tuple[tuple[str, ...], ...]
-
-
-def form_cycle(permutation: tuple[str, ...]) -> IlluminationCycle:
-    """Cut a permutation into consecutive groups (stage-1 illumination sets).
+def form_cycle(permutation: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    """Cut a permutation into consecutive groups of 6: one full pass over the
+    alphabet as stage-1 illumination sets.
 
     The within-group order is the draw order, which is also the stage-2
     single-symbol illumination order.
@@ -327,8 +319,7 @@ def form_cycle(permutation: tuple[str, ...]) -> IlluminationCycle:
     if len(set(perm)) != len(perm):
         raise ValueError("input is not a permutation (repeated symbols)")
     _check_group_size(len(perm))
-    groups = tuple(perm[i : i + _GROUP_SIZE] for i in range(0, len(perm), _GROUP_SIZE))
-    return IlluminationCycle(order=perm, groups=groups)
+    return tuple(perm[i : i + _GROUP_SIZE] for i in range(0, len(perm), _GROUP_SIZE))
 
 
 @dataclass(frozen=True)

@@ -366,7 +366,6 @@ def cmd_spell(args) -> int:
     log_path = out / "session.jsonl"
     log.write(log_path)
     report_doc = dataclasses.asdict(report)
-    del report_doc["confusion"]
     report_doc["manifest_digest"] = digest
     report_path = out / "session_report.json"
     with open(report_path, "w", encoding="utf-8") as fh:

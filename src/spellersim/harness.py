@@ -110,16 +110,13 @@ class ProtocolConfig:
 @dataclass(frozen=True)
 class TrialBatch:
     """A labeled session, one column per field: trial i is the (8, 80)
-    window samples[i], shown with the illuminated group stimuli[i] at
-    onsets_s[i] on its block's timeline, and an oddball iff is_oddball[i]."""
+    window samples[i], an oddball iff is_oddball[i]."""
 
-    samples: np.ndarray                   # (n, 8, 80) microvolt
-    is_oddball: np.ndarray                # (n,) bool
-    stimuli: tuple[tuple[str, ...], ...]  # n groups
-    onsets_s: np.ndarray                  # (n,)
+    samples: np.ndarray     # (n, 8, 80) microvolt
+    is_oddball: np.ndarray  # (n,) bool
 
     def __post_init__(self) -> None:
-        if not len(self.samples) == len(self.is_oddball) == len(self.stimuli) == len(self.onsets_s):
+        if len(self.samples) != len(self.is_oddball):
             raise ValueError("trial batch columns must have the same length")
 
     def __len__(self) -> int:
@@ -171,21 +168,17 @@ def run_training(
     n = config.train_trial_count
     samples = np.empty((n, N_CHANNELS, N_SAMPLES))
     is_oddball = np.empty(n, dtype=bool)
-    onsets_s = np.empty(n)
-    stimuli: list[tuple[str, ...]] = []
+    i = 0
     for target in targets:
         synth = SessionSynthesizer(subject, rng)
         produced = 0
         while produced < per_char:
-            cycle = form_cycle(draw_permutation(cdf, rng))
-            for group in cycle.groups[: per_char - produced]:
-                i = len(stimuli)
+            for group in form_cycle(draw_permutation(cdf, rng))[: per_char - produced]:
                 is_oddball[i] = is_odd = target in group
-                onsets_s[i] = produced * step_s
-                samples[i] = synth.trial(onsets_s[i], is_odd)
-                stimuli.append(group)
+                samples[i] = synth.trial(produced * step_s, is_odd)
+                i += 1
                 produced += 1
-    return TrialBatch(samples, is_oddball, tuple(stimuli), onsets_s)
+    return TrialBatch(samples, is_oddball)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +305,7 @@ def subsample_check(
         ]
     )
     pick.sort()
-    stimuli = tuple(trials.stimuli[i] for i in pick)
-    subsample = TrialBatch(trials.samples[pick], trials.is_oddball[pick], stimuli, trials.onsets_s[pick])
-    return cross_validate(subsample, rng=rng, **cv_kwargs)
+    return cross_validate(TrialBatch(trials.samples[pick], trials.is_oddball[pick]), rng=rng, **cv_kwargs)
 
 
 def fit_final_model(
@@ -350,7 +341,6 @@ class SessionReport:
     accuracy: float
     practical_bits_per_sec: float
     per_trial: ItrReport | None
-    confusion: ConfusionMatrix | None
 
 
 def _desired_symbol(prompt: str, target: str) -> str:
@@ -445,16 +435,15 @@ def run_online(
     t_active_s = speller.trial_time_ms / 1000.0
     t_pause_s = speller.pause_time_ms / 1000.0
     n_trials = speller.n_trials
-    practical = practical_itr(n_correct, t_total_s, len(speller.charset.symbols)) if t_total_s > 0 else 0.0
+    practical = practical_itr(n_correct, t_total_s, len(speller.charset.symbols))
 
-    confusion = None
     per_trial = None
     if hits + omissions > 0 and false_alarms + rejections > 0:
         confusion = ConfusionMatrix.from_counts(hits, omissions, false_alarms, rejections)
         prior_o = (hits + omissions) / n_trials
         spec = ChannelSpec(confusion, prior_o, 1.0 - prior_o)
         per_trial = per_trial_itr_from_session(spec, n_trials, t_active_s)
-    accuracy = (hits + rejections) / n_trials if n_trials else 0.0
+    accuracy = (hits + rejections) / n_trials
 
     report = SessionReport(
         completed=speller.mode == EXITED and speller.prompt == sentence,
@@ -469,7 +458,6 @@ def run_online(
         accuracy=accuracy,
         practical_bits_per_sec=practical,
         per_trial=per_trial,
-        confusion=confusion,
     )
     return log, report
 

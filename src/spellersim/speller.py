@@ -8,6 +8,12 @@ word), a posterior-integration shortcut (same strict accumulator argmax on
 10 consecutive trials selects outright), and a notification pause after
 every selection except the terminal exit symbol.
 
+Stage 2 and completion are two uses of one single-symbol scan: each pass
+lights its symbols one at a time, an oddball selects the lit symbol, and
+after 3 unanswered passes stage 1 resumes. They differ only in how a pass
+is redrawn. The pause is time on the clock, not a mode: the mode that
+follows a selection is entered when the selection is made.
+
 The machine is a single-owner sequential object: call next_stimulus(),
 classify the resulting trial elsewhere, feed the decision to step(), then
 advance_clock() with the trial's timing. It never inspects signals; only
@@ -37,7 +43,6 @@ __all__ = [
     "STAGE1",
     "STAGE2",
     "COMPLETION",
-    "PAUSED",
     "EXITED",
     "INTEGRATION",
     "SelectionEvent",
@@ -55,7 +60,6 @@ __all__ = [
 STAGE1 = "Stage1"
 STAGE2 = "Stage2"
 COMPLETION = "CompletionMode"
-PAUSED = "Paused"
 EXITED = "Exited"
 
 # selection mechanisms: STAGE2 and COMPLETION double as mode names
@@ -64,10 +68,8 @@ INTEGRATION = "Integration"
 _CLAMP = 1e-12
 # consecutive trials with the same strict evidence argmax that select it
 _STREAK_TARGET = 10
-# unanswered passes over a stage-2 group, or over the completion candidates,
-# before stage 1 resumes
-_STAGE2_MAX_CYCLES = 3
-_COMPLETION_MAX_CYCLES = 3
+# unanswered passes of a single-symbol scan before stage 1 resumes
+_MAX_PASSES = 3
 _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
@@ -193,19 +195,14 @@ class Speller:
         self._trial_ms = 0.0
         self._pause_ms = 0.0
 
-        self._cycle = None
+        self._cycle: tuple[tuple[str, ...], ...] = ()
         self._cycle_pos = 0
-        self._group: tuple[str, ...] | None = None
-        self._stage2_order: tuple[str, ...] = ()
-        self._stage2_pos = 0
-        self._stage2_cycles = 0
+        # the single-symbol pass of stage 2 or completion
+        self._symbols: tuple[str, ...] = ()
+        self._order: tuple[str, ...] = ()
+        self._pos = 0
+        self._passes = 0
         self._stage2_cdf = None
-        self._candidates: tuple[str, ...] = ()
-        self._completion_order: tuple[str, ...] = ()
-        self._completion_pos = 0
-        self._completion_cycles = 0
-        self._resume = STAGE1
-        self._resume_candidates: tuple[str, ...] = ()
         self._pending: tuple[str, ...] | None = None
 
         self._log_acc = np.full(len(self.charset.symbols), self._log_reset)
@@ -235,32 +232,18 @@ class Speller:
     def next_stimulus(self) -> tuple[str, ...]:
         """Symbols illuminated on the upcoming trial.
 
-        Resolves a pending pause first: the mode that follows the pause was
-        fixed when the selection happened. Idempotent until step() consumes
-        the stimulus."""
+        Idempotent until step() consumes the stimulus."""
         if self.mode == EXITED:
             raise RuntimeError("session has exited")
-        if self._pending is not None:
-            return self._pending
-        if self.mode == PAUSED:
-            if self._resume == COMPLETION:
-                self._enter_completion(self._resume_candidates)
+        if self._pending is None:
+            if self.mode == STAGE1:
+                if self._cycle_pos >= len(self._cycle):
+                    self._cycle = form_cycle(draw_permutation(self._cdf, self.rng))
+                    self._cycle_pos = 0
+                self._pending = self._cycle[self._cycle_pos]
             else:
-                self.mode = STAGE1
-                self._cycle = None
-        if self.mode == STAGE1:
-            if self._cycle is None or self._cycle_pos >= len(self._cycle.groups):
-                self._cycle = form_cycle(draw_permutation(self._cdf, self.rng))
-                self._cycle_pos = 0
-            stimulus = self._cycle.groups[self._cycle_pos]
-        elif self.mode == STAGE2:
-            stimulus = (self._stage2_order[self._stage2_pos],)
-        elif self.mode == COMPLETION:
-            stimulus = (self._completion_order[self._completion_pos],)
-        else:  # pragma: no cover - modes are exhaustive
-            raise RuntimeError(f"cannot illuminate in mode {self.mode}")
-        self._pending = stimulus
-        return stimulus
+                self._pending = (self._order[self._pos],)
+        return self._pending
 
     def step(self, is_oddball: bool, posterior: float) -> list[SelectionEvent]:
         """Consume one classified trial; returns selection events (0 or 1)."""
@@ -277,39 +260,22 @@ class Speller:
         mechanism = ""
         if self.mode == STAGE1:
             if is_oddball:
-                self._enter_stage2(stimulus)
+                # the first pass keeps the stage-1 draw order
+                self._enter_pass(STAGE2, stimulus, stimulus)
             else:
                 self._cycle_pos += 1
-        elif self.mode == STAGE2:
-            if is_oddball:
-                selected, mechanism = stimulus[0], STAGE2
-            else:
-                self._stage2_pos += 1
-                if self._stage2_pos >= len(self._stage2_order):
-                    self._stage2_cycles += 1
-                    if self._stage2_cycles >= _STAGE2_MAX_CYCLES:
-                        self.mode = STAGE1
-                        self._cycle = None
-                    else:
-                        if self._stage2_cdf is None:
-                            self._stage2_cdf = build_cdf(self.frequency.restrict(self._group))
-                        self._stage2_order = draw_permutation(self._stage2_cdf, self.rng)
-                        self._stage2_pos = 0
-        elif self.mode == COMPLETION:
-            if is_oddball:
-                selected, mechanism = stimulus[0], COMPLETION
-            else:
-                self._completion_pos += 1
-                if self._completion_pos >= len(self._completion_order):
-                    self._completion_cycles += 1
-                    if self._completion_cycles >= _COMPLETION_MAX_CYCLES:
-                        self.mode = STAGE1
-                        self._cycle = None
-                    else:
-                        self._completion_order = self._permute_candidates()
-                        self._completion_pos = 0
+        elif is_oddball:
+            selected, mechanism = stimulus[0], self.mode
         else:
-            raise RuntimeError(f"cannot step in mode {self.mode}")
+            self._pos += 1
+            if self._pos == len(self._order):
+                self._passes += 1
+                if self._passes == _MAX_PASSES:
+                    self.mode = STAGE1
+                    self._cycle = ()
+                else:
+                    self._order = self._redraw()
+                    self._pos = 0
 
         # integrated evidence can select outright, skipping stage 2; a
         # same-trial single-trial selection takes precedence
@@ -327,9 +293,11 @@ class Speller:
             else:
                 pause = self.pause_s
                 candidates = completion_candidates(self.dictionary, self.prompt)
-                self._resume = COMPLETION if candidates else STAGE1
-                self._resume_candidates = candidates
-                self.mode = PAUSED
+                if candidates:
+                    self._enter_pass(COMPLETION, candidates, None)
+                else:
+                    self.mode = STAGE1
+                    self._cycle = ()
             events.append(SelectionEvent(symbol=selected, mechanism=mechanism, pause_s=pause))
         return events
 
@@ -347,27 +315,26 @@ class Speller:
 
     # -- internals ----------------------------------------------------------
 
-    def _enter_stage2(self, group: tuple[str, ...]) -> None:
-        self._group = group
-        # first pass keeps the stage-1 draw order; later passes redraw with
-        # the same frequency bias restricted to the group, from a table built
-        # on the first redraw (most entries select or leave before one)
-        self._stage2_order = group
-        self._stage2_pos = 0
-        self._stage2_cycles = 0
+    def _enter_pass(self, mode: str, symbols: tuple[str, ...], first_order: tuple[str, ...] | None) -> None:
+        """Start a single-symbol scan of symbols in first_order, or in a
+        redrawn order when first_order is None."""
+        self.mode = mode
+        self._symbols = symbols
         self._stage2_cdf = None
-        self.mode = STAGE2
+        self._order = first_order if first_order is not None else self._redraw()
+        self._pos = 0
+        self._passes = 0
 
-    def _enter_completion(self, candidates: tuple[str, ...]) -> None:
-        self._candidates = candidates
-        self._completion_order = self._permute_candidates()
-        self._completion_pos = 0
-        self._completion_cycles = 0
-        self.mode = COMPLETION
-
-    def _permute_candidates(self) -> tuple[str, ...]:
-        order = self.rng.permutation(len(self._candidates))
-        return tuple(self._candidates[int(i)] for i in order)
+    def _redraw(self) -> tuple[str, ...]:
+        """A new order for the pass: completion candidates uniformly; a
+        stage-2 group with the frequency bias restricted to the group, from
+        a table built on the first redraw (most entries select or leave
+        before one)."""
+        if self.mode == COMPLETION:
+            return tuple(self._symbols[int(i)] for i in self.rng.permutation(len(self._symbols)))
+        if self._stage2_cdf is None:
+            self._stage2_cdf = build_cdf(self.frequency.restrict(self._symbols))
+        return draw_permutation(self._stage2_cdf, self.rng)
 
     def update_integration(self, stimulus: tuple[str, ...], posterior: float) -> None:
         """Fold one trial's posterior into the per-symbol evidence sums.

@@ -51,11 +51,17 @@ def config_by_speed():
 
 
 @pytest.fixture(scope="module")
-def oracle_sessions(oracle, config_by_speed):
+def oracle_recordings(oracle, config_by_speed, recorded_training):
+    """Each speed's session, with the group and the onset of every trial."""
     return {
-        name: run_training(cfg, oracle, np.random.default_rng(11))
+        name: recorded_training(cfg, oracle, np.random.default_rng(11))
         for name, cfg in config_by_speed.items()
     }
+
+
+@pytest.fixture(scope="module")
+def oracle_sessions(oracle_recordings):
+    return {name: recording[0] for name, recording in oracle_recordings.items()}
 
 
 @pytest.fixture(scope="module")
@@ -109,21 +115,21 @@ class TestProtocolConfig:
 
 class TestRunTraining:
     @pytest.mark.parametrize("speed", SPEEDS)
-    def test_session_lengths(self, speed, oracle_sessions):
-        trials, n = oracle_sessions[speed], EXPECTED_TRAIN_COUNTS[speed]
-        assert len(trials) == len(trials.stimuli) == n
+    def test_session_lengths(self, speed, oracle_recordings):
+        (trials, groups, onsets), n = oracle_recordings[speed], EXPECTED_TRAIN_COUNTS[speed]
+        assert len(trials) == len(groups) == len(onsets) == n
         assert trials.samples.shape == (n, 8, 80)
-        assert trials.is_oddball.shape == trials.onsets_s.shape == (n,)
+        assert trials.is_oddball.shape == (n,)
         assert trials.is_oddball.dtype == bool
 
-    def test_each_complete_cycle_has_one_oddball(self, oracle_sessions, config_by_speed):
+    def test_each_complete_cycle_has_one_oddball(self, oracle_recordings, config_by_speed):
         symbols = sorted(default_character_set().symbols)
         for speed in SPEEDS:
-            trials = oracle_sessions[speed]
+            trials, shown, _ = oracle_recordings[speed]
             per_char = config_by_speed[speed].trials_per_char
             for start in range(0, len(trials), per_char):
                 odd = trials.is_oddball[start : start + per_char]
-                groups = trials.stimuli[start : start + per_char]
+                groups = shown[start : start + per_char]
                 full = 7 * (per_char // 7)
                 for c in range(0, full, 7):
                     assert int(odd[c : c + 7].sum()) == 1
@@ -135,27 +141,27 @@ class TestRunTraining:
             frac = np.mean(oracle_sessions[speed].is_oddball)
             assert abs(frac - 1.0 / 7.0) < 0.01
 
-    def test_onsets_restart_each_block(self, oracle_sessions, config_by_speed):
+    def test_onsets_restart_each_block(self, oracle_recordings, config_by_speed):
         cfg = config_by_speed["slow"]
-        trials = oracle_sessions["slow"]
+        trials, _, onsets = oracle_recordings["slow"]
         step_s = (cfg.iti_ms + cfg.overhead_ms) / 1000.0
         want = [(i % cfg.trials_per_char) * step_s for i in range(len(trials))]
-        assert trials.onsets_s.tolist() == want
+        assert onsets == want
 
-    def test_same_seed_reproduces_the_session(self, oracle, config_by_speed):
+    def test_same_seed_reproduces_the_session(self, oracle, config_by_speed, recorded_training):
         cfg = config_by_speed["slow"]
-        a = run_training(cfg, oracle, np.random.default_rng(3))
-        b = run_training(cfg, oracle, np.random.default_rng(3))
+        a, a_groups, a_onsets = recorded_training(cfg, oracle, np.random.default_rng(3))
+        b, b_groups, b_onsets = recorded_training(cfg, oracle, np.random.default_rng(3))
         assert len(a) == len(b)
-        assert a.stimuli == b.stimuli
+        assert a_groups == b_groups
         assert np.array_equal(a.is_oddball, b.is_oddball)
         assert np.array_equal(a.samples, b.samples)
-        assert np.array_equal(a.onsets_s, b.onsets_s)
+        assert a_onsets == b_onsets
 
     def test_batch_rejects_columns_of_different_lengths(self, oracle_sessions):
         trials = oracle_sessions["slow"]
         with pytest.raises(ValueError, match="same length"):
-            TrialBatch(trials.samples, trials.is_oddball[:-1], trials.stimuli, trials.onsets_s)
+            TrialBatch(trials.samples, trials.is_oddball[:-1])
 
 
 class TestCrossValidate:
@@ -472,9 +478,10 @@ class TestOracleOnline:
 class _EagerStage2Speller(Speller):
     """The speller as it was: builds the stage-2 table on every stage-2 entry."""
 
-    def _enter_stage2(self, group):
-        super()._enter_stage2(group)
-        self._stage2_cdf = speller.build_cdf(self.frequency.restrict(group))
+    def _enter_pass(self, mode, symbols, first_order):
+        super()._enter_pass(mode, symbols, first_order)
+        if mode == speller.STAGE2:
+            self._stage2_cdf = speller.build_cdf(self.frequency.restrict(symbols))
 
 
 class TestStage2Table:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from spellersim.harness import ProtocolConfig, run_training
+from spellersim.harness import ProtocolConfig
 from spellersim.signal import (
     FS,
     N_CHANNELS,
@@ -278,25 +278,26 @@ def test_session_windows_match_full_buffer_reference(subject):
 
 
 @pytest.fixture(scope="module")
-def training_sessions():
+def training_sessions(recorded_training):
+    """Each ITI's session, with the group and the onset of every trial."""
     subject = subject_preset("midsnr")
     return {
-        iti_ms: run_training(ProtocolConfig(iti_ms=iti_ms), subject, np.random.default_rng(4))
+        iti_ms: recorded_training(ProtocolConfig(iti_ms=iti_ms), subject, np.random.default_rng(4))
         for iti_ms in (160.0, 400.0)
     }
 
 
 @pytest.mark.parametrize("iti_ms", [160.0, 400.0])
-def test_training_session_matches_full_buffer_reference(monkeypatch, training_sessions, iti_ms):
+def test_training_session_matches_full_buffer_reference(monkeypatch, training_sessions, recorded_training, iti_ms):
     config = ProtocolConfig(iti_ms=iti_ms)
-    trials = training_sessions[iti_ms]
+    trials, groups, onsets = training_sessions[iti_ms]
     monkeypatch.setattr("spellersim.harness.SessionSynthesizer", FullBufferSynthesizer)
-    reference = run_training(config, subject_preset("midsnr"), np.random.default_rng(4))
+    reference, ref_groups, ref_onsets = recorded_training(config, subject_preset("midsnr"), np.random.default_rng(4))
     assert len(trials) == len(reference) == config.train_trial_count
     assert np.array_equal(trials.samples, reference.samples)
     assert np.array_equal(trials.is_oddball, reference.is_oddball)
-    assert trials.stimuli == reference.stimuli
-    assert np.array_equal(trials.onsets_s, reference.onsets_s)
+    assert groups == ref_groups
+    assert onsets == ref_onsets
 
 
 def _preprocess_one_by_one(samples):
@@ -307,7 +308,7 @@ def _preprocess_one_by_one(samples):
 
 @pytest.mark.parametrize("iti_ms", [160.0, 400.0])
 def test_batch_preprocess_matches_per_trial_reference(training_sessions, iti_ms):
-    samples = training_sessions[iti_ms].samples
+    samples = training_sessions[iti_ms][0].samples
     x = preprocess(samples)
     want = _preprocess_one_by_one(samples)
     assert x.shape == want.shape and x.dtype == want.dtype

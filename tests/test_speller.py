@@ -1,19 +1,29 @@
 """Selection state machine: modes, completion, integration, clock."""
+import collections
 import json
 import math
 
 import numpy as np
 import pytest
 
-from spellersim.alphabet import BACKSPACE, EXIT, SPACE, default_character_set
+from spellersim.alphabet import (
+    BACKSPACE,
+    EXIT,
+    FrequencyTable,
+    build_cdf,
+    default_character_set,
+    default_frequency_table,
+    draw_permutation,
+    form_cycle,
+)
 from spellersim.speller import (
     COMPLETION,
     EXITED,
     INTEGRATION,
-    PAUSED,
     STAGE1,
     STAGE2,
     Dictionary,
+    SelectionEvent,
     SessionLog,
     Speller,
     apply_selection,
@@ -141,7 +151,7 @@ class TestStage1:
         events = speller.step(True, 0.95)
         assert events == []
         assert speller.mode == STAGE2
-        assert speller._group == group
+        assert speller._symbols == group
         # stage-2 first pass illuminates in stage-1 draw order
         assert speller.next_stimulus() == (group[0],)
 
@@ -169,7 +179,9 @@ class TestStage2:
         assert event.mechanism == STAGE2
         assert event.pause_s == 3.0
         assert speller.prompt == target
-        assert speller.mode == PAUSED
+        # the mode after the pause is entered at selection time
+        resumed = COMPLETION if completion_candidates(speller.dictionary, target) else STAGE1
+        assert speller.mode == resumed
         speller.advance_clock(400.0, events)
         assert event.time_s is not None
 
@@ -207,8 +219,9 @@ class TestCompletionMode:
 
     def test_triggers_after_word_start(self):
         speller = make_speller(seed=8)
-        self.type_symbol(speller, "Q")
-        assert speller.mode == PAUSED
+        event = self.type_symbol(speller, "Q")
+        assert event.pause_s == 3.0
+        assert speller.mode == COMPLETION
         stimulus = speller.next_stimulus()
         assert speller.mode == COMPLETION
         assert stimulus == ("U",)
@@ -438,7 +451,7 @@ class TestStateMachineGuards:
             assert set(stimulus) <= symbols
             mode_before = speller.mode
             if mode_before == STAGE2:
-                assert len(speller._group) == 6
+                assert len(speller._symbols) == 6
             events = speller.step(bool(rng.uniform() < 0.25), float(rng.uniform()))
             speller.advance_clock(240.0, events, 12.0)
             assert 0 <= speller._streak <= 10
@@ -448,15 +461,15 @@ class TestStateMachineGuards:
                     assert event.symbol in stimulus
                 assert set(speller.prompt) <= symbols
             if events and speller.mode != EXITED:
-                assert speller.mode == PAUSED
+                assert events[0].pause_s == 3.0
+                resumed = COMPLETION if completion_candidates(speller.dictionary, speller.prompt) else STAGE1
+                assert speller.mode == resumed
 
 
 class TestSessionLog:
     def test_round_trip(self, tmp_path):
         log = SessionLog(meta={"iti_ms": 160, "subject": "oracle"})
         log.trial(0.16, STAGE1, ("A", "B"), "non-oddball", 0.12)
-        from spellersim.speller import SelectionEvent
-
         event = SelectionEvent(symbol="A", mechanism=STAGE2, pause_s=3.0, time_s=0.6)
         log.selection(event)
         path = tmp_path / "session.jsonl"
@@ -554,3 +567,335 @@ class TestDictionaryMemo:
                 assert dictionary.lookup(prefix) == self.scan(dictionary, prefix)
         assert dictionary.lookup("QX") == ()
         assert dictionary.lookup("th") == dictionary.lookup("TH") != ()
+
+
+# ---------------------------------------------------------------------------
+# one single-symbol pass, and no pause mode, against the speller they replaced
+
+PAUSED = "Paused"
+_CLAMP = 1e-12
+_STREAK_TARGET = 10
+_STAGE2_MAX_CYCLES = 3
+_COMPLETION_MAX_CYCLES = 3
+
+
+class _ReferenceSpeller:
+    """Speller as it was, with a pause mode and separate stage-2 and
+    completion scans. Verbatim but for its name and form_cycle, which now
+    returns the groups themselves. Selection state machine over the default
+    42-symbol character set.
+
+    Drive it one trial at a time:
+
+        stimulus = speller.next_stimulus()
+        ... synthesize + classify the trial ...
+        events = speller.step(is_oddball, posterior)
+        speller.advance_clock(iti_ms, events, overhead_ms)
+    """
+
+    def __init__(
+        self,
+        rng: np.random.Generator,
+        frequency: FrequencyTable | None = None,
+        dictionary: Dictionary | None = None,
+        *,
+        pause_s: float = 3.0,
+    ) -> None:
+        if pause_s < 0.0:
+            raise ValueError("pause must be nonnegative")
+        self.rng = rng
+        self.charset = default_character_set()
+        self.frequency = frequency if frequency is not None else default_frequency_table()
+        self.dictionary = dictionary if dictionary is not None else default_dictionary()
+        if self.frequency.symbols != self.charset.symbols:
+            self.frequency = self.frequency.restrict(self.charset.symbols)
+        self.pause_s = pause_s
+
+        self._cdf = build_cdf(self.frequency)
+        self._index = {s: i for i, s in enumerate(self.charset.symbols)}
+        self._log_reset = math.log(1.0 / len(self.charset.symbols))
+
+        self.mode = STAGE1
+        self.prompt = ""
+        self.n_trials = 0
+        self._trial_ms = 0.0
+        self._pause_ms = 0.0
+
+        self._cycle = None
+        self._cycle_pos = 0
+        self._group: tuple[str, ...] | None = None
+        self._stage2_order: tuple[str, ...] = ()
+        self._stage2_pos = 0
+        self._stage2_cycles = 0
+        self._stage2_cdf = None
+        self._candidates: tuple[str, ...] = ()
+        self._completion_order: tuple[str, ...] = ()
+        self._completion_pos = 0
+        self._completion_cycles = 0
+        self._resume = STAGE1
+        self._resume_candidates: tuple[str, ...] = ()
+        self._pending: tuple[str, ...] | None = None
+
+        self._log_acc = np.full(len(self.charset.symbols), self._log_reset)
+        self._streak = 0
+        self._streak_idx: int | None = None
+
+    # -- read-only views ----------------------------------------------------
+
+    @property
+    def clock_ms(self) -> float:
+        return self._trial_ms + self._pause_ms
+
+    @property
+    def clock_s(self) -> float:
+        return self.clock_ms / 1000.0
+
+    @property
+    def trial_time_ms(self) -> float:
+        return self._trial_ms
+
+    @property
+    def pause_time_ms(self) -> float:
+        return self._pause_ms
+
+    # -- the trial loop -----------------------------------------------------
+
+    def next_stimulus(self) -> tuple[str, ...]:
+        """Symbols illuminated on the upcoming trial.
+
+        Resolves a pending pause first: the mode that follows the pause was
+        fixed when the selection happened. Idempotent until step() consumes
+        the stimulus."""
+        if self.mode == EXITED:
+            raise RuntimeError("session has exited")
+        if self._pending is not None:
+            return self._pending
+        if self.mode == PAUSED:
+            if self._resume == COMPLETION:
+                self._enter_completion(self._resume_candidates)
+            else:
+                self.mode = STAGE1
+                self._cycle = None
+        if self.mode == STAGE1:
+            if self._cycle is None or self._cycle_pos >= len(self._cycle):
+                self._cycle = form_cycle(draw_permutation(self._cdf, self.rng))
+                self._cycle_pos = 0
+            stimulus = self._cycle[self._cycle_pos]
+        elif self.mode == STAGE2:
+            stimulus = (self._stage2_order[self._stage2_pos],)
+        elif self.mode == COMPLETION:
+            stimulus = (self._completion_order[self._completion_pos],)
+        else:  # pragma: no cover - modes are exhaustive
+            raise RuntimeError(f"cannot illuminate in mode {self.mode}")
+        self._pending = stimulus
+        return stimulus
+
+    def step(self, is_oddball: bool, posterior: float) -> list[SelectionEvent]:
+        """Consume one classified trial; returns selection events (0 or 1)."""
+        if self.mode == EXITED:
+            raise RuntimeError("session has exited")
+        if self._pending is None:
+            raise RuntimeError("call next_stimulus() before step()")
+        stimulus = self._pending
+        self._pending = None
+
+        self.update_integration(stimulus, posterior)
+
+        selected: str | None = None
+        mechanism = ""
+        if self.mode == STAGE1:
+            if is_oddball:
+                self._enter_stage2(stimulus)
+            else:
+                self._cycle_pos += 1
+        elif self.mode == STAGE2:
+            if is_oddball:
+                selected, mechanism = stimulus[0], STAGE2
+            else:
+                self._stage2_pos += 1
+                if self._stage2_pos >= len(self._stage2_order):
+                    self._stage2_cycles += 1
+                    if self._stage2_cycles >= _STAGE2_MAX_CYCLES:
+                        self.mode = STAGE1
+                        self._cycle = None
+                    else:
+                        if self._stage2_cdf is None:
+                            self._stage2_cdf = build_cdf(self.frequency.restrict(self._group))
+                        self._stage2_order = draw_permutation(self._stage2_cdf, self.rng)
+                        self._stage2_pos = 0
+        elif self.mode == COMPLETION:
+            if is_oddball:
+                selected, mechanism = stimulus[0], COMPLETION
+            else:
+                self._completion_pos += 1
+                if self._completion_pos >= len(self._completion_order):
+                    self._completion_cycles += 1
+                    if self._completion_cycles >= _COMPLETION_MAX_CYCLES:
+                        self.mode = STAGE1
+                        self._cycle = None
+                    else:
+                        self._completion_order = self._permute_candidates()
+                        self._completion_pos = 0
+        else:
+            raise RuntimeError(f"cannot step in mode {self.mode}")
+
+        # integrated evidence can select outright, skipping stage 2; a
+        # same-trial single-trial selection takes precedence
+        if selected is None and self._streak >= _STREAK_TARGET:
+            idx = int(np.argmax(self._log_acc))
+            selected, mechanism = self.charset.symbols[idx], INTEGRATION
+
+        events: list[SelectionEvent] = []
+        if selected is not None:
+            self.prompt = apply_selection(self.prompt, selected)
+            self._reset_integration()
+            if selected == EXIT:
+                self.mode = EXITED
+                pause = 0.0
+            else:
+                pause = self.pause_s
+                candidates = completion_candidates(self.dictionary, self.prompt)
+                self._resume = COMPLETION if candidates else STAGE1
+                self._resume_candidates = candidates
+                self.mode = PAUSED
+            events.append(SelectionEvent(symbol=selected, mechanism=mechanism, pause_s=pause))
+        return events
+
+    def advance_clock(self, iti_ms: float, events: list[SelectionEvent], overhead_ms: float = 0.0) -> None:
+        """Account one trial's time plus any selection pauses."""
+        if iti_ms <= 0.0:
+            raise ValueError("iti must be positive")
+        if overhead_ms < 0.0:
+            raise ValueError("overhead must be nonnegative")
+        self.n_trials += 1
+        self._trial_ms += iti_ms + overhead_ms
+        for event in events:
+            event.time_s = self.clock_s
+            self._pause_ms += event.pause_s * 1000.0
+
+    # -- internals ----------------------------------------------------------
+
+    def _enter_stage2(self, group: tuple[str, ...]) -> None:
+        self._group = group
+        # first pass keeps the stage-1 draw order; later passes redraw with
+        # the same frequency bias restricted to the group, from a table built
+        # on the first redraw (most entries select or leave before one)
+        self._stage2_order = group
+        self._stage2_pos = 0
+        self._stage2_cycles = 0
+        self._stage2_cdf = None
+        self.mode = STAGE2
+
+    def _enter_completion(self, candidates: tuple[str, ...]) -> None:
+        self._candidates = candidates
+        self._completion_order = self._permute_candidates()
+        self._completion_pos = 0
+        self._completion_cycles = 0
+        self.mode = COMPLETION
+
+    def _permute_candidates(self) -> tuple[str, ...]:
+        order = self.rng.permutation(len(self._candidates))
+        return tuple(self._candidates[int(i)] for i in order)
+
+    def update_integration(self, stimulus: tuple[str, ...], posterior: float) -> None:
+        """Fold one trial's posterior into the per-symbol evidence sums.
+
+        Illuminated symbols gain log(p), the rest log(1 - p), both clamped
+        away from log(0); only differences matter for the argmax. step()
+        calls this on every trial, whatever the mode."""
+        if not (math.isfinite(posterior) and 0.0 <= posterior <= 1.0):
+            raise ValueError(f"posterior must lie in [0, 1], got {posterior!r}")
+        p = min(max(posterior, _CLAMP), 1.0 - _CLAMP)
+        for symbol in stimulus:
+            if symbol not in self._index:
+                raise ValueError(f"unknown symbol {symbol!r}")
+        # one add per symbol: log(p) where lit, log(1 - p) elsewhere
+        step = np.full(self._log_acc.size, math.log(1.0 - p))
+        step[[self._index[symbol] for symbol in stimulus]] = math.log(p)
+        acc = self._log_acc
+        acc += step
+        idx = int(acc.argmax())
+        if np.count_nonzero(acc == acc[idx]) == 1:
+            self._streak = self._streak + 1 if idx == self._streak_idx else 1
+            self._streak_idx = idx
+        else:
+            self._streak = 0
+            self._streak_idx = None
+
+    def _reset_integration(self) -> None:
+        self._log_acc.fill(self._log_reset)
+        self._streak = 0
+        self._streak_idx = None
+
+
+def _clip(x):
+    return min(max(x, 0.0), 1.0)
+
+
+def _drive_pair(seed, frequency, dictionary, tally):
+    """Drive the reference and the new speller with one random stream of
+    decisions and posteriors, comparing them after every call.
+
+    Even seeds decide at random; odd seeds attend a target sentence (the
+    next character, backspace after an error) with flipped decisions and
+    posteriors that lean towards the truth, so integration streaks build."""
+    src = np.random.default_rng([seed, 1])
+    ref = _ReferenceSpeller(np.random.default_rng(seed), frequency, dictionary)
+    new = Speller(np.random.default_rng(seed), frequency, dictionary)
+    attend = seed % 2 == 1
+    p_odd = float(src.choice([0.05, 0.2, 0.4, 0.7]))
+    p_flip = float(src.choice([0.0, 0.05, 0.3, 0.6]))
+    words = dictionary.words
+    target = ">".join(words[int(i)] for i in src.integers(len(words), size=int(src.integers(0, 3)))) + EXIT
+    for k in range(int(src.integers(20, 300))):
+        stimulus = new.next_stimulus()
+        assert ref.next_stimulus() == stimulus
+        assert ref.mode == new.mode
+        assert ref.rng.bit_generator.state == new.rng.bit_generator.state
+
+        if attend:
+            on_track = target.startswith(new.prompt) and len(new.prompt) < len(target)
+            truth = (target[len(new.prompt)] if on_track else BACKSPACE) in stimulus
+            decision = truth != bool(src.random() < p_flip)
+            posterior = _clip(float(src.normal(0.8 if truth else 0.2, 0.2)))
+        else:
+            decision = bool(src.random() < p_odd)
+            posterior = float(src.random())
+        if k % 13 == 0:
+            posterior = (0.0, 1.0, 0.5)[k % 3]
+
+        mode_before = new.mode
+        ref_events = ref.step(decision, posterior)
+        events = new.step(decision, posterior)
+        ref.advance_clock(160.0, ref_events, 12.0)
+        new.advance_clock(160.0, events, 12.0)
+        assert [(e.symbol, e.mechanism, e.pause_s, e.time_s) for e in events] == [
+            (e.symbol, e.mechanism, e.pause_s, e.time_s) for e in ref_events
+        ]
+        assert new.prompt == ref.prompt
+        assert new.clock_ms == ref.clock_ms
+        # the reference pauses; the new speller is already in the mode the
+        # reference resumes into
+        assert new.mode == (ref._resume if ref.mode == PAUSED else ref.mode)
+
+        for event in events:
+            tally[event.mechanism] += 1
+            if event.symbol in (BACKSPACE, EXIT):
+                tally[event.symbol] += 1
+            tally["completion entry"] += new.mode == COMPLETION
+        if not events and mode_before != STAGE1 and new.mode == STAGE1:
+            tally[f"{mode_before} passes exhausted"] += 1
+        if new.mode == EXITED:
+            break
+
+
+class TestSinglePassEquivalence:
+    @pytest.mark.parametrize("block", range(4))
+    def test_same_stimuli_draws_events_and_prompts_as_the_reference(self, block):
+        frequency, dictionary = default_frequency_table(), default_dictionary()
+        tally = collections.Counter()
+        for seed in range(500 * block, 500 * (block + 1)):
+            _drive_pair(seed, frequency, dictionary, tally)
+        for key in (STAGE2, COMPLETION, INTEGRATION, BACKSPACE, EXIT, "completion entry",
+                    f"{STAGE2} passes exhausted", f"{COMPLETION} passes exhausted"):
+            assert tally[key] >= 20, (key, tally)
