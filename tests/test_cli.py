@@ -490,6 +490,34 @@ class TestSpellBytes:
         assert (n_trials, counts) == self.EXPECTED_COUNTS[preset]
 
 
+class TestTrainBytes:
+    # Digests of the train outputs at seed 0 and the presets' 10x10 CV, pinned
+    # so that a change to synthesis, fitting or the CV cannot move the model or
+    # the accuracy table unnoticed. The manifest digest that model.bin carries
+    # is blanked before hashing, as in TestSpellBytes.
+    GOLDEN_TRAIN = {
+        "fast_midsnr": {
+            "model.bin": "5643711edbf2f16206c9944d1c1309d988e6579d4f7b8e4cde15dc9da4867218",
+            "train_cv.csv": "224dba061b6ace520da0ca27421a9f010f20c8755559caedede10633b56c1154",
+        },
+        "fast_oracle": {
+            "model.bin": "0a123af49f9e3b6ad540a99840de612e981ece128d93dfbe2677ca2de65d76a5",
+            "train_cv.csv": "70b9b938e20dd11852a493f04637c738a0a81f88159c0be12ae8936db15996b7",
+        },
+    }
+
+    @pytest.mark.parametrize("preset", sorted(GOLDEN_TRAIN))
+    def test_train_bytes_are_pinned(self, capsys, tmp_path, preset):
+        assert main(["train", "--config", preset, "--seed", "0", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        digest = json.loads((tmp_path / "train_manifest.json").read_text())["digest"].encode()
+        got = {
+            name: hashlib.sha256((tmp_path / name).read_bytes().replace(digest, b"")).hexdigest()
+            for name in self.GOLDEN_TRAIN[preset]
+        }
+        assert got == self.GOLDEN_TRAIN[preset]
+
+
 class TestTrain:
     def test_oracle_reports_perfect_cv(self, capsys, trained):
         # rerun into a fresh dir to capture stdout
