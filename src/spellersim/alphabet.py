@@ -103,9 +103,6 @@ class FrequencyTable:
         if float(probs[self.symbols.index(SPACE)]) < float(np.max(probs)) - 1e-15:
             raise ValueError("space symbol must carry the largest probability")
 
-    def prob(self, symbol: str) -> float:
-        return float(self.probs[_index_of(self.symbols, symbol)])
-
     def restrict(self, subset: tuple[str, ...]) -> "FrequencyTable":
         """Renormalized table over a subset of symbols, preserving table order.
 
@@ -329,8 +326,6 @@ class GroupStats:
     symbols: tuple[str, ...]
     mean_group: np.ndarray      # per symbol, 1-based group index average
     mean_position: np.ndarray   # per symbol, 1-based draw position average
-    first_draw_counts: np.ndarray
-    n_runs: int
 
     def mean_group_of(self, symbol: str) -> float:
         return float(self.mean_group[_index_of(self.symbols, symbol)])
@@ -342,10 +337,10 @@ _MIN_WORKER_BLOCKS = 8
 
 
 def _block_sums(cdf: Cdf, n_runs: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-symbol int64 sums of 0-based group and position, and first-draw
-    counts, over n_runs permutations drawn in blocks of _BLOCK_RUNS."""
+    """Per-symbol int64 sums of 0-based group and position over n_runs
+    permutations drawn in blocks of _BLOCK_RUNS."""
     n_syms = len(cdf.symbols)
-    sums = np.zeros((3, n_syms), dtype=np.int64)
+    sums = np.zeros((2, n_syms), dtype=np.int64)
     ranks = np.arange(n_syms)
     for start in range(0, n_runs, _BLOCK_RUNS):
         orders = draw_permutations(cdf, min(_BLOCK_RUNS, n_runs - start), rng)
@@ -353,7 +348,6 @@ def _block_sums(cdf: Cdf, n_runs: int, rng: np.random.Generator) -> np.ndarray:
         positions[np.arange(len(orders))[:, None], orders] = ranks
         sums[0] += (positions // _GROUP_SIZE).sum(axis=0)
         sums[1] += positions.sum(axis=0)
-        sums[2] += np.bincount(orders[:, 0], minlength=n_syms)
     return sums
 
 
@@ -399,11 +393,9 @@ def monte_carlo_group_stats(freq: FrequencyTable, n_runs: int, rng: np.random.Ge
             "has_uint32": state["has_uint32"],
             "uinteger": state["uinteger"],
         }
-    group_sum, position_sum, first_draw_counts = sums
+    group_sum, position_sum = sums
     return GroupStats(
         symbols=freq.symbols,
         mean_group=(group_sum + n_runs) / n_runs,
         mean_position=(position_sum + n_runs) / n_runs,
-        first_draw_counts=first_draw_counts,
-        n_runs=n_runs,
     )

@@ -14,11 +14,12 @@ fractions divide by the covariance trace. A class with fewer samples than
 dimensions (n - 1 < d, the oddball class at protocol sizes) is solved by
 the method of snapshots: a partial eigensolve of the n x n Gram matrix
 whose eigenvectors map back through the centered samples. Other classes get
-a partial eigensolve of the d x d covariance. A class is rank deficient
+a partial eigensolve of the d x d covariance. The oddball subspace always
+keeps the component of the oddball mean offset that its basis cannot see.
+The non-oddball subspace keeps it only when that class is rank deficient:
 when n - 1 < d or when cov - _EIG_TOL * lambda_max * I has no Cholesky
 factor, i.e. some eigenvalue is at or below the tolerance that keeps a
-direction; such a class also keeps the component of its mean offset that
-its covariance cannot see.
+direction.
 
 Fitted models are immutable; fitting and extraction are pure functions.
 """
@@ -163,9 +164,10 @@ def _mean_offset_direction(mean: np.ndarray, global_mean: np.ndarray, basis: np.
 
 
 def _fit_subspace(
-    x: np.ndarray, rows: np.ndarray, global_mean: np.ndarray, eta: float, m_max: int
+    x: np.ndarray, rows: np.ndarray, global_mean: np.ndarray, eta: float, m_max: int, oddball: bool
 ) -> ClassSubspace:
-    """Subspace of the class whose rows of x the boolean mask `rows` selects.
+    """Subspace of the class whose rows of x the boolean mask `rows` selects;
+    oddball says whether that is the oddball class.
 
     The class is copied once and centered in place, so the fit holds one
     class-sized array; x is left unchanged."""
@@ -189,12 +191,13 @@ def _fit_subspace(
     m = int(np.searchsorted(fractions, eta - 1e-12) + 1)
     m = min(m, m_max, len(eigvals))
     basis = _fix_signs(vecs[:m]).T.copy()
-    if rank_deficient:
-        # rank-deficient spectrum: the covariance is blind to part of the
-        # space. Keep the class-offset component it cannot represent, or
-        # degenerate (low-rank) classes lose their only separating direction.
-        # The offset direction counts toward the cap; at the cap it displaces
-        # the weakest retained eigendirection.
+    if oddball or rank_deficient:
+        # Keep the class-offset component the basis cannot represent. For the
+        # oddball class it is the separating feature at any session size. A
+        # rank-deficient class keeps it too: its covariance is blind to part
+        # of the space, and a degenerate (low-rank) class would lose its only
+        # separating direction. The offset direction counts toward the cap;
+        # at the cap it displaces the weakest retained eigendirection.
         extra = _mean_offset_direction(mean, global_mean, basis)
         if extra is not None:
             if basis.shape[1] >= m_max:
@@ -233,8 +236,8 @@ def fit_cpca(vectors, labels, eta: float = 0.9, m_max: int = 30) -> CpcaModel:
         eta=eta,
         m_max=m_max,
         global_mean=global_mean,
-        oddball=_fit_subspace(x, y, global_mean, eta, m_max),
-        non_oddball=_fit_subspace(x, ~y, global_mean, eta, m_max),
+        oddball=_fit_subspace(x, y, global_mean, eta, m_max, True),
+        non_oddball=_fit_subspace(x, ~y, global_mean, eta, m_max, False),
     )
 
 
@@ -245,8 +248,6 @@ class BranchDiscriminant:
     t: np.ndarray               # (m,), unit norm
     feature_means: np.ndarray   # (2,): oddball, non-oddball feature means
     feature_vars: np.ndarray    # (2,): matching variances, floored positive
-    # (2,), read-only: the Gaussian normalizers 0.5 * log(2 pi var)
-    log_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         with np.errstate(over="ignore"):
@@ -257,10 +258,6 @@ class BranchDiscriminant:
             raise ValueError("per-class statistics must have shape (2,)")
         if not np.all(self.feature_vars > 0.0):
             raise ValueError("feature variances must be positive")
-        with np.errstate(over="ignore"):
-            log_norms = 0.5 * np.log(2.0 * np.pi * self.feature_vars)
-        log_norms.flags.writeable = False
-        object.__setattr__(self, "log_norms", log_norms)
 
 
 @dataclass(frozen=True)
@@ -269,7 +266,8 @@ class DiscriminantModel:
     non_oddball: BranchDiscriminant
     log_priors: np.ndarray      # (2,): log p(oddball), log p(non-oddball)
     # per branch, per class: (mean, variance, log normalizer, log prior) as
-    # floats, for the scalar gate of extract
+    # floats, the constants of the gate between the branch features; the log
+    # normalizer is the Gaussian's 0.5 * log(2 pi var)
     gate: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -280,11 +278,12 @@ class DiscriminantModel:
         if abs(total - 1.0) > 1e-12:
             raise ValueError("gate priors must sum to 1")
         priors = self.log_priors.tolist()
-        gate = tuple(
-            tuple(zip(b.feature_means.tolist(), b.feature_vars.tolist(), b.log_norms.tolist(), priors))
-            for b in (self.oddball, self.non_oddball)
-        )
-        object.__setattr__(self, "gate", gate)
+        gate = []
+        for b in (self.oddball, self.non_oddball):
+            with np.errstate(over="ignore"):
+                log_norms = 0.5 * np.log(2.0 * np.pi * b.feature_vars)
+            gate.append(tuple(zip(b.feature_means.tolist(), b.feature_vars.tolist(), log_norms.tolist(), priors)))
+        object.__setattr__(self, "gate", tuple(gate))
 
 
 def _fisher_direction(z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -377,15 +376,11 @@ def fit_feature_model(vectors, labels, eta: float = 0.9, m_max: int = 30) -> Fea
 def _branch_scores(model: FeatureModel, features: np.ndarray) -> np.ndarray:
     """Best log class posterior in each branch; features has shape (n, 2)."""
     scores = np.empty_like(features)
-    for j, branch in enumerate((model.disc.oddball, model.disc.non_oddball)):
-        f = features[:, j, None]
-        log_lik = (
-            -0.5 * ((f - branch.feature_means) ** 2 / branch.feature_vars)
-            - branch.log_norms
-            + model.disc.log_priors
-        )
-        norm = np.logaddexp(log_lik[:, 0], log_lik[:, 1])
-        scores[:, j] = log_lik.max(axis=1) - norm
+    for j, ((m_o, v_o, c_o, p_o), (m_e, v_e, c_e, p_e)) in enumerate(model.disc.gate):
+        f = features[:, j]
+        a = -0.5 * ((f - m_o) ** 2 / v_o) - c_o + p_o
+        b = -0.5 * ((f - m_e) ** 2 / v_e) - c_e + p_e
+        scores[:, j] = np.maximum(a, b) - np.logaddexp(a, b)
     return scores
 
 

@@ -490,36 +490,21 @@ def session_row(subject: str, iti_ms: float, report: SessionReport) -> dict:
     }
 
 
-def _write_csv(path, rows: list[dict], fields: list[str]) -> None:
+def _write_csv(path, rows: list[dict]) -> None:
+    """One header line, the keys of the first row, then one line per row."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in fields})
+        writer.writerows(rows)
 
 
 def write_cv_csv(path, rows: list[dict]) -> None:
-    """Offline accuracy table: mean, spread, best, bits/trial per row."""
-    _write_csv(
-        path,
-        rows,
-        ["subject", "iti_ms", "accuracy_mean", "accuracy_std", "accuracy_best", "bits_per_trial"],
-    )
+    """Offline accuracy table, one cv_row per line: mean, spread, best and
+    bits/trial."""
+    _write_csv(path, rows)
 
 
 def write_session_csv(path, rows: list[dict]) -> None:
-    """Online session table: timing, selections, practical rate per row."""
-    _write_csv(
-        path,
-        rows,
-        [
-            "subject",
-            "iti_ms",
-            "completed",
-            "time_s",
-            "active_time_s",
-            "n_selections",
-            "n_correct",
-            "practical_bits_per_sec",
-        ],
-    )
+    """Online session table, one session_row per line: timing, selections
+    and practical rate."""
+    _write_csv(path, rows)

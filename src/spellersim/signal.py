@@ -56,7 +56,6 @@ _FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 class ErpComponent:
     """One evoked-response bump: a Gaussian in time, scaled per channel."""
 
-    name: str
     amplitude_uv: float      # signed peak amplitude
     peak_ms: float           # latency post stimulus
     width_ms: float          # full width at half maximum
@@ -92,7 +91,6 @@ def default_erp_template() -> ErpTemplate:
     """Negativity at 190 ms (occipital, phase-reversed fronto-centrally) plus
     a broad positivity at 290 ms on all channels."""
     n200 = ErpComponent(
-        name="N200",
         amplitude_uv=-5.0,
         peak_ms=190.0,
         width_ms=40.0,
@@ -100,7 +98,6 @@ def default_erp_template() -> ErpTemplate:
         gains=(-0.35, -0.35, -0.35, 0.25, 0.25, 0.25, 1.0, 1.0),
     )
     p300 = ErpComponent(
-        name="P300",
         amplitude_uv=8.0,
         peak_ms=290.0,
         width_ms=80.0,
@@ -114,17 +111,16 @@ class SubjectModel:
     """Parametric stand-in for a human subject.
 
     attention is the probability that an attended rare stimulus actually
-    evokes the template. noise_ar, when nonzero, colors the noise with a
-    first-order autoregression (stationary variance kept at noise_sigma_uv^2).
-    The oracle flag forces noiseless trials with perfect attention and no
-    latency jitter, whatever the other fields say.
+    evokes the template. The noise is white and Gaussian, with standard
+    deviation noise_sigma_uv on every channel. The oracle flag forces
+    noiseless trials with perfect attention and no latency jitter, whatever
+    the other fields say.
     """
 
     template: ErpTemplate
     noise_sigma_uv: float
     attention: float
     latency_jitter_ms: float
-    noise_ar: float = 0.0
     oracle: bool = False
 
     def __post_init__(self) -> None:
@@ -134,8 +130,6 @@ class SubjectModel:
             raise ValueError("attention must lie in [0, 1]")
         if self.latency_jitter_ms < 0.0:
             raise ValueError("latency jitter must be >= 0")
-        if not 0.0 <= self.noise_ar < 1.0:
-            raise ValueError("AR coefficient must lie in [0, 1)")
 
 
 def subject_preset(name: str) -> SubjectModel:
@@ -200,7 +194,6 @@ class SessionSynthesizer:
         self._noise = np.zeros((N_CHANNELS, 0))
         self._origin = 0  # absolute sample index of self._noise[:, 0]
         self._last_onset: int | None = None
-        self._ar_zi: np.ndarray | None = None
         self._events: list[tuple[int, np.ndarray]] = []
         # the waveform of every jitter-free response, shared read-only
         self._still = subject.template.render(0.0)
@@ -215,20 +208,8 @@ class SessionSynthesizer:
         subject = self.subject
         if subject.oracle or subject.noise_sigma_uv == 0.0:
             block = np.zeros((N_CHANNELS, grow))
-        elif subject.noise_ar == 0.0:
-            block = self.rng.normal(0.0, subject.noise_sigma_uv, size=(N_CHANNELS, grow))
         else:
-            # scipy.signal is slow to import and only AR(1) subjects need it
-            from scipy.signal import lfilter
-
-            a = subject.noise_ar
-            if self._ar_zi is None:
-                # stationary start: x[-1] ~ N(0, sigma^2) per channel
-                x_prev = self.rng.normal(0.0, subject.noise_sigma_uv, size=N_CHANNELS)
-                self._ar_zi = (a * x_prev)[:, None]
-            w = self.rng.normal(0.0, 1.0, size=(N_CHANNELS, grow))
-            scale = subject.noise_sigma_uv * np.sqrt(1.0 - a * a)
-            block, self._ar_zi = lfilter([scale], [1.0, -a], w, axis=1, zi=self._ar_zi)
+            block = self.rng.normal(0.0, subject.noise_sigma_uv, size=(N_CHANNELS, grow))
         self._noise = np.concatenate([self._noise, block], axis=1)
 
     def trial(self, onset_s: float, is_oddball: bool) -> np.ndarray:

@@ -105,9 +105,6 @@ class Dictionary:
             chars = self._next_chars[prefix] = tuple(sorted(found))
         return chars
 
-    def __len__(self) -> int:
-        return len(self.words)
-
 
 def load_dictionary(path) -> Dictionary:
     with open(path, "r", encoding="utf-8") as fh:

@@ -106,7 +106,7 @@ class TestConfigLoading:
         assert set(re.findall(r"`(\w+)`", sentence)) == set(_PROTOCOL_KEYS) | set(_RUN_KEYS)
 
     def test_package_import_leaves_scipy_signal_unloaded(self):
-        # scipy.signal costs most of the CLI start-up and only AR(1) noise needs it
+        # scipy.signal once cost most of the CLI start-up; no command needs it
         src = str(Path(__file__).resolve().parents[1] / "src")
         code = (
             f"import sys; sys.path.insert(0, {src!r}); import spellersim.cli; "
@@ -168,6 +168,7 @@ class TestImportsPerCommand:
         loaded = _loaded_after(["train", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "out")])
         assert "scipy.linalg" in loaded["modules"]
         assert "scipy.special" not in loaded["modules"]
+        assert "scipy.signal" not in loaded["modules"]
 
     def test_manifests_record_the_installed_scipy_version(self, trained, tmp_path, capsys):
         import scipy

@@ -354,11 +354,12 @@ def test_binary_output_is_byte_identical(tmp_path):
 # top-of-spectrum subspace fit against the full-spectrum oracle
 
 
-def _oracle_fit_subspace(x_c, global_mean, eta, m_max):
+def _oracle_fit_subspace(x_c, global_mean, eta, m_max, oddball):
     """Full eigh/SVD subspace fit, kept as an independent reference.
 
     Returns the subspace and whether the full spectrum has an eigenvalue at
-    or below _EIG_TOL times the largest (the rank-deficiency decision)."""
+    or below _EIG_TOL times the largest (the rank-deficiency decision). The
+    oddball class, or a rank-deficient one, keeps its mean-offset direction."""
     mean = x_c.mean(axis=0)
     centered = x_c - mean
     n, d = centered.shape
@@ -381,7 +382,7 @@ def _oracle_fit_subspace(x_c, global_mean, eta, m_max):
     m = min(int(np.searchsorted(fractions, eta - 1e-12) + 1), m_max, len(eigvals))
     basis = _fix_signs(vecs[:m]).T.copy()
     deficient = len(eigvals) < d
-    if deficient:
+    if oddball or deficient:
         extra = _mean_offset_direction(mean, global_mean, basis)
         if extra is not None:
             if basis.shape[1] >= m_max:
@@ -435,10 +436,10 @@ def _sine_of_largest_angle(a, b):
 def test_subspace_fit_matches_full_spectrum_oracle(case):
     x, y, eta, m_max = EQUIVALENCE_CASES[case]
     global_mean = x.mean(axis=0)
-    for mask in (y, ~y):
+    for mask, oddball in ((y, True), (~y, False)):
         x_c = x[mask]
-        new = _fit_subspace(x, mask, global_mean, eta, m_max)
-        old, old_deficient = _oracle_fit_subspace(x_c, global_mean, eta, m_max)
+        new = _fit_subspace(x, mask, global_mean, eta, m_max, oddball)
+        old, old_deficient = _oracle_fit_subspace(x_c, global_mean, eta, m_max, oddball)
         _, _, _, new_deficient = _class_eigensystem(x_c - x_c.mean(axis=0), m_max + 1)
         assert new_deficient == old_deficient
         assert new.m == old.m
@@ -459,7 +460,8 @@ def test_rank_rule_sees_rank_beyond_the_computed_spectrum():
     # Cholesky test finds the 380 missing directions
     assert np.all(eigvals > 1e3 * _EIG_TOL * eigvals[0])
     assert deficient
-    sub = _fit_subspace(x, y, x.mean(axis=0), 0.9, m_max)
+    # fitted as the non-oddball class, which keeps the offset only when deficient
+    sub = _fit_subspace(x, y, x.mean(axis=0), 0.9, m_max, False)
     assert sub.m == m_max  # 29 spectral directions + the mean offset
 
 
@@ -484,7 +486,7 @@ def _out_of_place_class_eigensystem(centered, k):
     return w, v, trace, info != 0
 
 
-def _out_of_place_fit_subspace(x_c, global_mean, eta, m_max):
+def _out_of_place_fit_subspace(x_c, global_mean, eta, m_max, oddball):
     """_fit_subspace as it was: centers into a second class-sized array and
     takes the dust scale from np.abs. Returns the subspace and the rank flag."""
     mean = x_c.mean(axis=0)
@@ -500,7 +502,7 @@ def _out_of_place_fit_subspace(x_c, global_mean, eta, m_max):
     fractions = np.cumsum(eigvals) / trace
     m = min(int(np.searchsorted(fractions, eta - 1e-12) + 1), m_max, len(eigvals))
     basis = _fix_signs(vecs[:m]).T.copy()
-    if rank_deficient:
+    if oddball or rank_deficient:
         extra = _mean_offset_direction(mean, global_mean, basis)
         if extra is not None:
             if basis.shape[1] >= m_max:
@@ -522,10 +524,10 @@ def _centering_dust_classes():
 def test_in_place_subspace_fit_equals_the_out_of_place_fit_bitwise(case):
     x, y, eta, m_max = EQUIVALENCE_CASES[case] if case in EQUIVALENCE_CASES else _centering_dust_classes()
     global_mean = x.mean(axis=0)
-    for mask in (y, ~y):
+    for mask, oddball in ((y, True), (~y, False)):
         x_c = x[mask]
-        new = _fit_subspace(x, mask, global_mean, eta, m_max)
-        old, old_deficient = _out_of_place_fit_subspace(x_c, global_mean, eta, m_max)
+        new = _fit_subspace(x, mask, global_mean, eta, m_max, oddball)
+        old, old_deficient = _out_of_place_fit_subspace(x_c, global_mean, eta, m_max, oddball)
         assert _bits(new.mean) == _bits(old.mean)
         assert new.basis.shape == old.basis.shape
         assert _bits(new.basis) == _bits(old.basis)
@@ -553,8 +555,8 @@ def test_extract_batch_matches_full_spectrum_oracle(case):
     x, y, eta, m_max = EQUIVALENCE_CASES[case]
     model = fit_feature_model(x, y, eta=eta, m_max=m_max)
     global_mean = x.mean(axis=0)
-    sub_o = _oracle_fit_subspace(x[y], global_mean, eta, m_max)[0]
-    sub_e = _oracle_fit_subspace(x[~y], global_mean, eta, m_max)[0]
+    sub_o = _oracle_fit_subspace(x[y], global_mean, eta, m_max, True)[0]
+    sub_e = _oracle_fit_subspace(x[~y], global_mean, eta, m_max, False)[0]
     projections = {ODDBALL: (x - sub_o.mean) @ sub_o.basis, NON_ODDBALL: (x - sub_e.mean) @ sub_e.basis}
     oracle = FeatureModel(
         cpca=CpcaModel(eta, m_max, global_mean, sub_o, sub_e),
@@ -917,12 +919,9 @@ def test_extract_rejects_non_finite_and_misshapen_rows(bad):
 
 def test_gate_constants_are_read_only():
     model, _ = _mirrored_branch_model()
-    branch = model.disc.oddball
-    assert not branch.log_norms.flags.writeable
-    with pytest.raises(ValueError):
-        branch.log_norms[0] = 0.0
-    assert _bits(branch.log_norms) == _bits(0.5 * np.log(2.0 * np.pi * branch.feature_vars))
     gate = model.disc.gate
+    for g, branch in zip(gate, (model.disc.oddball, model.disc.non_oddball)):
+        assert _bits([cls[2] for cls in g]) == _bits(0.5 * np.log(2.0 * np.pi * branch.feature_vars))
     assert isinstance(gate, tuple) and all(isinstance(g, tuple) for g in gate)
     assert all(type(v) is float for g in gate for cls in g for v in cls)
     with pytest.raises(TypeError):

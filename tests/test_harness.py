@@ -30,6 +30,7 @@ from spellersim.harness import (
     write_cv_csv,
     write_session_csv,
 )
+from spellersim.seeding import substream
 from spellersim.signal import preprocess, subject_preset
 from spellersim.speller import Speller, load_session_log
 
@@ -181,6 +182,19 @@ class TestCrossValidate:
         majority = 6.0 / 7.0
         assert abs(cv.accuracy_mean - majority) <= 0.01
         assert cv.bits_per_trial <= 0.01
+
+    @pytest.mark.parametrize("iti_ms, train_chars", [(160.0, 20), (80.0, 10)])
+    def test_sessions_with_a_full_rank_oddball_class_stay_above_majority(self, iti_ms, train_chars):
+        # each training fold holds 484 or 485 oddballs, more than the 480
+        # dimensions, so the oddball class is full rank; its mean-offset
+        # direction is still the separating feature (both once gave the
+        # majority rate)
+        config = ProtocolConfig(iti_ms=iti_ms, train_chars=train_chars)
+        trials = run_training(config, subject_preset("midsnr"), substream(0, "train"))
+        assert int(trials.is_oddball.sum()) == 538
+        cv = cross_validate(trials, repeats=1, folds=10, rng=substream(0, "cv"))
+        majority = 1.0 - float(trials.is_oddball.mean())
+        assert cv.accuracy_mean >= 0.93 > majority + 0.05
 
     def test_rejects_bad_parameters(self, oracle_sessions):
         with pytest.raises(ValueError):
