@@ -25,8 +25,13 @@ Fitted models are immutable; fitting and extraction are pure functions.
 """
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
+from pathlib import Path
 
 import numpy as np
 
@@ -114,17 +119,56 @@ class CpcaModel:
         return self.oddball, self.non_oddball
 
 
-def _class_eigensystem(centered: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float, bool]:
-    """Top-k eigenpairs of the sample covariance, its trace and the rank rule.
+@functools.cache
+def _lapack():
+    """scipy's compiled LAPACK wrappers, scipy/linalg/_flapack, loaded from
+    their file: importing scipy.linalg costs about 0.2 s and 28 MB for an
+    array-API layer no fit uses. The routines run in scipy's bundled
+    OpenBLAS, the library _fork pins."""
+    spec = find_spec("scipy")
+    if spec is not None and spec.origin is not None:
+        directory = Path(spec.origin).parent / "linalg"
+        for suffix in EXTENSION_SUFFIXES:
+            path = directory / f"_flapack{suffix}"
+            if path.is_file():
+                loader = ExtensionFileLoader("scipy.linalg._flapack", str(path))
+                loaded = loader.name in sys.modules
+                module = module_from_spec(spec_from_file_location(loader.name, path, loader=loader))
+                loader.exec_module(module)
+                if not loaded:
+                    # the extension registers itself, without its package; a
+                    # later scipy.linalg import registers its own copy
+                    sys.modules.pop(loader.name, None)
+                return module
+    raise ImportError("scipy's LAPACK extension scipy/linalg/_flapack was not found")
+
+
+def _eigh_top(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top k eigenvalues of the symmetric matrix a, ascending, and their
+    eigenvectors as columns.
+
+    The LAPACK call of scipy.linalg.eigh(a, subset_by_index=(n - k, n - 1),
+    check_finite=False): dsyevr on the lower triangle with the workspace
+    sizes its query returns."""
+    lapack = _lapack()
+    n = a.shape[0]
+    lwork, liwork, _ = lapack.dsyevr_lwork(n=n, lower=1)
+    w, v, m, _, info = lapack.dsyevr(
+        a=a, compute_v=1, lower=1, range="I", il=n - k + 1, iu=n, overwrite_a=0, lwork=int(lwork), liwork=int(liwork)
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"symmetric eigensolve failed (LAPACK dsyevr info {info})")
+    return w[:m], v[:, :m]
+
+
+def _class_eigensystem(centered: np.ndarray, k: int, oddball: bool) -> tuple[np.ndarray, np.ndarray, float, bool]:
+    """Top-k eigenpairs of the sample covariance, its trace and whether the
+    subspace keeps the mean-offset direction.
 
     Returns eigenvalues (descending, at most k), eigenvectors (rows), the
-    covariance trace, and whether the covariance has an eigenvalue at or
-    below _EIG_TOL times the largest one."""
-    # scipy.linalg is imported where a model is fitted, so the commands that
-    # only load one (spell) or fit none (mc, itr) never pay for it
-    import scipy.linalg
-    from scipy.linalg.lapack import dpotrf
-
+    covariance trace, and the offset rule: always for the oddball class,
+    otherwise when the covariance has an eigenvalue at or below _EIG_TOL
+    times the largest one."""
     n, d = centered.shape
     if n - 1 < d:
         # method of snapshots: the n x n Gram matrix shares the nonzero
@@ -132,7 +176,7 @@ def _class_eigensystem(centered: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
         gram = centered @ centered.T
         gram /= n - 1
         k = min(k, n)
-        w, u = scipy.linalg.eigh(gram, subset_by_index=(n - k, n - 1), check_finite=False)
+        w, u = _eigh_top(gram, k)
         v = centered.T @ u[:, ::-1]
         norms = np.linalg.norm(v, axis=0)
         v /= np.where(norms > 0.0, norms, 1.0)
@@ -140,13 +184,15 @@ def _class_eigensystem(centered: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     cov = centered.T @ centered
     cov /= n - 1
     k = min(k, d)
-    w, v = scipy.linalg.eigh(cov, subset_by_index=(d - k, d - 1), check_finite=False)
+    w, v = _eigh_top(cov, k)
     w, v = w[::-1], v[:, ::-1].T
     trace = float(np.trace(cov))
+    if oddball:
+        return w, v, trace, True
     # every eigenvalue exceeds the tolerance iff the shifted matrix is
     # positive definite; the top-k spectrum alone cannot see a rank above k
     cov.flat[:: d + 1] -= _EIG_TOL * max(w[0], 0.0)
-    _, info = dpotrf(cov, lower=True, clean=False, overwrite_a=True)
+    _, info = _lapack().dpotrf(cov, lower=True, clean=False, overwrite_a=True)
     return w, v, trace, info != 0
 
 
@@ -177,7 +223,7 @@ def _fit_subspace(
     dust = (1e-10 * max(float(x_c.max()), -float(x_c.min()))) ** 2
     mean = x_c.mean(axis=0)
     x_c -= mean
-    eigvals, vecs, trace, rank_deficient = _class_eigensystem(x_c, m_max + 1)
+    eigvals, vecs, trace, keep_offset = _class_eigensystem(x_c, m_max + 1, oddball)
     eigvals = np.clip(eigvals, 0.0, None)
     if eigvals.size == 0 or eigvals[0] <= dust:
         # degenerate class: all samples identical. Fall back to the single
@@ -191,7 +237,7 @@ def _fit_subspace(
     m = int(np.searchsorted(fractions, eta - 1e-12) + 1)
     m = min(m, m_max, len(eigvals))
     basis = _fix_signs(vecs[:m]).T.copy()
-    if oddball or rank_deficient:
+    if keep_offset:
         # Keep the class-offset component the basis cannot represent. For the
         # oddball class it is the separating feature at any session size. A
         # rank-deficient class keeps it too: its covariance is blind to part
@@ -288,8 +334,6 @@ class DiscriminantModel:
 
 def _fisher_direction(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Leading eigenvector of between-class vs within-class scatter."""
-    import scipy.linalg
-
     m = z.shape[1]
     mu_o, mu_e = z[y].mean(axis=0), z[~y].mean(axis=0)
     mu = z.mean(axis=0)
@@ -298,15 +342,19 @@ def _fisher_direction(z: np.ndarray, y: np.ndarray) -> np.ndarray:
         c = z[cls_mask] - cls_mean
         s_w += c.T @ c
     s_b = y.sum() * np.outer(mu_o - mu, mu_o - mu) + (~y).sum() * np.outer(mu_e - mu, mu_e - mu)
-    try:
-        w, v = scipy.linalg.eigh(s_b, s_w)
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
-            raise np.linalg.LinAlgError("non-finite generalized eigensystem")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+    if not (np.all(np.isfinite(s_b)) and np.all(np.isfinite(s_w))):
+        raise ValueError("scatter matrices must be finite")
+    # the LAPACK call of scipy.linalg.eigh(s_b, s_w): dsygvd on the lower triangles
+    dsygvd = _lapack().dsygvd
+    w, v, info = dsygvd(a=s_b, b=s_w, itype=1, jobz="V", uplo="L")
+    if info != 0 or not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
+        # singular within-class scatter: regularize it once
         eps = 1e-6 * np.trace(s_w) / m
         if eps <= 0.0:
             eps = 1e-6
-        w, v = scipy.linalg.eigh(s_b, s_w + eps * np.eye(m))
+        w, v, info = dsygvd(a=s_b, b=s_w + eps * np.eye(m), itype=1, jobz="V", uplo="L")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"generalized eigensolve failed (LAPACK dsygvd info {info})")
     t = v[:, np.argmax(w)]
     return _fix_signs(t[None, :])[0] / np.linalg.norm(t)
 

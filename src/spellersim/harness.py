@@ -30,7 +30,7 @@ from .alphabet import (
 )
 from .channel import ChannelSpec, ConfusionMatrix, ItrReport, mutual_information, per_trial_itr_from_session, practical_itr
 from .classifier import ClassifierParams, classify, decide_batch, fit as fit_classifier, posterior_oddball, with_theta
-from .features import FeatureModel, _fit_with_training_features, extract, extract_batch
+from .features import FeatureModel, _fit_with_training_features, _lapack, extract, extract_batch
 from .signal import N_CHANNELS, N_SAMPLES, NON_ODDBALL, ODDBALL, SessionSynthesizer, SubjectModel, preprocess
 from .speller import EXITED, STAGE1, Dictionary, SessionLog, Speller
 
@@ -252,9 +252,9 @@ def cross_validate(
             raise RuntimeError("could not stratify folds with both classes present")
         assignments.append(assignment)
 
-    # the fold fits load scipy.linalg; loaded here, the forked workers inherit
-    # it instead of each importing it
-    import scipy.linalg  # noqa: F401
+    # the fold fits call LAPACK; loaded here, the forked workers inherit it
+    # instead of each loading it
+    _lapack()
 
     jobs = [(r, k) for r in range(repeats) for k in range(folds)]
     counts = fork_map(_fold_counts, jobs, (x, y, assignments, eta, m_max))
@@ -492,6 +492,8 @@ def session_row(subject: str, iti_ms: float, report: SessionReport) -> dict:
 
 def _write_csv(path, rows: list[dict]) -> None:
     """One header line, the keys of the first row, then one line per row."""
+    if not rows:
+        raise ValueError("no rows to write")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()

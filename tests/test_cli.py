@@ -126,8 +126,7 @@ def _loaded_after(argv: list[str]) -> dict:
         "from spellersim import _fork\n"
         "from spellersim.cli import main\n"
         f"assert main({argv!r}) == 0\n"
-        "names = ('scipy', 'scipy.linalg', 'scipy.special', 'scipy.signal')\n"
-        "mods = [m for m in names if m in sys.modules]\n"
+        "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "maps = '/proc/self/maps'\n"
         "blas = 'scipy.libs/libscipy_openblas' in open(maps).read() if os.path.exists(maps) else None\n"
         "print(json.dumps({'modules': mods, 'scipy_blas': blas, 'pools': len(_fork._openblas_pools())}))\n"
@@ -140,8 +139,8 @@ def _loaded_after(argv: list[str]) -> dict:
 
 class TestImportsPerCommand:
     # scipy.linalg and scipy.special made up about 280 ms of every start-up;
-    # only the commands that fit a model (train, cv) need scipy.linalg, and
-    # none needs scipy.special
+    # the commands that fit a model (train, cv) load only scipy's LAPACK
+    # extension, and no command imports a scipy module
 
     def test_commands_that_fit_no_model_load_no_scipy_module(self, trained, tmp_path):
         from spellersim import _fork
@@ -162,13 +161,14 @@ class TestImportsPerCommand:
             # the pin finds scipy's OpenBLAS without importing scipy
             assert loaded["pools"] == pools, argv[0]
 
-    def test_train_loads_linalg_but_not_special(self, tmp_path):
+    def test_train_and_cv_load_no_scipy_module(self, tmp_path):
         cfg = tmp_path / "short.cfg"
         cfg.write_text("iti_ms = 160\nsubject = midsnr\ntrain_chars = 2\ncv_repeats = 1\ncv_folds = 2\n")
-        loaded = _loaded_after(["train", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "out")])
-        assert "scipy.linalg" in loaded["modules"]
-        assert "scipy.special" not in loaded["modules"]
-        assert "scipy.signal" not in loaded["modules"]
+        for command in ("train", "cv"):
+            loaded = _loaded_after([command, "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / command)])
+            assert loaded["modules"] == [], command
+            # the fits call LAPACK in scipy's bundled OpenBLAS
+            assert loaded["scipy_blas"] in (True, None), command
 
     def test_manifests_record_the_installed_scipy_version(self, trained, tmp_path, capsys):
         import scipy

@@ -1,5 +1,8 @@
 import json
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import scipy.linalg
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spellersim import classifier
+from spellersim import classifier, features
 from spellersim._container import load_container, save_container
 from spellersim.features import (
     BranchDiscriminant,
@@ -27,9 +30,12 @@ from spellersim.features import (
     _EIG_TOL,
     _branch_scores,
     _class_eigensystem,
+    _eigh_top,
+    _fisher_direction,
     _fit_subspace,
     _fit_with_training_features,
     _fix_signs,
+    _lapack,
     _mean_offset_direction,
 )
 from spellersim.signal import NON_ODDBALL, ODDBALL
@@ -440,7 +446,7 @@ def test_subspace_fit_matches_full_spectrum_oracle(case):
         x_c = x[mask]
         new = _fit_subspace(x, mask, global_mean, eta, m_max, oddball)
         old, old_deficient = _oracle_fit_subspace(x_c, global_mean, eta, m_max, oddball)
-        _, _, _, new_deficient = _class_eigensystem(x_c - x_c.mean(axis=0), m_max + 1)
+        _, _, _, new_deficient = _class_eigensystem(x_c - x_c.mean(axis=0), m_max + 1, False)
         assert new_deficient == old_deficient
         assert new.m == old.m
         assert np.array_equal(new.mean, old.mean)
@@ -455,7 +461,7 @@ def test_rank_rule_sees_rank_beyond_the_computed_spectrum():
     x, y, _, m_max = EQUIVALENCE_CASES["rank100_in_d480"]
     x_c = x[y]
     assert x_c.shape[0] - 1 >= x_c.shape[1]
-    eigvals, _, _, deficient = _class_eigensystem(x_c - x_c.mean(axis=0), m_max + 1)
+    eigvals, _, _, deficient = _class_eigensystem(x_c - x_c.mean(axis=0), m_max + 1, False)
     # every computed eigenvalue is well above the tolerance; only the
     # Cholesky test finds the 380 missing directions
     assert np.all(eigvals > 1e3 * _EIG_TOL * eigvals[0])
@@ -533,7 +539,7 @@ def test_in_place_subspace_fit_equals_the_out_of_place_fit_bitwise(case):
         assert _bits(new.basis) == _bits(old.basis)
         assert _bits(new.energy_fraction) == _bits(old.energy_fraction)
         centered = x_c - x_c.mean(axis=0)
-        got = _class_eigensystem(centered, m_max + 1)
+        got = _class_eigensystem(centered, m_max + 1, False)
         want = _out_of_place_class_eigensystem(centered, m_max + 1)
         assert got[3] == want[3] == old_deficient
         for a, b in zip(got[:3], want[:3]):
@@ -926,3 +932,201 @@ def test_gate_constants_are_read_only():
     assert all(type(v) is float for g in gate for cls in g for v in cls)
     with pytest.raises(TypeError):
         gate[0][0] = (0.0, 1.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the LAPACK calls against the scipy.linalg calls they replace
+
+
+def _scipy_fisher_direction(z, y):
+    """_fisher_direction as it was, through scipy.linalg.eigh."""
+    m = z.shape[1]
+    mu_o, mu_e = z[y].mean(axis=0), z[~y].mean(axis=0)
+    mu = z.mean(axis=0)
+    s_w = np.zeros((m, m))
+    for cls_mask, cls_mean in ((y, mu_o), (~y, mu_e)):
+        c = z[cls_mask] - cls_mean
+        s_w += c.T @ c
+    s_b = y.sum() * np.outer(mu_o - mu, mu_o - mu) + (~y).sum() * np.outer(mu_e - mu, mu_e - mu)
+    try:
+        w, v = scipy.linalg.eigh(s_b, s_w)
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
+            raise np.linalg.LinAlgError("non-finite generalized eigensystem")
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+        eps = 1e-6 * np.trace(s_w) / m
+        if eps <= 0.0:
+            eps = 1e-6
+        w, v = scipy.linalg.eigh(s_b, s_w + eps * np.eye(m))
+    t = v[:, np.argmax(w)]
+    return _fix_signs(t[None, :])[0] / np.linalg.norm(t)
+
+
+def _symmetric_cases():
+    """name: (symmetric matrix, k), the shapes the class fits hand to dsyevr."""
+    rng = np.random.default_rng(40)
+    x, y = _decaying_classes(rng, 268, 600, 480)
+    gram_rows = x[y] - x[y].mean(axis=0)
+    cov_rows = x[~y] - x[~y].mean(axis=0)
+    low = _low_rank_classes(rng, 500, 480, 100)[0][:500]
+    low -= low.mean(axis=0)
+    small = rng.normal(size=(12, 12))
+    return {
+        "gram_n_below_d": (gram_rows @ gram_rows.T / 267, 31),
+        "covariance": (cov_rows.T @ cov_rows / 599, 31),
+        "rank_deficient_covariance": (low.T @ low / 499, 31),
+        "k_equals_n": (small @ small.T, 12),
+        "k_is_1": (small @ small.T, 1),
+        "one_by_one": (np.array([[2.5]]), 1),
+    }
+
+
+SYMMETRIC_CASES = _symmetric_cases()
+
+
+@pytest.mark.parametrize("case", sorted(SYMMETRIC_CASES))
+def test_eigh_top_equals_scipy_eigh_bitwise(case):
+    a, k = SYMMETRIC_CASES[case]
+    n = a.shape[0]
+    before = a.tobytes()
+    w, v = _eigh_top(a, k)
+    want_w, want_v = scipy.linalg.eigh(a, subset_by_index=(n - k, n - 1), check_finite=False)
+    assert a.tobytes() == before
+    assert w.shape == (k,) and v.shape == (n, k)
+    assert _bits(w) == _bits(want_w)
+    assert _bits(v) == _bits(want_v)
+
+
+@pytest.mark.parametrize("case", sorted(SYMMETRIC_CASES))
+def test_rank_test_info_equals_scipy_dpotrf(case):
+    a, _ = SYMMETRIC_CASES[case]
+    shifted = a - _EIG_TOL * np.linalg.eigvalsh(a)[-1] * np.eye(a.shape[0])
+    _, info = _lapack().dpotrf(shifted.copy(), lower=True, clean=False, overwrite_a=True)
+    _, want = scipy.linalg.lapack.dpotrf(shifted.copy(), lower=True, clean=False, overwrite_a=True)
+    assert info == want
+    # a centered Gram matrix has rank n - 1, and neither it nor the
+    # rank-deficient covariance has a Cholesky factor once shifted
+    assert (info != 0) == (case in ("gram_n_below_d", "rank_deficient_covariance"))
+
+
+@pytest.fixture(scope="module")
+def midsnr_projections():
+    """Projections of a 160 ms midsnr session into its fitted subspaces."""
+    from spellersim.harness import ProtocolConfig, run_training
+    from spellersim.signal import preprocess, subject_preset
+
+    trials = run_training(ProtocolConfig(iti_ms=160.0), subject_preset("midsnr"), np.random.default_rng(0))
+    x, y = preprocess(trials.samples), trials.is_oddball
+    cpca = fit_cpca(x, y)
+    return {ODDBALL: cpca.oddball.project(x), NON_ODDBALL: cpca.non_oddball.project(x)}, y
+
+
+@pytest.mark.parametrize("name", [ODDBALL, NON_ODDBALL])
+def test_fisher_direction_equals_the_scipy_version_bitwise(midsnr_projections, name):
+    projections, y = midsnr_projections
+    z = projections[name]
+    assert z.shape[1] > 1
+    assert _bits(_fisher_direction(z, y)) == _bits(_scipy_fisher_direction(z, y))
+
+
+def test_fisher_direction_takes_the_same_fallback_on_singular_scatter():
+    # a constant column leaves the within-class scatter singular
+    rng = np.random.default_rng(41)
+    z = np.column_stack([rng.normal(size=(60, 3)), np.full(60, 2.0)])
+    y = np.arange(60) < 12
+    z[y, 0] += 1.5
+    s_w = sum((z[c] - z[c].mean(axis=0)).T @ (z[c] - z[c].mean(axis=0)) for c in (y, ~y))
+    s_b = np.outer(z[y].mean(axis=0) - z.mean(axis=0), z[y].mean(axis=0) - z.mean(axis=0))
+    # the first solve fails, so both versions regularize
+    assert _lapack().dsygvd(a=s_b, b=s_w)[-1] != 0
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.eigh(s_b, s_w)
+    assert _bits(_fisher_direction(z, y)) == _bits(_scipy_fisher_direction(z, y))
+
+
+def test_fisher_direction_rejects_non_finite_input_like_the_scipy_version():
+    z = np.random.default_rng(42).normal(size=(30, 3))
+    z[4, 1] = np.nan
+    y = np.arange(30) < 6
+    for fisher in (_fisher_direction, _scipy_fisher_direction):
+        with pytest.raises(ValueError):
+            fisher(z, y)
+
+
+def test_the_rank_test_runs_for_the_non_oddball_class_only(monkeypatch):
+    real = _lapack()
+    calls = []
+
+    class CountingLapack:
+        def __getattr__(self, name):
+            routine = getattr(real, name)
+            if name != "dpotrf":
+                return routine
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return routine(*args, **kwargs)
+
+            return counted
+
+    monkeypatch.setattr(features, "_lapack", CountingLapack)
+    # a full-rank oddball class: more rows than dimensions
+    x, y = _decaying_classes(np.random.default_rng(43), 481, 900, 480)
+    model = fit_cpca(x, y)
+    assert calls == ["dpotrf"]
+    monkeypatch.undo()
+    reference = fit_cpca(x, y)
+    for got, want in zip(model.subspaces(), reference.subspaces()):
+        assert _bits(got.basis) == _bits(want.basis)
+
+
+def test_lapack_without_scipy_raises_import_error(monkeypatch):
+    monkeypatch.setattr(features, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="LAPACK extension"):
+        _lapack.__wrapped__()
+
+
+def test_lapack_loads_without_scipy_linalg_in_either_order():
+    """A fresh interpreter that loads the extension before scipy.linalg, and
+    one that loads it after, give scipy.linalg's bits."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import hashlib, json, sys; sys.path.insert(0, {src!r})\n"
+        "import numpy as np\n"
+        "lapack_first = sys.argv[1] == 'lapack_first'\n"
+        "if not lapack_first:\n"
+        "    import scipy.linalg\n"
+        "from spellersim.features import _eigh_top, _lapack, fit_feature_model\n"
+        "rng = np.random.default_rng(44)\n"
+        "b = rng.normal(size=(300, 480))\n"
+        "a = b.T @ b\n"
+        "x = np.vstack([rng.normal(size=(60, 40)) + 1.0, rng.normal(size=(300, 40))])\n"
+        "y = np.arange(360) < 60\n"
+        "w, v = _eigh_top(a, 31)\n"
+        "model = fit_feature_model(x, y)\n"
+        "mine = hashlib.sha256(w.tobytes() + v.tobytes() + model.cpca.oddball.basis.tobytes()"
+        " + model.disc.non_oddball.t.tobytes()).hexdigest()\n"
+        "registered = 'scipy.linalg._flapack' in sys.modules\n"
+        "scipy_modules = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import scipy.linalg\n"
+        "w, v = scipy.linalg.eigh(a, subset_by_index=(449, 479), check_finite=False)\n"
+        "ref = hashlib.sha256(w.tobytes() + v.tobytes()).hexdigest()\n"
+        "w, v = _eigh_top(a, 31)\n"
+        "again = hashlib.sha256(w.tobytes() + v.tobytes()).hexdigest()\n"
+        "print(json.dumps({'mine': mine, 'ref': ref, 'again': again, 'registered': registered,"
+        " 'scipy_modules': scipy_modules if lapack_first else None}))\n"
+    )
+    out = {}
+    for order in ("lapack_first", "scipy_first"):
+        done = subprocess.run(
+            [sys.executable, "-c", code, order], check=True, capture_output=True, text=True, timeout=300
+        )
+        out[order] = json.loads(done.stdout.splitlines()[-1])
+    first, second = out["lapack_first"], out["scipy_first"]
+    # loaded first, the extension leaves no scipy module behind
+    assert first["scipy_modules"] == [] and not first["registered"]
+    # loaded after scipy.linalg, it is scipy.linalg's own module
+    assert second["registered"]
+    assert first["mine"] == second["mine"]
+    for run in (first, second):
+        assert run["again"] == run["ref"]
+    assert first["ref"] == second["ref"]

@@ -538,6 +538,12 @@ class TestTabularReports:
         assert float(rows[0]["accuracy_mean"]) == cv.accuracy_mean
         assert float(rows[0]["bits_per_trial"]) == cv.bits_per_trial
 
+    def test_an_empty_table_is_rejected(self, tmp_path):
+        path = tmp_path / "cv.csv"
+        with pytest.raises(ValueError, match="no rows to write"):
+            write_cv_csv(path, [])
+        assert not path.exists()
+
     def test_session_csv_round_trip(self, oracle, oracle_models, config_by_speed, tmp_path):
         cfg = config_by_speed["medium"]
         model, params = oracle_models["medium"]
