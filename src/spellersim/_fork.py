@@ -2,8 +2,9 @@
 
 `fork_map` runs independent jobs in forked worker processes. The workers
 inherit the shared inputs instead of receiving a pickled copy, run at one
-BLAS thread each, and the results come back in job order, so a caller that
-combines them in that order gets the same bits at any worker count.
+BLAS thread each and keep their heap between jobs, and the results come back
+in job order, so a caller that combines them in that order gets the same
+bits at any worker count.
 """
 from __future__ import annotations
 
@@ -75,9 +76,22 @@ _inputs: tuple = ()
 
 
 def _init_worker(fn, inputs: tuple) -> None:
-    """Keep the inherited job function and inputs."""
+    """Keep the inherited job function and inputs, and keep the heap between
+    jobs.
+
+    With glibc's defaults a fresh worker maps every array above 128 KB
+    afresh and gives freed heap back after each job, so every fold faults
+    its temporaries in again. Raising both thresholds keeps that memory for
+    the pool's life. Without glibc's mallopt this is a no-op."""
     global _fn, _inputs
     _fn, _inputs = fn, inputs
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's 64-bit ceiling
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
 
 
 def _run_job(job: tuple):

@@ -161,14 +161,27 @@ def _eigh_top(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return w[:m], v[:, :m]
 
 
-def _class_eigensystem(centered: np.ndarray, k: int, oddball: bool) -> tuple[np.ndarray, np.ndarray, float, bool]:
-    """Top-k eigenpairs of the sample covariance, its trace and whether the
-    subspace keeps the mean-offset direction.
+def _class_eigensystem(
+    x: np.ndarray, rows: np.ndarray, k: int, oddball: bool
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, float, bool]:
+    """Mean and eigensystem of the class whose rows of x the boolean mask
+    `rows` selects; oddball says whether that is the oddball class.
 
-    Returns eigenvalues (descending, at most k), eigenvectors (rows), the
-    covariance trace, and the offset rule: always for the oddball class,
-    otherwise when the covariance has an eigenvalue at or below _EIG_TOL
-    times the largest one."""
+    Returns the class mean, the scale below which eigenvalues are centering
+    dust, the top-k eigenpairs of the sample covariance (eigenvalues
+    descending, at most k; eigenvectors as rows), the covariance trace, and
+    the offset rule: always for the oddball class, otherwise when the
+    covariance has an eigenvalue at or below _EIG_TOL times the largest one.
+
+    The class is copied once and centered in place; x is left unchanged.
+    When the covariance is formed, the copy is freed before the eigensolve."""
+    centered = x[rows]
+    # identical samples leave centering dust ~ eps * |x|; treat it as zero.
+    # the class's largest |value|, taken before centering without an abs
+    # temporary
+    dust = (1e-10 * max(float(centered.max()), -float(centered.min()))) ** 2
+    mean = centered.mean(axis=0)
+    centered -= mean
     n, d = centered.shape
     if n - 1 < d:
         # method of snapshots: the n x n Gram matrix shares the nonzero
@@ -180,20 +193,23 @@ def _class_eigensystem(centered: np.ndarray, k: int, oddball: bool) -> tuple[np.
         v = centered.T @ u[:, ::-1]
         norms = np.linalg.norm(v, axis=0)
         v /= np.where(norms > 0.0, norms, 1.0)
-        return w[::-1], v.T, float(np.trace(gram)), True
+        return mean, dust, w[::-1], v.T, float(np.trace(gram)), True
     cov = centered.T @ centered
+    del centered
     cov /= n - 1
     k = min(k, d)
     w, v = _eigh_top(cov, k)
     w, v = w[::-1], v[:, ::-1].T
     trace = float(np.trace(cov))
     if oddball:
-        return w, v, trace, True
+        return mean, dust, w, v, trace, True
     # every eigenvalue exceeds the tolerance iff the shifted matrix is
-    # positive definite; the top-k spectrum alone cannot see a rank above k
+    # positive definite; the top-k spectrum alone cannot see a rank above k.
+    # cov is exactly symmetric, so its transpose is the same matrix in the
+    # Fortran order LAPACK factors in place, without a copy
     cov.flat[:: d + 1] -= _EIG_TOL * max(w[0], 0.0)
-    _, info = _lapack().dpotrf(cov, lower=True, clean=False, overwrite_a=True)
-    return w, v, trace, info != 0
+    _, info = _lapack().dpotrf(cov.T, lower=True, clean=False, overwrite_a=True)
+    return mean, dust, w, v, trace, info != 0
 
 
 def _mean_offset_direction(mean: np.ndarray, global_mean: np.ndarray, basis: np.ndarray | None) -> np.ndarray | None:
@@ -213,17 +229,8 @@ def _fit_subspace(
     x: np.ndarray, rows: np.ndarray, global_mean: np.ndarray, eta: float, m_max: int, oddball: bool
 ) -> ClassSubspace:
     """Subspace of the class whose rows of x the boolean mask `rows` selects;
-    oddball says whether that is the oddball class.
-
-    The class is copied once and centered in place, so the fit holds one
-    class-sized array; x is left unchanged."""
-    x_c = x[rows]
-    # identical samples leave centering dust ~ eps * |x|; treat it as zero.
-    # max(|x_c|), taken before centering without an abs temporary
-    dust = (1e-10 * max(float(x_c.max()), -float(x_c.min()))) ** 2
-    mean = x_c.mean(axis=0)
-    x_c -= mean
-    eigvals, vecs, trace, keep_offset = _class_eigensystem(x_c, m_max + 1, oddball)
+    oddball says whether that is the oddball class. x is left unchanged."""
+    mean, dust, eigvals, vecs, trace, keep_offset = _class_eigensystem(x, rows, m_max + 1, oddball)
     eigvals = np.clip(eigvals, 0.0, None)
     if eigvals.size == 0 or eigvals[0] <= dust:
         # degenerate class: all samples identical. Fall back to the single

@@ -31,7 +31,7 @@ from .alphabet import (
 from .channel import ChannelSpec, ConfusionMatrix, ItrReport, mutual_information, per_trial_itr_from_session, practical_itr
 from .classifier import ClassifierParams, classify, decide_batch, fit as fit_classifier, posterior_oddball, with_theta
 from .features import FeatureModel, _fit_with_training_features, _lapack, extract, extract_batch
-from .signal import N_CHANNELS, N_SAMPLES, NON_ODDBALL, ODDBALL, SessionSynthesizer, SubjectModel, preprocess
+from .signal import FEATURE_DIM, NON_ODDBALL, ODDBALL, SessionSynthesizer, SubjectModel, preprocess
 from .speller import EXITED, STAGE1, Dictionary, SessionLog, Speller
 
 __all__ = [
@@ -109,18 +109,24 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class TrialBatch:
-    """A labeled session, one column per field: trial i is the (8, 80)
-    window samples[i], an oddball iff is_oddball[i]."""
+    """A labeled session, one column per field: trial i is the preprocessed
+    480-D row vectors[i] of its window, an oddball iff is_oddball[i]."""
 
-    samples: np.ndarray     # (n, 8, 80) microvolt
+    vectors: np.ndarray     # (n, FEATURE_DIM) float64, microvolt
     is_oddball: np.ndarray  # (n,) bool
 
     def __post_init__(self) -> None:
-        if len(self.samples) != len(self.is_oddball):
-            raise ValueError("trial batch columns must have the same length")
+        shape = np.shape(self.vectors)
+        if len(shape) != 2 or shape[1] != FEATURE_DIM:
+            raise ValueError(f"trial vectors must have shape (n, {FEATURE_DIM}), got {shape}")
+        if shape[0] != len(self.is_oddball):
+            raise ValueError(
+                f"trial batch columns must have the same length: (n, {FEATURE_DIM}) vectors "
+                f"and n labels, got {shape[0]} vectors and {len(self.is_oddball)} labels"
+            )
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.vectors)
 
 
 @dataclass(frozen=True)
@@ -154,7 +160,8 @@ def run_training(
     Each target character gets floor(30 s / ITI) consecutive trials on its
     own signal timeline, so evoked responses bleed between that block's
     overlapping windows but not across blocks. A trial is an oddball iff the
-    target's group is the one illuminated."""
+    target's group is the one illuminated. Each window is kept only as its
+    preprocessed row."""
     frequency = frequency if frequency is not None else default_frequency_table()
     cdf = build_cdf(frequency)
     letters = [s for s in default_character_set().symbols if s.isalpha()]
@@ -166,7 +173,7 @@ def run_training(
     step_s = (config.iti_ms + config.overhead_ms) / 1000.0
     per_char = config.trials_per_char
     n = config.train_trial_count
-    samples = np.empty((n, N_CHANNELS, N_SAMPLES))
+    vectors = np.empty((n, FEATURE_DIM))
     is_oddball = np.empty(n, dtype=bool)
     i = 0
     for target in targets:
@@ -175,10 +182,10 @@ def run_training(
         while produced < per_char:
             for group in form_cycle(draw_permutation(cdf, rng))[: per_char - produced]:
                 is_oddball[i] = is_odd = target in group
-                samples[i] = synth.trial(produced * step_s, is_odd)
+                vectors[i] = preprocess(synth.trial(produced * step_s, is_odd))
                 i += 1
                 produced += 1
-    return TrialBatch(samples, is_oddball)
+    return TrialBatch(vectors, is_oddball)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +239,9 @@ def cross_validate(
         rng = np.random.default_rng(0)
     if repeats < 1 or folds < 2:
         raise ValueError("need repeats >= 1 and folds >= 2")
-    x, y = preprocess(trials.samples), trials.is_oddball
+    x, y = trials.vectors, trials.is_oddball
+    if not np.isfinite(x).all():
+        raise ValueError("trial vectors must be finite")
     for cls in (True, False):
         if int(np.sum(y == cls)) < folds:
             raise ValueError("need at least one trial per class per fold")
@@ -305,7 +314,7 @@ def subsample_check(
         ]
     )
     pick.sort()
-    return cross_validate(TrialBatch(trials.samples[pick], trials.is_oddball[pick]), rng=rng, **cv_kwargs)
+    return cross_validate(TrialBatch(trials.vectors[pick], trials.is_oddball[pick]), rng=rng, **cv_kwargs)
 
 
 def fit_final_model(
@@ -316,7 +325,7 @@ def fit_final_model(
 
     The classifier keeps the design priors (1:6), not the realized label
     counts; thresholds are applied per mode at decision time."""
-    x, y = preprocess(trials.samples), trials.is_oddball
+    x, y = trials.vectors, trials.is_oddball
     with _one_blas_thread():
         model, f_train = _fit_with_training_features(x, y, config.eta, config.m_max)
     params = fit_classifier(f_train, y, priors=ONLINE_PRIORS)

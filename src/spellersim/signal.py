@@ -5,8 +5,7 @@ locked to a stimulus onset. Oddball trials carry an evoked-response template
 (negativity ~190 ms strongest occipitally, positivity ~290 ms on all
 channels) on top of Gaussian noise; non-oddball trials are noise only.
 Preprocessing discards the first 100 ms of every channel and flattens the
-8 x 60 remainder channel-major into a 480-dimensional vector; a stack of
-windows is preprocessed in one call.
+8 x 60 remainder channel-major into a 480-dimensional vector.
 
 Trials are cut from one continuous rolling signal per session timeline, so
 that at short inter-trial intervals the response evoked by one stimulus
@@ -160,20 +159,15 @@ def _erp_fires(subject: SubjectModel, rng: np.random.Generator) -> tuple[bool, f
 
 
 def preprocess(samples: np.ndarray) -> np.ndarray:
-    """Truncate the first 100 ms and flatten channel-major to 480-D.
-
-    Takes one (8, 80) window or an (n, 8, 80) stack and returns (480,) or
-    (n, 480). Layout: out[..., c * 60 + k] = samples[..., c, 20 + k].
+    """Truncate the first 100 ms of one (8, 80) window and flatten it
+    channel-major to a new 480-D vector: out[c * 60 + k] = samples[c, 20 + k].
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim not in (2, 3) or samples.shape[-2:] != (N_CHANNELS, N_SAMPLES):
-        raise ValueError(
-            f"expected {(N_CHANNELS, N_SAMPLES)} or (n, {N_CHANNELS}, {N_SAMPLES}) samples, "
-            f"got {samples.shape}"
-        )
+    if samples.shape != (N_CHANNELS, N_SAMPLES):
+        raise ValueError(f"expected {(N_CHANNELS, N_SAMPLES)} samples, got {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
-    return samples[..., DISCARD_SAMPLES:].reshape(samples.shape[:-2] + (FEATURE_DIM,))
+    return samples[:, DISCARD_SAMPLES:].reshape(FEATURE_DIM)
 
 
 class SessionSynthesizer:

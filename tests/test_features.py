@@ -2,6 +2,7 @@ import json
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -446,7 +447,7 @@ def test_subspace_fit_matches_full_spectrum_oracle(case):
         x_c = x[mask]
         new = _fit_subspace(x, mask, global_mean, eta, m_max, oddball)
         old, old_deficient = _oracle_fit_subspace(x_c, global_mean, eta, m_max, oddball)
-        _, _, _, new_deficient = _class_eigensystem(x_c - x_c.mean(axis=0), m_max + 1, False)
+        new_deficient = _class_eigensystem(x, mask, m_max + 1, False)[-1]
         assert new_deficient == old_deficient
         assert new.m == old.m
         assert np.array_equal(new.mean, old.mean)
@@ -461,7 +462,7 @@ def test_rank_rule_sees_rank_beyond_the_computed_spectrum():
     x, y, _, m_max = EQUIVALENCE_CASES["rank100_in_d480"]
     x_c = x[y]
     assert x_c.shape[0] - 1 >= x_c.shape[1]
-    eigvals, _, _, deficient = _class_eigensystem(x_c - x_c.mean(axis=0), m_max + 1, False)
+    _, _, eigvals, _, _, deficient = _class_eigensystem(x, y, m_max + 1, False)
     # every computed eigenvalue is well above the tolerance; only the
     # Cholesky test finds the 380 missing directions
     assert np.all(eigvals > 1e3 * _EIG_TOL * eigvals[0])
@@ -538,9 +539,8 @@ def test_in_place_subspace_fit_equals_the_out_of_place_fit_bitwise(case):
         assert new.basis.shape == old.basis.shape
         assert _bits(new.basis) == _bits(old.basis)
         assert _bits(new.energy_fraction) == _bits(old.energy_fraction)
-        centered = x_c - x_c.mean(axis=0)
-        got = _class_eigensystem(centered, m_max + 1, False)
-        want = _out_of_place_class_eigensystem(centered, m_max + 1)
+        got = _class_eigensystem(x, mask, m_max + 1, False)[2:]
+        want = _out_of_place_class_eigensystem(x_c - x_c.mean(axis=0), m_max + 1)
         assert got[3] == want[3] == old_deficient
         for a, b in zip(got[:3], want[:3]):
             assert _bits(a) == _bits(b)
@@ -818,7 +818,7 @@ def online_models():
     with 11,220 rows from six other training sessions (the oracle's rows
     also carry noise at six levels, since its own windows barely vary)."""
     from spellersim.harness import ProtocolConfig, fit_final_model, run_training
-    from spellersim.signal import preprocess, subject_preset
+    from spellersim.signal import subject_preset
 
     config = ProtocolConfig(iti_ms=160.0)
     out = {}
@@ -826,12 +826,9 @@ def online_models():
         subject = subject_preset(name)
         model, _ = fit_final_model(run_training(config, subject, np.random.default_rng(0)), config)
         if name == "midsnr":
-            rows = np.vstack([
-                preprocess(run_training(config, subject, np.random.default_rng(seed)).samples)
-                for seed in range(1, 7)
-            ])
+            rows = np.vstack([run_training(config, subject, np.random.default_rng(seed)).vectors for seed in range(1, 7)])
         else:
-            clean = preprocess(run_training(config, subject, np.random.default_rng(1)).samples)
+            clean = run_training(config, subject, np.random.default_rng(1)).vectors
             noise = np.random.default_rng(2).normal(size=(6,) + clean.shape)
             rows = np.vstack([clean + s * n for s, n in zip((0.0, 0.01, 0.3, 1.0, 3.0, 15.0), noise)])
         out[name] = (model, rows)
@@ -1012,10 +1009,10 @@ def test_rank_test_info_equals_scipy_dpotrf(case):
 def midsnr_projections():
     """Projections of a 160 ms midsnr session into its fitted subspaces."""
     from spellersim.harness import ProtocolConfig, run_training
-    from spellersim.signal import preprocess, subject_preset
+    from spellersim.signal import subject_preset
 
     trials = run_training(ProtocolConfig(iti_ms=160.0), subject_preset("midsnr"), np.random.default_rng(0))
-    x, y = preprocess(trials.samples), trials.is_oddball
+    x, y = trials.vectors, trials.is_oddball
     cpca = fit_cpca(x, y)
     return {ODDBALL: cpca.oddball.project(x), NON_ODDBALL: cpca.non_oddball.project(x)}, y
 
@@ -1077,6 +1074,42 @@ def test_the_rank_test_runs_for_the_non_oddball_class_only(monkeypatch):
     reference = fit_cpca(x, y)
     for got, want in zip(model.subspaces(), reference.subspaces()):
         assert _bits(got.basis) == _bits(want.basis)
+
+
+def test_the_covariance_fit_frees_its_class_copy_and_factors_in_place(monkeypatch):
+    real_lapack, real_eigh_top = _lapack(), features._eigh_top
+    seen = {}
+
+    def eigh_top(a, k):
+        seen["traced_at_eigensolve"] = tracemalloc.get_traced_memory()[0]
+        return real_eigh_top(a, k)
+
+    class InPlaceLapack:
+        def __getattr__(self, name):
+            routine = getattr(real_lapack, name)
+            if name != "dpotrf":
+                return routine
+
+            def dpotrf(a, **kwargs):
+                factor, info = routine(a, **kwargs)
+                seen["in_place"] = np.shares_memory(factor, a)
+                return factor, info
+
+            return dpotrf
+
+    x, y = _decaying_classes(np.random.default_rng(44), 60, 1200, 480)
+    reference = _fit_subspace(x, ~y, x.mean(axis=0), 0.9, 30, False)
+    monkeypatch.setattr(features, "_eigh_top", eigh_top)
+    monkeypatch.setattr(features, "_lapack", InPlaceLapack)
+    tracemalloc.start()
+    try:
+        sub = _fit_subspace(x, ~y, x.mean(axis=0), 0.9, 30, False)
+    finally:
+        tracemalloc.stop()
+    # the 7.4 MB class copy is gone; the 1.8 MB covariance remains
+    assert seen["traced_at_eigensolve"] < 1200 * 480 * 8 / 2
+    assert seen["in_place"]
+    assert _bits(sub.basis) == _bits(reference.basis)
 
 
 def test_lapack_without_scipy_raises_import_error(monkeypatch):

@@ -5,12 +5,19 @@ import math
 import multiprocessing
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spellersim import _fork, harness, speller
-from spellersim.alphabet import build_cdf, default_character_set
+from spellersim.alphabet import (
+    build_cdf,
+    default_character_set,
+    default_frequency_table,
+    draw_permutation,
+    form_cycle,
+)
 from spellersim.channel import ChannelSpec, ConfusionMatrix, mutual_information
 from spellersim.classifier import decide_batch, fit as fit_classifier
 from spellersim.features import _fit_with_training_features, extract_batch
@@ -31,7 +38,14 @@ from spellersim.harness import (
     write_session_csv,
 )
 from spellersim.seeding import substream
-from spellersim.signal import preprocess, subject_preset
+from spellersim.signal import (
+    DISCARD_SAMPLES,
+    FEATURE_DIM,
+    N_CHANNELS,
+    N_SAMPLES,
+    SessionSynthesizer,
+    subject_preset,
+)
 from spellersim.speller import Speller, load_session_log
 
 SPEEDS = ("slow", "medium", "fast")
@@ -119,7 +133,8 @@ class TestRunTraining:
     def test_session_lengths(self, speed, oracle_recordings):
         (trials, groups, onsets), n = oracle_recordings[speed], EXPECTED_TRAIN_COUNTS[speed]
         assert len(trials) == len(groups) == len(onsets) == n
-        assert trials.samples.shape == (n, 8, 80)
+        assert trials.vectors.shape == (n, FEATURE_DIM)
+        assert trials.vectors.dtype == np.float64
         assert trials.is_oddball.shape == (n,)
         assert trials.is_oddball.dtype == bool
 
@@ -156,13 +171,90 @@ class TestRunTraining:
         assert len(a) == len(b)
         assert a_groups == b_groups
         assert np.array_equal(a.is_oddball, b.is_oddball)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a.vectors, b.vectors)
         assert a_onsets == b_onsets
 
     def test_batch_rejects_columns_of_different_lengths(self, oracle_sessions):
         trials = oracle_sessions["slow"]
         with pytest.raises(ValueError, match="same length"):
-            TrialBatch(trials.samples, trials.is_oddball[:-1])
+            TrialBatch(trials.vectors, trials.is_oddball[:-1])
+
+    @pytest.mark.parametrize(
+        "shape, labels",
+        [((10, N_CHANNELS, N_SAMPLES), 10), ((FEATURE_DIM,), FEATURE_DIM), ((10, FEATURE_DIM), 9), ((10, 60), 10)],
+        ids=["windows", "one_row", "lengths", "width"],
+    )
+    def test_batch_names_the_row_shape_it_needs(self, shape, labels):
+        with pytest.raises(ValueError, match=rf"\(n, {FEATURE_DIM}\)"):
+            TrialBatch(np.zeros(shape), np.zeros(labels, dtype=bool))
+
+    @pytest.mark.parametrize("speed", SPEEDS)
+    @pytest.mark.parametrize("subject", ["oracle", "midsnr"])
+    def test_rows_equal_the_preprocessed_windows_of_the_replaced_session(self, subject, speed, config_by_speed):
+        config = config_by_speed[speed]
+        trials = run_training(config, subject_preset(subject), np.random.default_rng(12))
+        windows, labels = _run_training_windows(config, subject_preset(subject), np.random.default_rng(12))
+        want = _preprocess_stack(windows)
+        assert trials.vectors.dtype == want.dtype and trials.vectors.shape == want.shape
+        assert trials.vectors.tobytes() == want.tobytes()
+        assert np.array_equal(trials.is_oddball, labels)
+
+
+def _run_training_windows(config, subject, rng):
+    """run_training as it was: the session's (n, 8, 80) windows and labels."""
+    cdf = build_cdf(default_frequency_table())
+    letters = [s for s in default_character_set().symbols if s.isalpha()]
+    targets = [letters[int(i)] for i in rng.choice(len(letters), size=config.train_chars, replace=False)]
+    step_s = (config.iti_ms + config.overhead_ms) / 1000.0
+    per_char = config.trials_per_char
+    n = config.train_trial_count
+    samples = np.empty((n, N_CHANNELS, N_SAMPLES))
+    is_oddball = np.empty(n, dtype=bool)
+    i = 0
+    for target in targets:
+        synth = SessionSynthesizer(subject, rng)
+        produced = 0
+        while produced < per_char:
+            for group in form_cycle(draw_permutation(cdf, rng))[: per_char - produced]:
+                is_oddball[i] = is_odd = target in group
+                samples[i] = synth.trial(produced * step_s, is_odd)
+                i += 1
+                produced += 1
+    return samples, is_oddball
+
+
+def _preprocess_stack(samples):
+    """preprocess of an (n, 8, 80) stack as it was, in one call."""
+    samples = np.asarray(samples, dtype=float)
+    return samples[..., DISCARD_SAMPLES:].reshape(samples.shape[:-2] + (FEATURE_DIM,))
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCalibrationMemory:
+    """A calibration session is held once, as its rows: a fast_midsnr session
+    has 1,870 rows of 480 doubles, 7.2 MB."""
+
+    config = ProtocolConfig(iti_ms=160.0)
+
+    def test_a_session_costs_about_its_rows(self):
+        trials, peak = _traced_peak(run_training, self.config, subject_preset("midsnr"), substream(0, "train"))
+        rows = trials.vectors.nbytes
+        assert rows == self.config.train_trial_count * FEATURE_DIM * 8
+        assert peak < 1.25 * rows
+
+    def test_the_final_fit_holds_one_class_copy_at_a_time(self):
+        trials = run_training(self.config, subject_preset("midsnr"), substream(0, "train"))
+        _, peak = _traced_peak(fit_final_model, trials, self.config)
+        assert peak < 1.5 * trials.vectors.nbytes
 
 
 class TestCrossValidate:
@@ -202,6 +294,14 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(oracle_sessions["slow"], folds=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rows(self, oracle_sessions, bad):
+        trials = oracle_sessions["slow"]
+        vectors = trials.vectors.copy()
+        vectors[17, 300] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cross_validate(TrialBatch(vectors, trials.is_oddball), repeats=1)
+
     def test_result_validation(self):
         conf = ConfusionMatrix.perfect()
         with pytest.raises(ValueError):
@@ -213,7 +313,7 @@ class TestCrossValidate:
 def _cross_validate_one_by_one(trials, repeats, folds, rng, eta=0.9, m_max=30):
     """The serial loop the fold pool replaced: each repeat draws its folds
     right before fitting them."""
-    x, y = preprocess(trials.samples), trials.is_oddball
+    x, y = trials.vectors, trials.is_oddball
     accuracies = []
     hits = omissions = false_alarms = rejections = 0
     for _ in range(repeats):
@@ -407,6 +507,13 @@ class TestFitFinalModel:
         assert params.prior_e == ONLINE_PRIORS[1]
         assert model.cpca.oddball.m <= 30
         assert model.cpca.non_oddball.m <= 30
+
+    def test_rejects_non_finite_rows(self, oracle_sessions, config_by_speed):
+        trials = oracle_sessions["slow"]
+        vectors = trials.vectors.copy()
+        vectors[3, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            fit_final_model(TrialBatch(vectors, trials.is_oddball), config_by_speed["slow"])
 
 
 class TestOracleOnline:

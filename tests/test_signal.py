@@ -108,23 +108,15 @@ def test_preprocess_layout_and_linearity():
 
 
 def test_preprocess_accepts_trial_and_validates():
-    rng = np.random.default_rng(0)
-    batch = rng.normal(size=(5, N_CHANNELS, N_SAMPLES))
-    x = preprocess(batch)
-    assert x.shape == (5, FEATURE_DIM)
-    for i in range(5):
-        assert np.array_equal(x[i], preprocess(batch[i]))
-    assert preprocess(batch[:0]).shape == (0, FEATURE_DIM)
-    with pytest.raises(ValueError):
-        preprocess(np.zeros((N_CHANNELS, 10)))
-    with pytest.raises(ValueError):
-        preprocess(np.zeros((5, N_CHANNELS, 10)))
-    with pytest.raises(ValueError):
-        preprocess(np.zeros((2, 5, N_CHANNELS, N_SAMPLES)))
-    with pytest.raises(ValueError):
-        preprocess(np.zeros(N_SAMPLES))
-    bad = batch.copy()
-    bad[3, 2, 40] = np.nan
+    window = np.random.default_rng(0).normal(size=(N_CHANNELS, N_SAMPLES))
+    x = preprocess(window)
+    assert x.shape == (FEATURE_DIM,)
+    assert not np.shares_memory(x, window)
+    for shape in ((N_CHANNELS, 10), (5, N_CHANNELS, N_SAMPLES), (2, 5, N_CHANNELS, N_SAMPLES), (N_SAMPLES,)):
+        with pytest.raises(ValueError, match=r"\(8, 80\)"):
+            preprocess(np.zeros(shape))
+    bad = window.copy()
+    bad[2, 40] = np.nan
     with pytest.raises(ValueError, match="finite"):
         preprocess(bad)
 
@@ -266,25 +258,10 @@ def test_training_session_matches_full_buffer_reference(monkeypatch, training_se
     monkeypatch.setattr("spellersim.harness.SessionSynthesizer", FullBufferSynthesizer)
     reference, ref_groups, ref_onsets = recorded_training(config, subject_preset("midsnr"), np.random.default_rng(4))
     assert len(trials) == len(reference) == config.train_trial_count
-    assert np.array_equal(trials.samples, reference.samples)
+    assert np.array_equal(trials.vectors, reference.vectors)
     assert np.array_equal(trials.is_oddball, reference.is_oddball)
     assert groups == ref_groups
     assert onsets == ref_onsets
-
-
-def _preprocess_one_by_one(samples):
-    """The per-trial path the batch call replaced: truncate and flatten each
-    window into its own copy, then stack the copies."""
-    return np.stack([w[:, DISCARD_SAMPLES:].reshape(FEATURE_DIM).copy() for w in samples])
-
-
-@pytest.mark.parametrize("iti_ms", [160.0, 400.0])
-def test_batch_preprocess_matches_per_trial_reference(training_sessions, iti_ms):
-    samples = training_sessions[iti_ms][0].samples
-    x = preprocess(samples)
-    want = _preprocess_one_by_one(samples)
-    assert x.shape == want.shape and x.dtype == want.dtype
-    assert x.tobytes() == want.tobytes()
 
 
 def test_session_buffer_stays_bounded():
