@@ -9,7 +9,6 @@ early groups, and what that buys a two-stage selection interface.
 import numpy as np
 
 from spellersim.alphabet import (
-    build_cdf,
     default_frequency_table,
     draw_permutation,
     form_cycle,
@@ -30,8 +29,7 @@ for prob, symbol in top6:
 # One biased permutation: draw symbols one at a time through the inverse
 # CDF, renormalizing over whatever remains. Frequent symbols tend to come
 # out first, so they land in the first groups of the cycle.
-cdf = build_cdf(table)
-order = draw_permutation(cdf, rng)
+order = draw_permutation(table, rng)
 groups = form_cycle(order)
 print("\nfirst group of one draw:", " ".join(groups[0]))
 

@@ -21,15 +21,12 @@ __all__ = [
     "SPACE",
     "BACKSPACE",
     "EXIT",
-    "CharacterSet",
+    "SYMBOLS",
     "FrequencyTable",
-    "Cdf",
     "GroupStats",
-    "default_character_set",
     "default_frequency_table",
     "uniform_frequency_table",
     "load_frequency_table",
-    "build_cdf",
     "draw_permutation",
     "draw_permutations",
     "form_cycle",
@@ -45,28 +42,9 @@ _DIGITS = tuple("0123456789")
 _PUNCT = (".", ",", "?")
 
 
-@dataclass(frozen=True)
-class CharacterSet:
-    """An ordered 42-symbol alphabet laid out on a 6x7 grid (row-major)."""
-
-    symbols: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.symbols) != 42:
-            raise ValueError(f"need 42 symbols, got {len(self.symbols)}")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("symbols must be distinct")
-        for required in (SPACE, BACKSPACE, EXIT):
-            if required not in self.symbols:
-                raise ValueError(f"missing required symbol {required!r}")
-        for letter in _LETTERS:
-            if letter not in self.symbols:
-                raise ValueError(f"missing letter {letter!r}")
-
-
-def default_character_set() -> CharacterSet:
-    """Letters, digits, space/backspace/exit and basic punctuation (42 total)."""
-    return CharacterSet(_LETTERS + _DIGITS + (SPACE, BACKSPACE, EXIT) + _PUNCT)
+# The typing alphabet, laid out on the 6x7 grid row by row: letters, digits,
+# space/backspace/exit and basic punctuation.
+SYMBOLS = _LETTERS + _DIGITS + (SPACE, BACKSPACE, EXIT) + _PUNCT
 
 
 def _index_of(symbols: tuple[str, ...], symbol: str) -> int:
@@ -76,6 +54,21 @@ def _index_of(symbols: tuple[str, ...], symbol: str) -> int:
         raise ValueError(f"unknown symbol {symbol!r}") from None
 
 
+def _masses(probs: np.ndarray) -> np.ndarray:
+    """Read-only draw weights: the steps of the running sum of probs from 0,
+    as np.diff(np.cumsum(probs), prepend=0.0).
+
+    _draw_batch counts running sums at or below its target, which needs
+    positive steps; a probability too small to move the sum has none."""
+    cum = np.cumsum(probs)
+    masses = cum.copy()
+    masses[1:] -= cum[:-1]
+    if (masses <= 0.0).any():
+        raise ValueError("every probability must move the cumulative sum")
+    masses.flags.writeable = False
+    return masses
+
+
 @dataclass(frozen=True)
 class FrequencyTable:
     """Per-symbol selection probabilities, the bias source for randomization."""
@@ -83,6 +76,7 @@ class FrequencyTable:
     symbols: tuple[str, ...]
     probs: np.ndarray
     source: str = ""
+    masses: np.ndarray = field(init=False, repr=False, compare=False)  # what draws weigh by
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
@@ -102,6 +96,7 @@ class FrequencyTable:
         # the space symbol must carry the largest mass (ties allowed: uniform table)
         if float(probs[self.symbols.index(SPACE)]) < float(np.max(probs)) - 1e-15:
             raise ValueError("space symbol must carry the largest probability")
+        object.__setattr__(self, "masses", _masses(probs))
 
     def restrict(self, subset: tuple[str, ...]) -> "FrequencyTable":
         """Renormalized table over a subset of symbols, preserving table order.
@@ -128,6 +123,7 @@ class FrequencyTable:
         p.flags.writeable = False
         object.__setattr__(table, "probs", p)
         object.__setattr__(table, "source", self.source)
+        object.__setattr__(table, "masses", _masses(p))
         return table
 
 
@@ -162,39 +158,6 @@ def default_frequency_table() -> FrequencyTable:
     with resources.as_file(ref) as path:
         table = load_frequency_table(path)
     return FrequencyTable(table.symbols, table.probs, source="builtin English table")
-
-
-@dataclass(frozen=True)
-class Cdf:
-    """Cumulative lookup table over a fixed symbol order."""
-
-    symbols: tuple[str, ...]
-    breakpoints: np.ndarray
-    masses: np.ndarray = field(init=False, repr=False, compare=False)  # read-only breakpoint steps
-
-    def __post_init__(self) -> None:
-        br = np.asarray(self.breakpoints, dtype=float)
-        br.flags.writeable = False
-        object.__setattr__(self, "breakpoints", br)
-        if br.size != len(self.symbols):
-            raise ValueError("breakpoint/symbol length mismatch")
-        # _draw_batch counts running sums at or below its target, which needs
-        # finite, non-negative masses
-        if br.ndim != 1 or br.size == 0 or not np.all(np.isfinite(br)):
-            raise ValueError("breakpoints must be a finite and non-empty 1-D array")
-        masses = br.copy()  # the steps of br from 0, as np.diff(br, prepend=0.0)
-        masses[1:] -= br[:-1]
-        if (masses <= 0.0).any():
-            raise ValueError("breakpoints must be strictly increasing and positive")
-        if abs(float(br[-1]) - 1.0) > 1e-12:
-            raise ValueError("final breakpoint must equal 1")
-        masses.flags.writeable = False
-        object.__setattr__(self, "masses", masses)
-
-
-def build_cdf(freq: FrequencyTable) -> Cdf:
-    """Integrate the frequency table into a cumulative lookup table."""
-    return Cdf(freq.symbols, np.cumsum(freq.probs))
 
 
 # Symbols lit together on one stage-1 trial: a cycle is 7 groups of 6.
@@ -271,33 +234,33 @@ def _check_runs(n_runs) -> None:
         raise ValueError("n_runs must be >= 1")
 
 
-def draw_permutation(cdf: Cdf, rng: np.random.Generator) -> tuple[str, ...]:
+def draw_permutation(table: FrequencyTable, rng: np.random.Generator) -> tuple[str, ...]:
     """Draw one biased permutation of all symbols without replacement.
 
     Parameters
     ----------
-    cdf : Cdf
-        Cumulative table built from the frequency table.
+    table : FrequencyTable
+        The symbols and the masses they are drawn by.
     rng : numpy Generator
-        Consumes exactly len(cdf.symbols) uniforms.
+        Consumes exactly len(table.symbols) uniforms.
 
     Returns
     -------
     tuple of symbols, most-probable-first in expectation.
     """
-    u = rng.random(len(cdf.symbols))
-    return tuple(cdf.symbols[i] for i in _draw_row(cdf.masses.tolist(), u.tolist()))
+    u = rng.random(len(table.symbols))
+    return tuple(table.symbols[i] for i in _draw_row(table.masses.tolist(), u.tolist()))
 
 
-def draw_permutations(cdf: Cdf, n_runs: int, rng: np.random.Generator) -> np.ndarray:
+def draw_permutations(table: FrequencyTable, n_runs: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n_runs independent permutations at once; returns symbol indices.
 
     Distribution and stream consumption match n_runs sequential calls to
     draw_permutation exactly (row r uses the r-th block of 42 uniforms).
     """
     _check_runs(n_runs)
-    u = rng.random((n_runs, len(cdf.symbols)))
-    return _draw_batch(cdf.masses, u)
+    u = rng.random((n_runs, len(table.symbols)))
+    return _draw_batch(table.masses, u)
 
 
 def _check_group_size(n_syms: int) -> None:
@@ -336,14 +299,14 @@ class GroupStats:
 _MIN_WORKER_BLOCKS = 8
 
 
-def _block_sums(cdf: Cdf, n_runs: int, rng: np.random.Generator) -> np.ndarray:
+def _block_sums(table: FrequencyTable, n_runs: int, rng: np.random.Generator) -> np.ndarray:
     """Per-symbol int64 sums of 0-based group and position over n_runs
     permutations drawn in blocks of _BLOCK_RUNS."""
-    n_syms = len(cdf.symbols)
+    n_syms = len(table.symbols)
     sums = np.zeros((2, n_syms), dtype=np.int64)
     ranks = np.arange(n_syms)
     for start in range(0, n_runs, _BLOCK_RUNS):
-        orders = draw_permutations(cdf, min(_BLOCK_RUNS, n_runs - start), rng)
+        orders = draw_permutations(table, min(_BLOCK_RUNS, n_runs - start), rng)
         positions = np.empty_like(orders)
         positions[np.arange(len(orders))[:, None], orders] = ranks
         sums[0] += (positions // _GROUP_SIZE).sum(axis=0)
@@ -351,13 +314,13 @@ def _block_sums(cdf: Cdf, n_runs: int, rng: np.random.Generator) -> np.ndarray:
     return sums
 
 
-def _range_sums(cdf: Cdf, state: dict, start: int, stop: int) -> np.ndarray:
+def _range_sums(table: FrequencyTable, state: dict, start: int, stop: int) -> np.ndarray:
     """_block_sums of runs start..stop of the stream that a PCG64 at `state`
-    gives: each run takes len(cdf.symbols) doubles of one 64-bit output each."""
+    gives: each run takes len(table.symbols) doubles of one 64-bit output each."""
     bit_generator = np.random.PCG64()
     bit_generator.state = state
-    bit_generator.advance(start * len(cdf.symbols))
-    return _block_sums(cdf, stop - start, np.random.Generator(bit_generator))
+    bit_generator.advance(start * len(table.symbols))
+    return _block_sums(table, stop - start, np.random.Generator(bit_generator))
 
 
 def monte_carlo_group_stats(freq: FrequencyTable, n_runs: int, rng: np.random.Generator) -> GroupStats:
@@ -378,15 +341,14 @@ def monte_carlo_group_stats(freq: FrequencyTable, n_runs: int, rng: np.random.Ge
     _check_group_size(n_syms)
     n_blocks = -(-n_runs // _BLOCK_RUNS)
     n_workers = min(_fork._available_cpus(), n_blocks // _MIN_WORKER_BLOCKS)
-    cdf = build_cdf(freq)
     bit_generator = rng.bit_generator
     if n_workers <= 1 or not isinstance(bit_generator, np.random.PCG64):
-        sums = _block_sums(cdf, n_runs, rng)
+        sums = _block_sums(freq, n_runs, rng)
     else:
         state = bit_generator.state
         edges = [min(n_blocks * k // n_workers * _BLOCK_RUNS, n_runs) for k in range(n_workers + 1)]
         ranges = list(zip(edges[:-1], edges[1:]))
-        sums = sum(_fork.fork_map(_range_sums, ranges, (cdf, state)))
+        sums = sum(_fork.fork_map(_range_sums, ranges, (freq, state)))
         bit_generator.advance(n_runs * n_syms)  # which drops the buffered value
         bit_generator.state = {
             **bit_generator.state,

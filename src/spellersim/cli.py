@@ -331,16 +331,13 @@ def cmd_spell(args) -> int:
     model_path = Path(args.model)
     model, params, meta = load_model(model_path)
     if params is None:
-        print("error: model container carries no classifier", file=sys.stderr)
-        return 2
+        raise ValueError("model container carries no classifier")
     trained_iti = meta.get("iti_ms")
     if trained_iti is not None and trained_iti != spec.protocol.iti_ms:
-        print(
-            f"error: model was trained at iti_ms={trained_iti}, "
-            f"config asks for iti_ms={spec.protocol.iti_ms}",
-            file=sys.stderr,
+        raise ValueError(
+            f"model was trained at iti_ms={trained_iti}, "
+            f"config asks for iti_ms={spec.protocol.iti_ms}"
         )
-        return 2
 
     sentence = args.sentence if args.sentence is not None else spec.sentence
     identity = _run_identity(
@@ -451,11 +448,9 @@ def cmd_itr(args, parser: argparse.ArgumentParser) -> int:
 
 def cmd_mc(args) -> int:
     if args.uniform and args.table is not None:
-        print("error: --uniform and --table are mutually exclusive", file=sys.stderr)
-        return 2
+        raise ValueError("--uniform and --table are mutually exclusive")
     if args.runs < 1:
-        print("error: --runs must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--runs must be >= 1")
     if args.uniform:
         table = uniform_frequency_table(default_frequency_table().symbols)
     elif args.table is not None:

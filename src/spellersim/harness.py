@@ -19,15 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._fork import _one_blas_thread, fork_map
-from .alphabet import (
-    BACKSPACE,
-    FrequencyTable,
-    build_cdf,
-    default_character_set,
-    default_frequency_table,
-    draw_permutation,
-    form_cycle,
-)
+from .alphabet import BACKSPACE, SYMBOLS, FrequencyTable, default_frequency_table, draw_permutation, form_cycle
 from .channel import ChannelSpec, ConfusionMatrix, ItrReport, mutual_information, per_trial_itr_from_session, practical_itr
 from .classifier import ClassifierParams, classify, decide_batch, fit as fit_classifier, posterior_oddball, with_theta
 from .features import FeatureModel, _fit_with_training_features, _lapack, extract, extract_batch
@@ -161,10 +153,17 @@ def run_training(
     own signal timeline, so evoked responses bleed between that block's
     overlapping windows but not across blocks. A trial is an oddball iff the
     target's group is the one illuminated. Each window is kept only as its
-    preprocessed row."""
+    preprocessed row. The frequency table must hold exactly the SYMBOLS, so
+    that every cycle lights each target once."""
     frequency = frequency if frequency is not None else default_frequency_table()
-    cdf = build_cdf(frequency)
-    letters = [s for s in default_character_set().symbols if s.isalpha()]
+    missing = sorted(set(SYMBOLS).difference(frequency.symbols))
+    extra = sorted(set(frequency.symbols).difference(SYMBOLS))
+    if missing or extra:
+        raise ValueError(
+            f"frequency table must hold exactly the {len(SYMBOLS)} speller symbols: "
+            f"missing {missing}, extra {extra}"
+        )
+    letters = [s for s in SYMBOLS if s.isalpha()]
     targets = [letters[int(i)] for i in rng.choice(len(letters), size=config.train_chars, replace=False)]
 
     # onsets advance by ITI plus the per-trial setup overhead, matching the
@@ -180,7 +179,7 @@ def run_training(
         synth = SessionSynthesizer(subject, rng)
         produced = 0
         while produced < per_char:
-            for group in form_cycle(draw_permutation(cdf, rng))[: per_char - produced]:
+            for group in form_cycle(draw_permutation(frequency, rng))[: per_char - produced]:
                 is_oddball[i] = is_odd = target in group
                 vectors[i] = preprocess(synth.trial(produced * step_s, is_odd))
                 i += 1
@@ -192,7 +191,8 @@ def run_training(
 # offline evaluation
 
 def _stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> np.ndarray:
-    """Fold index per trial; each class spread round-robin after a shuffle."""
+    """Fold index per trial; each class spread round-robin after a shuffle,
+    so every fold holds a trial of each class that has at least `folds`."""
     assignment = np.empty(y.shape[0], dtype=int)
     for cls in (True, False):
         idx = np.flatnonzero(y == cls)
@@ -248,18 +248,7 @@ def cross_validate(
 
     # every draw happens here, before any fit, so the folds do not depend on
     # where or in which order they are fitted
-    assignments = []
-    for _ in range(repeats):
-        for _attempt in range(100):
-            assignment = _stratified_folds(y, folds, rng)
-            ok = all(
-                np.any(y[assignment != k]) and np.any(~y[assignment != k]) for k in range(folds)
-            )
-            if ok:
-                break
-        else:
-            raise RuntimeError("could not stratify folds with both classes present")
-        assignments.append(assignment)
+    assignments = [_stratified_folds(y, folds, rng) for _ in range(repeats)]
 
     # the fold fits call LAPACK; loaded here, the forked workers inherit it
     # instead of each loading it
@@ -381,15 +370,15 @@ def run_online(
         raise ValueError("trial budget must be >= 1")
     if not sentence:
         raise ValueError("sentence must be nonempty")
+    for symbol in sentence:
+        if symbol not in SYMBOLS:
+            raise ValueError(f"sentence symbol {symbol!r} not in the character set")
     speller = Speller(
         rng,
         frequency=frequency,
         dictionary=dictionary,
         pause_s=config.pause_s,
     )
-    for symbol in sentence:
-        if symbol not in speller.charset.symbols:
-            raise ValueError(f"sentence symbol {symbol!r} not in the character set")
     synth = SessionSynthesizer(subject, rng)
     group_params = with_theta(params, config.theta_stage1)
     single_params = with_theta(params, config.theta_stage2)
@@ -420,7 +409,6 @@ def run_online(
         decision = classify(theta_params, feature)
         posterior = posterior_oddball(params, feature)
 
-        prompt_before = speller.prompt
         events = speller.step(decision, posterior)
         speller.advance_clock(config.iti_ms, events, config.overhead_ms)
 
@@ -436,15 +424,14 @@ def run_online(
         for event in events:
             log.selection(event)
             n_selections += 1
-            landing = len(prompt_before)
-            if event.symbol != BACKSPACE and landing < len(sentence) and sentence[landing] == event.symbol:
+            if event.symbol == desired != BACKSPACE:
                 n_correct += 1
 
     t_total_s = speller.clock_s
     t_active_s = speller.trial_time_ms / 1000.0
     t_pause_s = speller.pause_time_ms / 1000.0
     n_trials = speller.n_trials
-    practical = practical_itr(n_correct, t_total_s, len(speller.charset.symbols))
+    practical = practical_itr(n_correct, t_total_s, len(SYMBOLS))
 
     per_trial = None
     if hits + omissions > 0 and false_alarms + rejections > 0:

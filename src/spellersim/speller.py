@@ -31,9 +31,8 @@ import numpy as np
 from .alphabet import (
     EXIT,
     BACKSPACE,
+    SYMBOLS,
     FrequencyTable,
-    build_cdf,
-    default_character_set,
     default_frequency_table,
     draw_permutation,
     form_cycle,
@@ -154,7 +153,7 @@ def apply_selection(prompt: str, symbol: str) -> str:
 
 
 class Speller:
-    """Selection state machine over the default 42-symbol character set.
+    """Selection state machine over the 42 SYMBOLS.
 
     Drive it one trial at a time:
 
@@ -175,16 +174,14 @@ class Speller:
         if pause_s < 0.0:
             raise ValueError("pause must be nonnegative")
         self.rng = rng
-        self.charset = default_character_set()
         self.frequency = frequency if frequency is not None else default_frequency_table()
         self.dictionary = dictionary if dictionary is not None else default_dictionary()
-        if self.frequency.symbols != self.charset.symbols:
-            self.frequency = self.frequency.restrict(self.charset.symbols)
+        if self.frequency.symbols != SYMBOLS:
+            self.frequency = self.frequency.restrict(SYMBOLS)
         self.pause_s = pause_s
 
-        self._cdf = build_cdf(self.frequency)
-        self._index = {s: i for i, s in enumerate(self.charset.symbols)}
-        self._log_reset = math.log(1.0 / len(self.charset.symbols))
+        self._index = {s: i for i, s in enumerate(SYMBOLS)}
+        self._log_reset = math.log(1.0 / len(SYMBOLS))
 
         self.mode = STAGE1
         self.prompt = ""
@@ -199,10 +196,10 @@ class Speller:
         self._order: tuple[str, ...] = ()
         self._pos = 0
         self._passes = 0
-        self._stage2_cdf = None
+        self._stage2_table: FrequencyTable | None = None
         self._pending: tuple[str, ...] | None = None
 
-        self._log_acc = np.full(len(self.charset.symbols), self._log_reset)
+        self._log_acc = np.full(len(SYMBOLS), self._log_reset)
         self._streak = 0
         self._streak_idx: int | None = None
 
@@ -235,7 +232,7 @@ class Speller:
         if self._pending is None:
             if self.mode == STAGE1:
                 if self._cycle_pos >= len(self._cycle):
-                    self._cycle = form_cycle(draw_permutation(self._cdf, self.rng))
+                    self._cycle = form_cycle(draw_permutation(self.frequency, self.rng))
                     self._cycle_pos = 0
                 self._pending = self._cycle[self._cycle_pos]
             else:
@@ -278,7 +275,7 @@ class Speller:
         # same-trial single-trial selection takes precedence
         if selected is None and self._streak >= _STREAK_TARGET:
             idx = int(np.argmax(self._log_acc))
-            selected, mechanism = self.charset.symbols[idx], INTEGRATION
+            selected, mechanism = SYMBOLS[idx], INTEGRATION
 
         events: list[SelectionEvent] = []
         if selected is not None:
@@ -317,7 +314,7 @@ class Speller:
         redrawn order when first_order is None."""
         self.mode = mode
         self._symbols = symbols
-        self._stage2_cdf = None
+        self._stage2_table = None
         self._order = first_order if first_order is not None else self._redraw()
         self._pos = 0
         self._passes = 0
@@ -329,9 +326,9 @@ class Speller:
         before one)."""
         if self.mode == COMPLETION:
             return tuple(self._symbols[int(i)] for i in self.rng.permutation(len(self._symbols)))
-        if self._stage2_cdf is None:
-            self._stage2_cdf = build_cdf(self.frequency.restrict(self._symbols))
-        return draw_permutation(self._stage2_cdf, self.rng)
+        if self._stage2_table is None:
+            self._stage2_table = self.frequency.restrict(self._symbols)
+        return draw_permutation(self._stage2_table, self.rng)
 
     def update_integration(self, stimulus: tuple[str, ...], posterior: float) -> None:
         """Fold one trial's posterior into the per-symbol evidence sums.

@@ -17,11 +17,8 @@ from spellersim.alphabet import (
     BACKSPACE,
     EXIT,
     SPACE,
-    CharacterSet,
-    Cdf,
+    SYMBOLS,
     FrequencyTable,
-    build_cdf,
-    default_character_set,
     default_frequency_table,
     draw_permutation,
     draw_permutations,
@@ -52,27 +49,10 @@ def uniform_stats(table):
 
 class TestCharacterSet:
     def test_default_layout(self):
-        symbols = default_character_set().symbols
-        assert len(symbols) == 42
-        assert len(set(symbols)) == 42
-        for required in (SPACE, BACKSPACE, EXIT):
-            assert required in symbols
-        for letter in "ABCDEFGHIJKLMNOPQRSTUVWXYZ":
-            assert letter in symbols
-
-    def test_rejects_wrong_count(self):
-        with pytest.raises(ValueError):
-            CharacterSet(default_character_set().symbols[:41])
-
-    def test_rejects_duplicates(self):
-        symbols = default_character_set().symbols[:41] + ("A",)
-        with pytest.raises(ValueError):
-            CharacterSet(symbols)
-
-    def test_rejects_missing_specials(self):
-        symbols = tuple(s if s != EXIT else "!" for s in default_character_set().symbols)
-        with pytest.raises(ValueError):
-            CharacterSet(symbols)
+        # the 6x7 grid row by row; the speller's evidence index follows it
+        assert SYMBOLS == tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789><*.,?")
+        assert (SPACE, BACKSPACE, EXIT) == (">", "<", "*")
+        assert len(set(SYMBOLS)) == 42
 
 
 class TestFrequencyTable:
@@ -137,83 +117,77 @@ class TestFrequencyTable:
 
 
 class TestCdf:
+    """A table's masses: the steps of the running CDF (the breakpoints) that
+    the draw inverts, checked when the table is made."""
+
     def test_uniform_breakpoints(self, table):
-        cdf = build_cdf(uniform_frequency_table(table.symbols))
-        assert np.allclose(cdf.breakpoints, np.arange(1, 43) / 42.0)
+        uniform = uniform_frequency_table(table.symbols)
+        assert np.allclose(np.cumsum(uniform.masses), np.arange(1, 43) / 42.0)
 
     def test_final_breakpoint_is_one(self, table):
-        cdf = build_cdf(table)
-        assert abs(float(cdf.breakpoints[-1]) - 1.0) <= 1e-12
+        assert abs(float(np.cumsum(table.masses)[-1]) - 1.0) <= 1e-12
 
     def test_masses_invert_the_integration(self, table):
-        cdf = build_cdf(table)
-        assert np.allclose(cdf.masses, table.probs, atol=1e-15)
+        assert np.allclose(table.masses, table.probs, atol=1e-15)
 
     def test_masses_are_computed_once_and_read_only(self, table):
-        cdf = build_cdf(table)
-        assert cdf.masses is cdf.masses
-        assert cdf.masses.tobytes() == np.diff(cdf.breakpoints, prepend=0.0).tobytes()
-        with pytest.raises(ValueError):
-            cdf.masses[0] = 1.0
+        for freq in (table, table.restrict(SYMBOLS), table.restrict(("T", "A", "E"))):
+            assert freq.masses is freq.masses
+            assert freq.masses.tobytes() == np.diff(np.cumsum(freq.probs), prepend=0.0).tobytes()
+            with pytest.raises(ValueError):
+                freq.masses[0] = 1.0
 
     def test_rejects_nonmonotone_breakpoints(self):
-        with pytest.raises(ValueError):
-            Cdf((SPACE, "E"), np.array([0.6, 0.6]))
+        # 1e-17 sums to 1.0 and does not move the running sum past it
+        with pytest.raises(ValueError, match="move the cumulative sum"):
+            FrequencyTable((SPACE, "E"), np.array([1.0, 1e-17]))
 
     @pytest.mark.parametrize("bad", [[np.nan, 1.0], [0.5, np.nan], [-np.inf, 1.0]])
     def test_rejects_non_finite_breakpoints(self, bad):
-        with pytest.raises(ValueError, match="finite and non-empty"):
-            Cdf((SPACE, "E"), np.array(bad))
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            FrequencyTable((SPACE, "E"), np.array(bad))
 
     def test_rejects_empty_breakpoints(self):
-        with pytest.raises(ValueError, match="finite and non-empty"):
-            Cdf((), np.array([]))
-
-    def test_rejects_a_breakpoint_matrix(self):
-        with pytest.raises(ValueError, match="finite and non-empty 1-D"):
-            Cdf((SPACE, "E"), np.array([[0.5, 1.0]]))
+        with pytest.raises(ValueError, match="sum to 1"):
+            FrequencyTable((), np.array([]))
 
 
 class TestDrawPermutation:
     def test_always_a_bijection(self, table):
-        cdf = build_cdf(table)
         rng = np.random.default_rng(7)
         for _ in range(500):
-            perm = draw_permutation(cdf, rng)
+            perm = draw_permutation(table, rng)
             assert sorted(perm) == sorted(table.symbols)
 
     def test_consumes_exactly_one_uniform_per_symbol(self, table):
-        cdf = build_cdf(table)
         rng = np.random.default_rng(3)
-        draw_permutation(cdf, rng)
+        draw_permutation(table, rng)
         expected = np.random.default_rng(3).random(43)[42]
         assert rng.random() == expected
 
     def test_batch_matches_sequential(self, table):
-        cdf = build_cdf(table)
-        batch = draw_permutations(cdf, 2000, np.random.default_rng(11))
+        batch = draw_permutations(table, 2000, np.random.default_rng(11))
         rng = np.random.default_rng(11)
         for r in range(2000):
-            perm = draw_permutation(cdf, rng)
-            assert tuple(cdf.symbols[int(i)] for i in batch[r]) == perm
+            perm = draw_permutation(table, rng)
+            assert tuple(table.symbols[int(i)] for i in batch[r]) == perm
 
     def test_first_draw_marginal_matches_table(self, table):
         # chi-square goodness of fit on the first-position counts, drawn in
         # blocks to bound memory
-        cdf, rng = build_cdf(table), np.random.default_rng(0)
-        first = np.concatenate([draw_permutations(cdf, 10_000, rng)[:, 0] for _ in range(N_RUNS // 10_000)])
+        rng = np.random.default_rng(0)
+        first = np.concatenate([draw_permutations(table, 10_000, rng)[:, 0] for _ in range(N_RUNS // 10_000)])
         result = stats.chisquare(np.bincount(first, minlength=42), f_exp=N_RUNS * table.probs)
         assert result.pvalue > 0.01
 
     def test_rejects_non_integer_runs(self, table):
-        cdf = build_cdf(table)
         for bad in (2.5, True, "3", None):
             with pytest.raises(ValueError, match="n_runs must be an integer"):
-                draw_permutations(cdf, bad, np.random.default_rng(0))
+                draw_permutations(table, bad, np.random.default_rng(0))
 
     def test_uniform_position_marginals(self, table):
-        cdf = build_cdf(uniform_frequency_table(table.symbols))
-        orders = draw_permutations(cdf, 20_000, np.random.default_rng(5))
+        freq = uniform_frequency_table(table.symbols)
+        orders = draw_permutations(freq, 20_000, np.random.default_rng(5))
         # any fixed position is uniform over symbols: check positions 0 and 41
         for pos in (0, 41):
             counts = np.bincount(orders[:, pos], minlength=42)
@@ -334,7 +308,7 @@ class TestRunMajorKernel:
     @pytest.mark.parametrize("uniform", [False, True])
     def test_stuck_rows_in_every_column(self, table, n_runs, uniform):
         freq = uniform_frequency_table(table.symbols) if uniform else table
-        masses = build_cdf(freq).masses
+        masses = freq.masses
         u = np.random.default_rng(n_runs).random((n_runs, 42))
         # run r is stuck at step r % 42; with n_runs >= 42 every step has one
         u[np.arange(n_runs), np.arange(n_runs) % 42] = 1.0
@@ -352,8 +326,7 @@ class TestFormCycle:
             assert group == table.symbols[6 * g : 6 * g + 6]
 
     def test_groups_partition_the_alphabet(self, table):
-        cdf = build_cdf(table)
-        groups = form_cycle(draw_permutation(cdf, np.random.default_rng(2)))
+        groups = form_cycle(draw_permutation(table, np.random.default_rng(2)))
         pooled = [s for group in groups for s in group]
         assert sorted(pooled) == sorted(table.symbols)
         assert all(len(group) == 6 for group in groups)
@@ -367,9 +340,8 @@ class TestFormCycle:
 
 class TestMonteCarloStats:
     def test_single_run_equals_its_permutation(self, table):
-        cdf = build_cdf(table)
         stats_1 = monte_carlo_group_stats(table, 1, np.random.default_rng(9))
-        perm = draw_permutation(cdf, np.random.default_rng(9))
+        perm = draw_permutation(table, np.random.default_rng(9))
         for symbol in table.symbols:
             assert stats_1.mean_group_of(symbol) == perm.index(symbol) // 6 + 1
             assert stats_1.mean_position[table.symbols.index(symbol)] == perm.index(symbol) + 1
@@ -414,7 +386,7 @@ class TestMonteCarloStats:
         rng_blocks = np.random.default_rng(n_runs)
         rng_batch = np.random.default_rng(n_runs)
         got = monte_carlo_group_stats(freq, n_runs, rng_blocks)
-        orders = draw_permutations(build_cdf(freq), n_runs, rng_batch)
+        orders = draw_permutations(freq, n_runs, rng_batch)
         positions = np.argsort(orders, axis=1)
         assert np.array_equal(got.mean_group, (positions // 6 + 1).mean(axis=0))
         assert np.array_equal(got.mean_position, (positions + 1).mean(axis=0))
@@ -435,7 +407,7 @@ class TestMonteCarloStats:
 def _serial_sums(n_runs: int):
     """The serial block loop's sums and the generator state it leaves."""
     rng = np.random.default_rng(n_runs)
-    sums = alphabet._block_sums(build_cdf(default_frequency_table()), n_runs, rng)
+    sums = alphabet._block_sums(default_frequency_table(), n_runs, rng)
     return sums, rng.bit_generator.state
 
 
@@ -466,14 +438,14 @@ class TestMonteCarloPool:
             rng.integers(0, 2**32, dtype=np.uint32)
         assert pooled.bit_generator.state["has_uint32"] == 1
         got = monte_carlo_group_stats(table, 20_000, pooled)
-        assert _matches(got, alphabet._block_sums(build_cdf(table), 20_000, serial), 20_000)
+        assert _matches(got, alphabet._block_sums(table, 20_000, serial), 20_000)
         assert pooled.bit_generator.state == serial.bit_generator.state
         assert pooled.integers(0, 2**32, dtype=np.uint32) == serial.integers(0, 2**32, dtype=np.uint32)
 
     def test_other_bit_generators_stay_in_one_process(self, table, cpus, monkeypatch):
         cpus(2)
         serial = np.random.Generator(np.random.MT19937(3))
-        want = alphabet._block_sums(build_cdf(table), 20_000, serial)
+        want = alphabet._block_sums(table, 20_000, serial)
 
         def no_pool(*args):
             raise AssertionError("forked a pool for an MT19937 stream")
@@ -501,7 +473,7 @@ class TestMonteCarloPool:
         state = np.random.default_rng(0).bit_generator.state
         tracemalloc.start()
         try:
-            alphabet._range_sums(build_cdf(table), state, 100_000, 160_000)
+            alphabet._range_sums(table, state, 100_000, 160_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -19,8 +19,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spellersim._container import load_container, save_container
-from spellersim.alphabet import default_frequency_table
+from spellersim.alphabet import BACKSPACE, default_frequency_table
 from spellersim.cli import _PROTOCOL_KEYS, _RUN_KEYS, RunSpec, load_config, main
+from spellersim.features import load_model, save_model
 from spellersim.harness import BENCHMARK_SENTENCE, ProtocolConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -408,6 +409,14 @@ class TestMc:
         table.write_text("A 1.0\n")
         code, _, err = run_cli(capsys, "mc", "--uniform", "--table", str(table))
         assert code == 2
+        assert err == "error: --uniform and --table are mutually exclusive\n"
+
+    @pytest.mark.parametrize("runs", ["0", "-5"])
+    def test_runs_below_one_rejected(self, capsys, runs):
+        code, out, err = run_cli(capsys, "mc", "--runs", runs)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --runs must be >= 1\n"
 
 
 class TestSpellBytes:
@@ -581,6 +590,22 @@ class TestTrain:
             outputs.append({name: (out / name).read_bytes() for name in ("model.bin", "train_cv.csv")})
         assert outputs[0] == outputs[1]
 
+    def test_table_without_every_symbol_rejected(self, capsys, tmp_path):
+        # the six rare letters removed: the speller would reject the table
+        table = default_frequency_table()
+        keep = [i for i, s in enumerate(table.symbols) if s not in "JKQVXZ"]
+        probs = table.probs[keep] / table.probs[keep].sum()
+        path = tmp_path / "no_rare.txt"
+        path.write_text("".join(f"{table.symbols[i]} {float(p)!r}\n" for i, p in zip(keep, probs)))
+        cfg = tmp_path / "no_rare.cfg"
+        cfg.write_text(f"iti_ms = 400\nsubject = oracle\nfrequency_table = {path}\n")
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: frequency table must hold exactly the 42 speller symbols")
+        assert "missing ['J', 'K', 'Q', 'V', 'X', 'Z']" in err
+        assert list(out.iterdir()) == []
+
     def test_manifest_digests_are_real(self, trained):
         doc = json.loads((trained / "train_manifest.json").read_text())
         identity = {k: doc[k] for k in ("command", "seed", "config", "inputs", "versions")}
@@ -670,6 +695,45 @@ class TestSpell:
         )
         assert code == 2
         assert "trained at iti_ms=400" in err
+
+    def test_model_without_a_classifier_rejected(self, capsys, workdir, oracle_cfg, trained):
+        model, _, meta = load_model(trained / "model.bin")
+        bare = workdir / "bare_model.bin"
+        save_model(bare, model, None, meta)
+        out_dir = workdir / "sp_bare"
+        argv = ["spell", "--config", str(oracle_cfg), "--model", str(bare), "--out", str(out_dir)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == "error: model container carries no classifier\n"
+        assert list(out_dir.iterdir()) == []
+
+    def test_a_wrong_transcript_credits_no_selection(self, capsys, tmp_path):
+        # the slow noise session at seed 0 errs on its first selection and
+        # never gets back on track; a later selection that equals the
+        # sentence character at its own position is still not correct
+        cfg = tmp_path / "slow_noise.cfg"
+        cfg.write_text(load_preset_text("slow_noise") + "cv_repeats = 1\ncv_folds = 2\n")
+        assert main(["train", "--config", str(cfg), "--seed", "0", "--out", str(tmp_path / "model")]) == 0
+        argv = ["spell", "--config", str(cfg), "--model", str(tmp_path / "model" / "model.bin")]
+        code, out, _ = run_cli(capsys, *argv, "--seed", "0", "--out", str(tmp_path / "spell"))
+        assert code == 0
+        report = json.loads((tmp_path / "spell" / "session_report.json").read_text())
+        assert report["prompt"].startswith("LA462MYR")
+        with open(tmp_path / "spell" / "session.jsonl", encoding="utf-8") as fh:
+            selected = [r["symbol"] for r in map(json.loads, fh) if r["record"] == "selection"]
+        prompt, coincidences = "", 0
+        for symbol in selected:
+            assert not BENCHMARK_SENTENCE.startswith(prompt + symbol)
+            at = len(prompt)
+            coincidences += symbol != BACKSPACE and at < len(BENCHMARK_SENTENCE) and BENCHMARK_SENTENCE[at] == symbol
+            prompt = prompt[:-1] if symbol == BACKSPACE else prompt + symbol
+        assert coincidences >= 1
+        assert (report["n_selections"], report["n_correct"]) == (len(selected), 0)
+        assert report["practical_bits_per_sec"] == 0.0
+        assert grab(out, "N_c:") == f"0 of {len(selected)} selections"
+        with open(tmp_path / "spell" / "session.csv", newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["n_correct"], float(row["practical_bits_per_sec"])) == ("0", 0.0)
 
     @pytest.mark.parametrize("keep", [0, -100])
     def test_truncated_model_is_an_error(self, capsys, workdir, oracle_cfg, trained, keep):

@@ -9,15 +9,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spellersim import _fork, harness, speller
-from spellersim.alphabet import (
-    build_cdf,
-    default_character_set,
-    default_frequency_table,
-    draw_permutation,
-    form_cycle,
-)
+from spellersim.alphabet import SYMBOLS, FrequencyTable, default_frequency_table, draw_permutation, form_cycle
 from spellersim.channel import ChannelSpec, ConfusionMatrix, mutual_information
 from spellersim.classifier import decide_batch, fit as fit_classifier
 from spellersim.features import _fit_with_training_features, extract_batch
@@ -139,7 +135,7 @@ class TestRunTraining:
         assert trials.is_oddball.dtype == bool
 
     def test_each_complete_cycle_has_one_oddball(self, oracle_recordings, config_by_speed):
-        symbols = sorted(default_character_set().symbols)
+        symbols = sorted(SYMBOLS)
         for speed in SPEEDS:
             trials, shown, _ = oracle_recordings[speed]
             per_char = config_by_speed[speed].trials_per_char
@@ -199,11 +195,31 @@ class TestRunTraining:
         assert trials.vectors.tobytes() == want.tobytes()
         assert np.array_equal(trials.is_oddball, labels)
 
+    @pytest.mark.parametrize(
+        "drop, add, named",
+        [
+            ("JKQVXZ", "", r"missing \['J', 'K', 'Q', 'V', 'X', 'Z'\], extra \[\]"),
+            ("?", "#", r"missing \['\?'\], extra \['#'\]"),
+        ],
+        ids=["rare_letters", "foreign"],
+    )
+    def test_rejects_a_table_over_other_symbols_before_drawing(self, oracle, config_by_speed, drop, add, named):
+        # without the rare letters, 6 of 26 targets would get no oddball
+        table = default_frequency_table()
+        keep = [i for i, s in enumerate(table.symbols) if s not in drop]
+        probs = np.append(table.probs[keep], table.probs[[table.symbols.index(s) for s in drop[: len(add)]]])
+        freq = FrequencyTable(tuple(table.symbols[i] for i in keep) + tuple(add), probs / probs.sum())
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=named):
+            run_training(config_by_speed["slow"], oracle, rng, frequency=freq)
+        assert rng.bit_generator.state == state
+
 
 def _run_training_windows(config, subject, rng):
     """run_training as it was: the session's (n, 8, 80) windows and labels."""
-    cdf = build_cdf(default_frequency_table())
-    letters = [s for s in default_character_set().symbols if s.isalpha()]
+    table = default_frequency_table()
+    letters = [s for s in SYMBOLS if s.isalpha()]
     targets = [letters[int(i)] for i in rng.choice(len(letters), size=config.train_chars, replace=False)]
     step_s = (config.iti_ms + config.overhead_ms) / 1000.0
     per_char = config.trials_per_char
@@ -215,7 +231,7 @@ def _run_training_windows(config, subject, rng):
         synth = SessionSynthesizer(subject, rng)
         produced = 0
         while produced < per_char:
-            for group in form_cycle(draw_permutation(cdf, rng))[: per_char - produced]:
+            for group in form_cycle(draw_permutation(table, rng))[: per_char - produced]:
                 is_oddball[i] = is_odd = target in group
                 samples[i] = synth.trial(produced * step_s, is_odd)
                 i += 1
@@ -287,6 +303,23 @@ class TestCrossValidate:
         cv = cross_validate(trials, repeats=1, folds=10, rng=substream(0, "cv"))
         majority = 1.0 - float(trials.is_oddball.mean())
         assert cv.accuracy_mean >= 0.93 > majority + 0.05
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 10).flatmap(
+            lambda folds: st.tuples(
+                st.just(folds), st.integers(folds, 40), st.integers(folds, 120), st.integers(0, 2**32 - 1)
+            )
+        )
+    )
+    def test_every_fold_and_its_training_partition_hold_both_classes(self, case):
+        folds, n_odd, n_rest, seed = case
+        rng = np.random.default_rng(seed)
+        y = rng.permutation(np.arange(n_odd + n_rest) < n_odd)
+        assignment = harness._stratified_folds(y, folds, rng)
+        for k in range(folds):
+            for part in (assignment == k, assignment != k):
+                assert y[part].any() and not y[part].all()
 
     def test_rejects_bad_parameters(self, oracle_sessions):
         with pytest.raises(ValueError):
@@ -602,7 +635,7 @@ class _EagerStage2Speller(Speller):
     def _enter_pass(self, mode, symbols, first_order):
         super()._enter_pass(mode, symbols, first_order)
         if mode == speller.STAGE2:
-            self._stage2_cdf = speller.build_cdf(self.frequency.restrict(symbols))
+            self._stage2_table = self.frequency.restrict(symbols)
 
 
 class TestStage2Table:
@@ -611,12 +644,13 @@ class TestStage2Table:
         subject = subject_preset("midsnr")
         model, params = fit_final_model(run_training(cfg, subject, np.random.default_rng(3)), cfg)
         builds = []
+        restrict = FrequencyTable.restrict
 
-        def counting_build_cdf(freq):
-            builds.append(freq.symbols)
-            return build_cdf(freq)
+        def counting_restrict(table, subset):
+            builds.append(tuple(subset))
+            return restrict(table, subset)
 
-        monkeypatch.setattr(speller, "build_cdf", counting_build_cdf)
+        monkeypatch.setattr(FrequencyTable, "restrict", counting_restrict)
         logs = []
         for cls in (Speller, _EagerStage2Speller):
             builds.clear()
@@ -628,7 +662,7 @@ class TestStage2Table:
         assert lazy_report == eager_report
         assert lazy_log == eager_log
         # the session redraws in stage 2, yet most entries never do; the
-        # charset's own table is built once per speller
+        # table over all SYMBOLS is restricted once per speller
         assert 1 < lazy_builds < eager_builds
 
 

@@ -9,9 +9,8 @@ import pytest
 from spellersim.alphabet import (
     BACKSPACE,
     EXIT,
+    SYMBOLS,
     FrequencyTable,
-    build_cdf,
-    default_character_set,
     default_frequency_table,
     draw_permutation,
     form_cycle,
@@ -132,7 +131,7 @@ class TestStage1:
             assert events == []
             speller.advance_clock(400.0, events)
         first_order = tuple(s for g in seen_groups for s in g)
-        assert sorted(first_order) == sorted(default_character_set().symbols)
+        assert sorted(first_order) == sorted(SYMBOLS)
         next_group = speller.next_stimulus()
         assert speller.mode == STAGE1
         # a fresh biased permutation starts; identical redraw is essentially
@@ -269,7 +268,7 @@ class TestIntegration:
 
     def test_hand_traced_accumulator(self):
         speller = make_speller(seed=12)
-        symbols = default_character_set().symbols
+        symbols = SYMBOLS
         pool = [s for s in symbols if s != "E"]
         stimulus = ("E", *self.companions(pool, 0))
         speller.update_integration(stimulus, 0.9)
@@ -283,7 +282,7 @@ class TestIntegration:
 
     def test_ten_trial_streak_selects_by_integration(self):
         speller = make_speller(seed=13)
-        pool = [s for s in default_character_set().symbols if s != "E"]
+        pool = [s for s in SYMBOLS if s != "E"]
         selected = None
         for k in range(50):
             events = self.force_trial(speller, ("E", *self.companions(pool, k)), 0.9)
@@ -300,7 +299,7 @@ class TestIntegration:
 
     def test_argmax_change_restarts_streak(self):
         speller = make_speller(seed=14)
-        pool = [s for s in default_character_set().symbols if s not in ("E", "X")]
+        pool = [s for s in SYMBOLS if s not in ("E", "X")]
         for k in range(3):
             self.force_trial(speller, ("E", *self.companions(pool, k)), 0.9)
         assert speller._streak == 2
@@ -309,7 +308,7 @@ class TestIntegration:
         # X overtakes E at some point; the streak belongs to X and restarted
         assert speller._streak < 5
         acc = speller._log_acc
-        symbols = default_character_set().symbols
+        symbols = SYMBOLS
         assert acc[symbols.index("X")] > acc[symbols.index("E")]
 
     def test_posterior_validation(self):
@@ -443,7 +442,7 @@ class TestStateMachineGuards:
     def test_noisy_drive_invariants(self):
         speller = make_speller(seed=22)
         rng = np.random.default_rng(7)
-        symbols = set(default_character_set().symbols)
+        symbols = set(SYMBOLS)
         for _ in range(3000):
             if speller.mode == EXITED:
                 break
@@ -516,7 +515,7 @@ def _update_cases(n, seed):
     that include 0, 1, the clamps and values beyond them, and 0.5, where lit
     and unlit symbols gain the same and argmax ties persist."""
     rng = np.random.default_rng(seed)
-    symbols = default_character_set().symbols
+    symbols = SYMBOLS
     special = [0.0, 1.0, 0.5, 1e-12, 1.0 - 1e-12, 5e-13, 1e-300, 1.0 - 1e-13, math.nextafter(1.0, 0.0)]
     for k in range(n):
         size = int(rng.choice([0, 1, 6, 6, 6, 2, 42]))
@@ -581,8 +580,9 @@ _COMPLETION_MAX_CYCLES = 3
 
 class _ReferenceSpeller:
     """Speller as it was, with a pause mode and separate stage-2 and
-    completion scans. Verbatim but for its name and form_cycle, which now
-    returns the groups themselves. Selection state machine over the default
+    completion scans. Verbatim but for its name, form_cycle, which now
+    returns the groups themselves, and the alphabet's API: it indexes SYMBOLS
+    and draws from frequency tables. Selection state machine over the default
     42-symbol character set.
 
     Drive it one trial at a time:
@@ -604,16 +604,14 @@ class _ReferenceSpeller:
         if pause_s < 0.0:
             raise ValueError("pause must be nonnegative")
         self.rng = rng
-        self.charset = default_character_set()
         self.frequency = frequency if frequency is not None else default_frequency_table()
         self.dictionary = dictionary if dictionary is not None else default_dictionary()
-        if self.frequency.symbols != self.charset.symbols:
-            self.frequency = self.frequency.restrict(self.charset.symbols)
+        if self.frequency.symbols != SYMBOLS:
+            self.frequency = self.frequency.restrict(SYMBOLS)
         self.pause_s = pause_s
 
-        self._cdf = build_cdf(self.frequency)
-        self._index = {s: i for i, s in enumerate(self.charset.symbols)}
-        self._log_reset = math.log(1.0 / len(self.charset.symbols))
+        self._index = {s: i for i, s in enumerate(SYMBOLS)}
+        self._log_reset = math.log(1.0 / len(SYMBOLS))
 
         self.mode = STAGE1
         self.prompt = ""
@@ -627,7 +625,7 @@ class _ReferenceSpeller:
         self._stage2_order: tuple[str, ...] = ()
         self._stage2_pos = 0
         self._stage2_cycles = 0
-        self._stage2_cdf = None
+        self._stage2_table = None
         self._candidates: tuple[str, ...] = ()
         self._completion_order: tuple[str, ...] = ()
         self._completion_pos = 0
@@ -636,7 +634,7 @@ class _ReferenceSpeller:
         self._resume_candidates: tuple[str, ...] = ()
         self._pending: tuple[str, ...] | None = None
 
-        self._log_acc = np.full(len(self.charset.symbols), self._log_reset)
+        self._log_acc = np.full(len(SYMBOLS), self._log_reset)
         self._streak = 0
         self._streak_idx: int | None = None
 
@@ -678,7 +676,7 @@ class _ReferenceSpeller:
                 self._cycle = None
         if self.mode == STAGE1:
             if self._cycle is None or self._cycle_pos >= len(self._cycle):
-                self._cycle = form_cycle(draw_permutation(self._cdf, self.rng))
+                self._cycle = form_cycle(draw_permutation(self.frequency, self.rng))
                 self._cycle_pos = 0
             stimulus = self._cycle[self._cycle_pos]
         elif self.mode == STAGE2:
@@ -719,9 +717,9 @@ class _ReferenceSpeller:
                         self.mode = STAGE1
                         self._cycle = None
                     else:
-                        if self._stage2_cdf is None:
-                            self._stage2_cdf = build_cdf(self.frequency.restrict(self._group))
-                        self._stage2_order = draw_permutation(self._stage2_cdf, self.rng)
+                        if self._stage2_table is None:
+                            self._stage2_table = self.frequency.restrict(self._group)
+                        self._stage2_order = draw_permutation(self._stage2_table, self.rng)
                         self._stage2_pos = 0
         elif self.mode == COMPLETION:
             if is_oddball:
@@ -743,7 +741,7 @@ class _ReferenceSpeller:
         # same-trial single-trial selection takes precedence
         if selected is None and self._streak >= _STREAK_TARGET:
             idx = int(np.argmax(self._log_acc))
-            selected, mechanism = self.charset.symbols[idx], INTEGRATION
+            selected, mechanism = SYMBOLS[idx], INTEGRATION
 
         events: list[SelectionEvent] = []
         if selected is not None:
@@ -783,7 +781,7 @@ class _ReferenceSpeller:
         self._stage2_order = group
         self._stage2_pos = 0
         self._stage2_cycles = 0
-        self._stage2_cdf = None
+        self._stage2_table = None
         self.mode = STAGE2
 
     def _enter_completion(self, candidates: tuple[str, ...]) -> None:
