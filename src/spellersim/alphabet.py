@@ -54,9 +54,10 @@ def _index_of(symbols: tuple[str, ...], symbol: str) -> int:
         raise ValueError(f"unknown symbol {symbol!r}") from None
 
 
-def _masses(probs: np.ndarray) -> np.ndarray:
-    """Read-only draw weights: the steps of the running sum of probs from 0,
-    as np.diff(np.cumsum(probs), prepend=0.0).
+def _set_masses(table: "FrequencyTable", probs: np.ndarray) -> None:
+    """Give table its read-only draw weights: the steps of the running sum of
+    probs from 0, as np.diff(np.cumsum(probs), prepend=0.0), both as an array
+    for _draw_batch and as a tuple of floats for _draw_row.
 
     _draw_batch counts running sums at or below its target, which needs
     positive steps; a probability too small to move the sum has none."""
@@ -66,7 +67,8 @@ def _masses(probs: np.ndarray) -> np.ndarray:
     if (masses <= 0.0).any():
         raise ValueError("every probability must move the cumulative sum")
     masses.flags.writeable = False
-    return masses
+    object.__setattr__(table, "masses", masses)
+    object.__setattr__(table, "_mass_floats", tuple(masses.tolist()))
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,7 @@ class FrequencyTable:
     probs: np.ndarray
     source: str = ""
     masses: np.ndarray = field(init=False, repr=False, compare=False)  # what draws weigh by
+    _mass_floats: tuple[float, ...] = field(init=False, repr=False, compare=False)  # masses.tolist()
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
@@ -96,7 +99,7 @@ class FrequencyTable:
         # the space symbol must carry the largest mass (ties allowed: uniform table)
         if float(probs[self.symbols.index(SPACE)]) < float(np.max(probs)) - 1e-15:
             raise ValueError("space symbol must carry the largest probability")
-        object.__setattr__(self, "masses", _masses(probs))
+        _set_masses(self, probs)
 
     def restrict(self, subset: tuple[str, ...]) -> "FrequencyTable":
         """Renormalized table over a subset of symbols, preserving table order.
@@ -123,8 +126,20 @@ class FrequencyTable:
         p.flags.writeable = False
         object.__setattr__(table, "probs", p)
         object.__setattr__(table, "source", self.source)
-        object.__setattr__(table, "masses", _masses(p))
+        _set_masses(table, p)
         return table
+
+
+def _require_symbols(table: FrequencyTable) -> None:
+    """Reject a table over other symbols than the SYMBOLS, naming the missing
+    and the extra ones: training and the speller both light each of them."""
+    missing = sorted(set(SYMBOLS).difference(table.symbols))
+    extra = sorted(set(table.symbols).difference(SYMBOLS))
+    if missing or extra:
+        raise ValueError(
+            f"frequency table must hold exactly the {len(SYMBOLS)} speller symbols: "
+            f"missing {missing}, extra {extra}"
+        )
 
 
 def uniform_frequency_table(symbols: tuple[str, ...]) -> FrequencyTable:
@@ -208,7 +223,7 @@ def _draw_batch(masses: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _draw_row(masses: list[float], u: list[float]) -> list[int]:
+def _draw_row(masses: tuple[float, ...], u: list[float]) -> list[int]:
     """One row of _draw_batch in plain Python: the same sums, picks and indices.
 
     A drawn symbol's mass is removed rather than zeroed; adding 0.0 is exact,
@@ -249,7 +264,8 @@ def draw_permutation(table: FrequencyTable, rng: np.random.Generator) -> tuple[s
     tuple of symbols, most-probable-first in expectation.
     """
     u = rng.random(len(table.symbols))
-    return tuple(table.symbols[i] for i in _draw_row(table.masses.tolist(), u.tolist()))
+    symbols = table.symbols
+    return tuple([symbols[i] for i in _draw_row(table._mass_floats, u.tolist())])
 
 
 def draw_permutations(table: FrequencyTable, n_runs: int, rng: np.random.Generator) -> np.ndarray:

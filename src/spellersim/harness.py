@@ -19,7 +19,15 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._fork import _one_blas_thread, fork_map
-from .alphabet import BACKSPACE, SYMBOLS, FrequencyTable, default_frequency_table, draw_permutation, form_cycle
+from .alphabet import (
+    BACKSPACE,
+    SYMBOLS,
+    FrequencyTable,
+    _require_symbols,
+    default_frequency_table,
+    draw_permutation,
+    form_cycle,
+)
 from .channel import ChannelSpec, ConfusionMatrix, ItrReport, mutual_information, per_trial_itr_from_session, practical_itr
 from .classifier import ClassifierParams, classify, decide_batch, fit as fit_classifier, posterior_oddball, with_theta
 from .features import FeatureModel, _fit_with_training_features, _lapack, extract, extract_batch
@@ -49,6 +57,9 @@ BENCHMARK_SENTENCE = "THE>QUICK>BROWN>FOX>JUMPS>OVER>THE>LAZY>DOG*"
 # online classification uses the design ratio, not training label counts
 ONLINE_PRIORS = (1.0 / 7.0, 1.0 - 1.0 / 7.0)
 
+# the training targets: distinct letters, one per block
+_LETTERS = tuple(s for s in SYMBOLS if s.isalpha())
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -73,8 +84,11 @@ class ProtocolConfig:
         for name in ("iti_ms", "train_seconds_per_char", "pause_s"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.train_chars < 1:
-            raise ValueError("train_chars must be >= 1")
+        if not 1 <= self.train_chars <= len(_LETTERS):
+            raise ValueError(
+                f"train_chars must lie in [1, {len(_LETTERS)}], one distinct letter per "
+                f"training block, got {self.train_chars}"
+            )
         if self.theta_stage1 <= 0.0 or self.theta_stage2 <= 0.0:
             raise ValueError("thresholds must be positive")
         if self.overhead_ms < 0.0:
@@ -156,15 +170,8 @@ def run_training(
     preprocessed row. The frequency table must hold exactly the SYMBOLS, so
     that every cycle lights each target once."""
     frequency = frequency if frequency is not None else default_frequency_table()
-    missing = sorted(set(SYMBOLS).difference(frequency.symbols))
-    extra = sorted(set(frequency.symbols).difference(SYMBOLS))
-    if missing or extra:
-        raise ValueError(
-            f"frequency table must hold exactly the {len(SYMBOLS)} speller symbols: "
-            f"missing {missing}, extra {extra}"
-        )
-    letters = [s for s in SYMBOLS if s.isalpha()]
-    targets = [letters[int(i)] for i in rng.choice(len(letters), size=config.train_chars, replace=False)]
+    _require_symbols(frequency)
+    targets = [_LETTERS[int(i)] for i in rng.choice(len(_LETTERS), size=config.train_chars, replace=False)]
 
     # onsets advance by ITI plus the per-trial setup overhead, matching the
     # online stimulus timing so overlap between windows has the same shape
@@ -398,11 +405,12 @@ def run_online(
     hits = omissions = false_alarms = rejections = 0
     n_correct = 0
     n_selections = 0
+    # the prompt, and so the attended symbol, changes only on a selection
+    desired = _desired_symbol(speller.prompt, sentence)
     while speller.mode != EXITED and speller.n_trials < trial_budget:
         stimulus = speller.next_stimulus()
         mode = speller.mode
         onset_s = speller.clock_s
-        desired = _desired_symbol(speller.prompt, sentence)
         is_odd = desired in stimulus
         feature = extract(model, preprocess(synth.trial(onset_s, is_odd)))
         theta_params = group_params if mode == STAGE1 else single_params
@@ -426,6 +434,8 @@ def run_online(
             n_selections += 1
             if event.symbol == desired != BACKSPACE:
                 n_correct += 1
+        if events:
+            desired = _desired_symbol(speller.prompt, sentence)
 
     t_total_s = speller.clock_s
     t_active_s = speller.trial_time_ms / 1000.0

@@ -16,8 +16,11 @@ __all__ = ["substream"]
 def substream(seed: int, *labels: str) -> np.random.Generator:
     """Return the generator for the substream named by ``labels``.
 
-    The same (seed, labels) pair always yields an identical stream.
+    The same (seed, labels) pair always yields an identical stream. The seed
+    must be a non-negative integer.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not labels:
         return np.random.default_rng(np.random.SeedSequence(seed))
     key = tuple(

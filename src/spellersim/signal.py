@@ -165,7 +165,7 @@ def preprocess(samples: np.ndarray) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (N_CHANNELS, N_SAMPLES):
         raise ValueError(f"expected {(N_CHANNELS, N_SAMPLES)} samples, got {samples.shape}")
-    if not np.all(np.isfinite(samples)):
+    if not np.isfinite(samples).all():
         raise ValueError("samples must be finite")
     return samples[:, DISCARD_SAMPLES:].reshape(FEATURE_DIM)
 
@@ -185,26 +185,16 @@ class SessionSynthesizer:
     def __init__(self, subject: SubjectModel, rng: np.random.Generator):
         self.subject = subject
         self.rng = rng
+        self._silent = subject.oracle or subject.noise_sigma_uv == 0.0
         self._noise = np.zeros((N_CHANNELS, 0))
         self._origin = 0  # absolute sample index of self._noise[:, 0]
         self._last_onset: int | None = None
+        # (onset sample, waveform) of the responses that can still reach a
+        # window, in onset order
         self._events: list[tuple[int, np.ndarray]] = []
         # the waveform of every jitter-free response, shared read-only
         self._still = subject.template.render(0.0)
         self._still.flags.writeable = False
-
-    def _extend_noise(self, n_total: int) -> None:
-        """Draw the noise stream up to absolute sample n_total; never trims."""
-        have = self._origin + self._noise.shape[1]
-        if n_total <= have:
-            return
-        grow = n_total - have
-        subject = self.subject
-        if subject.oracle or subject.noise_sigma_uv == 0.0:
-            block = np.zeros((N_CHANNELS, grow))
-        else:
-            block = self.rng.normal(0.0, subject.noise_sigma_uv, size=(N_CHANNELS, grow))
-        self._noise = np.concatenate([self._noise, block], axis=1)
 
     def trial(self, onset_s: float, is_oddball: bool) -> np.ndarray:
         """Register one stimulus and return its (8, 80) trial window.
@@ -223,27 +213,32 @@ class SessionSynthesizer:
                 f"{self._last_onset}; onsets must not go backwards"
             )
         self._last_onset = onset_sample
+        # responses that ended before this onset can reach no window from here on
+        events = self._events
+        while events and events[0][0] + N_SAMPLES <= onset_sample:
+            del events[0]
         if is_oddball:
             fires, jitter = _erp_fires(self.subject, self.rng)
             if fires:
                 waveform = self._still if jitter == 0.0 else self.subject.template.render(jitter)
-                self._events.append((onset_sample, waveform))
-        # no window from here on starts before this onset
+                events.append((onset_sample, waveform))
+        # no window from here on starts before this onset: drop the noise
+        # before it, and draw the stream on to the end of this window
         drop = min(onset_sample - self._origin, self._noise.shape[1])
-        if drop > 0:
-            self._noise = self._noise[:, drop:]
-            self._origin += drop
-        self._extend_noise(onset_sample + N_SAMPLES)
+        self._origin += drop
+        noise = self._noise[:, drop:]
+        grow = onset_sample + N_SAMPLES - self._origin - noise.shape[1]
+        if grow > 0:
+            if self._silent:
+                block = np.zeros((N_CHANNELS, grow))
+            else:
+                block = self.rng.normal(0.0, self.subject.noise_sigma_uv, size=(N_CHANNELS, grow))
+            noise = np.concatenate((noise, block), axis=1)
+        self._noise = noise
         start = onset_sample - self._origin
-        window = self._noise[:, start : start + N_SAMPLES].copy()
-        for ev_sample, waveform in self._events:
-            lo = max(ev_sample, onset_sample)
-            hi = min(ev_sample + N_SAMPLES, onset_sample + N_SAMPLES)
-            if hi > lo:
-                window[:, lo - onset_sample : hi - onset_sample] += waveform[
-                    :, lo - ev_sample : hi - ev_sample
-                ]
-        # events can no longer reach windows this far along
-        self._events = [e for e in self._events if e[0] + N_SAMPLES > onset_sample]
+        window = noise[:, start : start + N_SAMPLES].copy()
+        # every response left began at or before this onset and overlaps it
+        for ev_sample, waveform in events:
+            shift = onset_sample - ev_sample
+            window[:, : N_SAMPLES - shift] += waveform[:, shift:]
         return window
-

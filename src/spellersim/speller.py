@@ -33,6 +33,7 @@ from .alphabet import (
     BACKSPACE,
     SYMBOLS,
     FrequencyTable,
+    _require_symbols,
     default_frequency_table,
     draw_permutation,
     form_cycle,
@@ -155,6 +156,8 @@ def apply_selection(prompt: str, symbol: str) -> str:
 class Speller:
     """Selection state machine over the 42 SYMBOLS.
 
+    The frequency table must hold exactly the SYMBOLS, as training requires.
+
     Drive it one trial at a time:
 
         stimulus = speller.next_stimulus()
@@ -176,6 +179,7 @@ class Speller:
         self.rng = rng
         self.frequency = frequency if frequency is not None else default_frequency_table()
         self.dictionary = dictionary if dictionary is not None else default_dictionary()
+        _require_symbols(self.frequency)
         if self.frequency.symbols != SYMBOLS:
             self.frequency = self.frequency.restrict(SYMBOLS)
         self.pause_s = pause_s
@@ -200,6 +204,7 @@ class Speller:
         self._pending: tuple[str, ...] | None = None
 
         self._log_acc = np.full(len(SYMBOLS), self._log_reset)
+        self._evidence = np.empty(len(SYMBOLS))  # one trial's step, refilled per trial
         self._streak = 0
         self._streak_idx: int | None = None
 
@@ -339,16 +344,22 @@ class Speller:
         if not (math.isfinite(posterior) and 0.0 <= posterior <= 1.0):
             raise ValueError(f"posterior must lie in [0, 1], got {posterior!r}")
         p = min(max(posterior, _CLAMP), 1.0 - _CLAMP)
-        for symbol in stimulus:
-            if symbol not in self._index:
-                raise ValueError(f"unknown symbol {symbol!r}")
-        # one add per symbol: log(p) where lit, log(1 - p) elsewhere
-        step = np.full(self._log_acc.size, math.log(1.0 - p))
-        step[[self._index[symbol] for symbol in stimulus]] = math.log(p)
+        # one add per symbol: log(p) where lit, log(1 - p) elsewhere; the
+        # step buffer holds no state, so an unknown symbol leaves it as is
+        step = self._evidence
+        step.fill(math.log(1.0 - p))
+        log_p = math.log(p)
+        index = self._index
+        try:
+            for symbol in stimulus:
+                step[index[symbol]] = log_p
+        except KeyError as exc:
+            raise ValueError(f"unknown symbol {exc.args[0]!r}") from None
         acc = self._log_acc
         acc += step
         idx = int(acc.argmax())
-        if np.count_nonzero(acc == acc[idx]) == 1:
+        # the maximum is strict when the first one from either end is the same
+        if idx + acc[::-1].argmax() == acc.size - 1:
             self._streak = self._streak + 1 if idx == self._streak_idx else 1
             self._streak_idx = idx
         else:
@@ -398,10 +409,12 @@ class SessionLog:
 
     def write(self, path) -> None:
         header = {"record": "header", "schema_version": SCHEMA_VERSION, "meta": self.meta}
+        # the encoder json.dumps(record, sort_keys=True) builds, built once
+        encode = json.JSONEncoder(sort_keys=True).encode
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            fh.write(encode(header) + "\n")
             for record in self.records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+                fh.write(encode(record) + "\n")
 
     def selections(self) -> list[dict]:
         return [r for r in self.records if r["record"] == "selection"]

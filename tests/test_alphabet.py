@@ -137,6 +137,23 @@ class TestCdf:
             with pytest.raises(ValueError):
                 freq.masses[0] = 1.0
 
+    def test_mass_floats_are_the_masses_as_an_immutable_tuple(self, table, tmp_path):
+        # draw_permutation reads the tuple in place of masses.tolist() per draw
+        path = tmp_path / "table.txt"
+        path.write_text("".join(f"{s} {float(p)!r}\n" for s, p in zip(table.symbols, table.probs)))
+        loaded = load_frequency_table(path)
+        uniform = uniform_frequency_table(table.symbols)
+        for freq in (table, uniform, loaded, table.restrict(SYMBOLS), table.restrict(("T", "A", "E"))):
+            floats = freq._mass_floats
+            assert type(floats) is tuple
+            assert all(type(m) is float for m in floats)
+            assert floats == tuple(freq.masses.tolist())
+            assert freq._mass_floats is floats
+            with pytest.raises(TypeError):
+                floats[0] = 1.0
+            with pytest.raises(AttributeError):
+                freq._mass_floats = (1.0,) * len(floats)
+
     def test_rejects_nonmonotone_breakpoints(self):
         # 1e-17 sums to 1.0 and does not move the running sum past it
         with pytest.raises(ValueError, match="move the cumulative sum"):

@@ -5,6 +5,7 @@ or drop its spans unnoticed."""
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -49,3 +50,47 @@ def test_every_name_the_benchmark_traces_resolves():
         f"{path}.{attr}" for path, attr, _ in tracing.TARGETS if tracing._owner(path).__dict__.get(attr) is None
     }
     assert sorted(missing - STALE_TARGETS) == []
+
+
+# the spans a traced spell records, and those of them that the online loop
+# records once per trial
+SPELL_SPANS = (
+    "cli.main", "cli.load_config", "features.load_model", "harness.run_online", "classifier.with_theta",
+    "speller.next_stimulus", "alphabet.draw_permutation", "alphabet.form_cycle",
+    "signal.synth", "signal.preprocess", "features.extract", "classifier.posterior_oddball",
+    "speller.step", "speller.advance_clock", "speller.log_trial", "speller.log_selection",
+    "channel.practical_itr", "channel.per_trial_itr", "speller.log_write", "harness.write_session_csv",
+    "cli.write_manifest",
+)
+PER_TRIAL_SPANS = (
+    "speller.next_stimulus", "signal.synth", "signal.preprocess", "features.extract",
+    "classifier.posterior_oddball", "speller.step", "speller.advance_clock", "speller.log_trial",
+)
+
+
+def test_a_traced_spell_records_every_online_span(tmp_path, capsys):
+    from importlib import resources
+
+    from spellersim import cli
+
+    cfg = tmp_path / "oracle.cfg"
+    preset = resources.files("spellersim").joinpath("presets/fast_oracle.cfg").read_text()
+    cfg.write_text(preset + "cv_repeats = 1\ncv_folds = 2\ntrial_budget = 300\n")
+    assert cli.main(["train", "--config", str(cfg), "--seed", "0", "--out", str(tmp_path / "model")]) == 0
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    argv = ["spell", "--config", str(cfg), "--model", str(tmp_path / "model" / "model.bin")]
+    with tracer.installed(0):
+        # looked up on the module, as the benchmark worker does, so that the
+        # cli.main span is recorded too
+        assert cli.main([*argv, "--seed", "0", "--out", str(tmp_path / "spell")]) == 0
+    capsys.readouterr()
+    counts: dict[str, int] = {}
+    for span in tracer.spans:
+        counts[span[0]] = counts.get(span[0], 0) + 1
+    assert [name for name in SPELL_SPANS if counts.get(name, 0) < 1] == []
+    n_trials = json.loads((tmp_path / "spell" / "session_report.json").read_text())["n_trials"]
+    assert n_trials == 153
+    assert {name: counts[name] for name in PER_TRIAL_SPANS} == dict.fromkeys(PER_TRIAL_SPANS, n_trials)

@@ -92,6 +92,15 @@ class TestConfigLoading:
         with pytest.raises(ValueError):
             load_config(bad)
 
+    def test_train_chars_above_the_letter_count_rejected(self, tmp_path):
+        # targets are distinct letters, so a session has at most 26 of them
+        cfg = tmp_path / "chars.cfg"
+        cfg.write_text("train_chars = 26\n")
+        assert load_config(cfg).protocol.train_chars == 26
+        cfg.write_text("train_chars = 27\n")
+        with pytest.raises(ValueError, match=r"train_chars must lie in \[1, 26\].*got 27"):
+            load_config(cfg)
+
     def test_accepted_keys_are_the_dataclass_fields(self):
         protocol = {f.name for f in dataclasses.fields(ProtocolConfig)}
         run = {f.name for f in dataclasses.fields(RunSpec)} - {"protocol"}
@@ -411,6 +420,13 @@ class TestMc:
         assert code == 2
         assert err == "error: --uniform and --table are mutually exclusive\n"
 
+    def test_negative_seed_rejected(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "mc", "--runs", "10", "--seed", "-1", "--out", str(out))
+        assert code == 2
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
     @pytest.mark.parametrize("runs", ["0", "-5"])
     def test_runs_below_one_rejected(self, capsys, runs):
         code, out, err = run_cli(capsys, "mc", "--runs", runs)
@@ -616,6 +632,23 @@ class TestTrain:
 
 
 class TestSpell:
+    def test_table_with_an_extra_symbol_rejected(self, capsys, tmp_path, trained):
+        # the bundled table plus "@": train rejects it, and so does spell
+        table = default_frequency_table()
+        lines = [f"{s} {float(p * (1.0 - 1e-3))!r}\n" for s, p in zip(table.symbols, table.probs)]
+        path = tmp_path / "extra.txt"
+        path.write_text("".join(lines) + "@ 0.001\n")
+        cfg = tmp_path / "extra.cfg"
+        cfg.write_text(f"iti_ms = 400\nsubject = oracle\nfrequency_table = {path}\n")
+        out = tmp_path / "out"
+        argv = ["spell", "--config", str(cfg), "--model", str(trained / "model.bin"), "--out", str(out)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == (
+            "error: frequency table must hold exactly the 42 speller symbols: missing [], extra ['@']\n"
+        )
+        assert list(out.iterdir()) == []
+
     def test_benchmark_session(self, capsys, workdir, oracle_cfg, trained):
         out_dir = workdir / "spelled"
         code, out, _ = run_cli(
@@ -859,6 +892,17 @@ class TestMalformedModel:
 
 
 class TestCv:
+    @pytest.mark.parametrize("where", ["option", "config"])
+    def test_negative_seed_rejected(self, capsys, tmp_path, where):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("iti_ms = 400\nsubject = oracle\n" + ("seed = -1\n" if where == "config" else ""))
+        argv = ["cv", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if where == "option":
+            argv += ["--seed", "-1"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_cv_with_subsample(self, capsys, workdir):
         cfg = workdir / "cv_oracle.cfg"
         cfg.write_text("iti_ms = 160\nsubject = oracle\nseed = 0\ncv_repeats = 1\n")

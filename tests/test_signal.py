@@ -241,6 +241,34 @@ def test_session_windows_match_full_buffer_reference(subject):
     assert session.rng.random() == reference.rng.random()
 
 
+# in samples: repeated onsets, steps inside the window (one that leaves a
+# response a single sample of overlap), pauses longer than the window (one
+# right after a response), and repeats after a pause
+_EDGE_ONSETS = (0, 0, 0, 34, 34, 700, 700, 734, 734, 734, 2000, 2080, 2080, 2081, 2159, 5000, 5000, 5079)
+_EDGE_ODDBALL = (
+    True, True, False, True, True, True, True, False, True,
+    True, False, True, True, False, False, True, False, False,
+)
+
+
+@pytest.mark.parametrize(
+    "subject",
+    [subject_preset("midsnr"), subject_preset("oracle"), _PARTIAL_SUBJECT],
+    ids=["midsnr", "oracle", "partial_attention"],
+)
+def test_session_windows_match_full_buffer_reference_across_pauses_and_repeats(subject):
+    session = SessionSynthesizer(subject, np.random.default_rng(3))
+    reference = FullBufferSynthesizer(subject, np.random.default_rng(3))
+    for onset, is_odd in zip(_EDGE_ONSETS, _EDGE_ODDBALL):
+        got = session.trial(onset / FS, is_odd)
+        want = reference.trial(onset / FS, is_odd)
+        assert np.array_equal(got, want)
+        # the buffer ends with this window and starts at or before it
+        assert session._origin <= onset
+        assert session._origin + session._noise.shape[1] == onset + N_SAMPLES
+    assert session.rng.random() == reference.rng.random()
+
+
 @pytest.fixture(scope="module")
 def training_sessions(recorded_training):
     """Each ITI's session, with the group and the onset of every trial."""

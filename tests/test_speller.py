@@ -15,6 +15,8 @@ from spellersim.alphabet import (
     draw_permutation,
     form_cycle,
 )
+from spellersim.harness import ProtocolConfig, run_training
+from spellersim.signal import subject_preset
 from spellersim.speller import (
     COMPLETION,
     EXITED,
@@ -348,6 +350,34 @@ class TestIntegration:
         assert np.all(speller._log_acc == math.log(1 / 42))
 
 
+class TestFrequencyTableSymbols:
+    """The speller takes the tables that training takes, and rejects the
+    rest with training's message."""
+
+    @staticmethod
+    def rejection(frequency):
+        with pytest.raises(ValueError) as speller_error:
+            make_speller(frequency=frequency)
+        with pytest.raises(ValueError) as training_error:
+            run_training(ProtocolConfig(), subject_preset("oracle"), np.random.default_rng(0), frequency)
+        assert str(speller_error.value) == str(training_error.value)
+        return str(speller_error.value)
+
+    def test_an_extra_symbol_is_rejected(self):
+        table = default_frequency_table()
+        extra = FrequencyTable(table.symbols + ("#",), np.append(table.probs * (1.0 - 1e-3), 1e-3))
+        assert self.rejection(extra) == (
+            "frequency table must hold exactly the 42 speller symbols: missing [], extra ['#']"
+        )
+
+    def test_a_missing_symbol_is_rejected(self):
+        table = default_frequency_table()
+        keep = [i for i, s in enumerate(table.symbols) if s not in "QZ"]
+        probs = table.probs[keep] / table.probs[keep].sum()
+        missing = FrequencyTable(tuple(table.symbols[i] for i in keep), probs)
+        assert self.rejection(missing).endswith("missing ['Q', 'Z'], extra []")
+
+
 class TestClock:
     def test_zero_trials_zero_time(self):
         speller = make_speller()
@@ -477,6 +507,21 @@ class TestSessionLog:
         assert loaded.meta == {"iti_ms": 160, "subject": "oracle"}
         assert loaded.records == log.records
 
+    def test_write_equals_one_dumps_per_record(self, tmp_path):
+        # the file the writer gave when it called json.dumps on every line
+        log = SessionLog(meta={"iti_ms": 160.0, "sentence": "HI*", "subject": "oracle", "seed": 0})
+        log.trial(0.0, STAGE1, ("A", "B", "C", "D", "E", "F"), "oddball", 0.9999999999)
+        log.trial(0.172, STAGE2, ("A",), "non-oddball", 1e-300)
+        log.selection(SelectionEvent(symbol="H", mechanism=STAGE2, pause_s=3.0, time_s=0.344))
+        log.selection(SelectionEvent(symbol="*", mechanism=INTEGRATION, pause_s=0.0))
+        log.trial(3.344, COMPLETION, ("I",), "oddball", 0.5)
+        path = tmp_path / "session.jsonl"
+        log.write(path)
+        header = {"record": "header", "schema_version": 1, "meta": log.meta}
+        want = "".join(json.dumps(r, sort_keys=True) + "\n" for r in [header, *log.records])
+        assert path.read_text(encoding="utf-8") == want
+        assert log.records[3]["t_s"] is None
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"record": "trial"}) + "\n")
@@ -546,6 +591,23 @@ class TestIntegrationEquivalence:
             n_ties += streak_idx is None
             n_streaks += streak >= 2
         assert n_ties > 50 and n_streaks > 50
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_update_equals_the_full_step_version_bitwise(self, seed):
+        # the reference builds each trial's step with np.full and counts
+        # ties with count_nonzero; the speller refills one buffer and finds
+        # the maximum from both ends
+        speller = make_speller(seed=seed)
+        ref = _ReferenceSpeller(np.random.default_rng(seed))
+        for k, (stimulus, posterior) in enumerate(_update_cases(3000, seed + 10)):
+            if k % 500 == 0:
+                speller._reset_integration()
+                ref._reset_integration()
+            speller.update_integration(stimulus, posterior)
+            ref.update_integration(stimulus, posterior)
+            assert speller._log_acc.tobytes() == ref._log_acc.tobytes()
+            assert (speller._streak, speller._streak_idx) == (ref._streak, ref._streak_idx)
+            assert type(speller._streak_idx) is type(ref._streak_idx)
 
 
 class TestDictionaryMemo:
