@@ -257,7 +257,6 @@ def _calibrate(spec: RunSpec, seed: int, frequency: FrequencyTable | None):
 def cmd_train(args) -> int:
     spec = load_config(_resolve_config(args.config))
     seed = _effective_seed(args, spec)
-    out = _out_dir(args)
     frequency, _ = _load_tables(spec)
 
     trials, cv = _calibrate(spec, seed, frequency)
@@ -265,6 +264,7 @@ def cmd_train(args) -> int:
 
     identity = _run_identity("train", seed, spec.snapshot(), inputs={})
     digest = _run_digest(identity)
+    out = _out_dir(args)
     model_path = out / "model.bin"
     save_model(
         model_path,
@@ -291,7 +291,6 @@ def cmd_train(args) -> int:
 def cmd_cv(args) -> int:
     spec = load_config(_resolve_config(args.config))
     seed = _effective_seed(args, spec)
-    out = _out_dir(args)
     frequency, _ = _load_tables(spec)
 
     trials, cv = _calibrate(spec, seed, frequency)
@@ -313,6 +312,7 @@ def cmd_cv(args) -> int:
         )
 
     identity = _run_identity("cv", seed, spec.snapshot(), inputs={})
+    out = _out_dir(args)
     cv_path = out / "cv.csv"
     write_cv_csv(cv_path, rows)
     manifest = _write_manifest(out, "cv_manifest.json", identity, {"cv.csv": cv_path})
@@ -324,7 +324,6 @@ def cmd_cv(args) -> int:
 def cmd_spell(args) -> int:
     spec = load_config(_resolve_config(args.config))
     seed = _effective_seed(args, spec)
-    out = _out_dir(args)
     frequency, dictionary = _load_tables(spec)
     subject = subject_preset(spec.subject)
 
@@ -360,6 +359,7 @@ def cmd_spell(args) -> int:
     log.meta["seed"] = seed
     log.meta["manifest_digest"] = digest
 
+    out = _out_dir(args)
     log_path = out / "session.jsonl"
     log.write(log_path)
     report_doc = dataclasses.asdict(report)

@@ -15,11 +15,8 @@ dimensions (n - 1 < d, the oddball class at protocol sizes) is solved by
 the method of snapshots: a partial eigensolve of the n x n Gram matrix
 whose eigenvectors map back through the centered samples. Other classes get
 a partial eigensolve of the d x d covariance. The oddball subspace always
-keeps the component of the oddball mean offset that its basis cannot see.
-The non-oddball subspace keeps it only when that class is rank deficient:
-when n - 1 < d or when cov - _EIG_TOL * lambda_max * I has no Cholesky
-factor, i.e. some eigenvalue is at or below the tolerance that keeps a
-direction.
+keeps the component of the oddball mean offset that its basis cannot see;
+the non-oddball subspace never keeps its own.
 
 Fitted models are immutable; fitting and extraction are pure functions.
 """
@@ -162,16 +159,14 @@ def _eigh_top(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _class_eigensystem(
-    x: np.ndarray, rows: np.ndarray, k: int, oddball: bool
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, float, bool]:
+    x: np.ndarray, rows: np.ndarray, k: int
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, float]:
     """Mean and eigensystem of the class whose rows of x the boolean mask
-    `rows` selects; oddball says whether that is the oddball class.
+    `rows` selects.
 
     Returns the class mean, the scale below which eigenvalues are centering
     dust, the top-k eigenpairs of the sample covariance (eigenvalues
-    descending, at most k; eigenvectors as rows), the covariance trace, and
-    the offset rule: always for the oddball class, otherwise when the
-    covariance has an eigenvalue at or below _EIG_TOL times the largest one.
+    descending, at most k; eigenvectors as rows) and the covariance trace.
 
     The class is copied once and centered in place; x is left unchanged.
     When the covariance is formed, the copy is freed before the eigensolve."""
@@ -193,23 +188,12 @@ def _class_eigensystem(
         v = centered.T @ u[:, ::-1]
         norms = np.linalg.norm(v, axis=0)
         v /= np.where(norms > 0.0, norms, 1.0)
-        return mean, dust, w[::-1], v.T, float(np.trace(gram)), True
+        return mean, dust, w[::-1], v.T, float(np.trace(gram))
     cov = centered.T @ centered
     del centered
     cov /= n - 1
-    k = min(k, d)
-    w, v = _eigh_top(cov, k)
-    w, v = w[::-1], v[:, ::-1].T
-    trace = float(np.trace(cov))
-    if oddball:
-        return mean, dust, w, v, trace, True
-    # every eigenvalue exceeds the tolerance iff the shifted matrix is
-    # positive definite; the top-k spectrum alone cannot see a rank above k.
-    # cov is exactly symmetric, so its transpose is the same matrix in the
-    # Fortran order LAPACK factors in place, without a copy
-    cov.flat[:: d + 1] -= _EIG_TOL * max(w[0], 0.0)
-    _, info = _lapack().dpotrf(cov.T, lower=True, clean=False, overwrite_a=True)
-    return mean, dust, w, v, trace, info != 0
+    w, v = _eigh_top(cov, min(k, d))
+    return mean, dust, w[::-1], v[:, ::-1].T, float(np.trace(cov))
 
 
 def _mean_offset_direction(mean: np.ndarray, global_mean: np.ndarray, basis: np.ndarray | None) -> np.ndarray | None:
@@ -230,7 +214,7 @@ def _fit_subspace(
 ) -> ClassSubspace:
     """Subspace of the class whose rows of x the boolean mask `rows` selects;
     oddball says whether that is the oddball class. x is left unchanged."""
-    mean, dust, eigvals, vecs, trace, keep_offset = _class_eigensystem(x, rows, m_max + 1, oddball)
+    mean, dust, eigvals, vecs, trace = _class_eigensystem(x, rows, m_max + 1)
     eigvals = np.clip(eigvals, 0.0, None)
     if eigvals.size == 0 or eigvals[0] <= dust:
         # degenerate class: all samples identical. Fall back to the single
@@ -244,13 +228,12 @@ def _fit_subspace(
     m = int(np.searchsorted(fractions, eta - 1e-12) + 1)
     m = min(m, m_max, len(eigvals))
     basis = _fix_signs(vecs[:m]).T.copy()
-    if keep_offset:
-        # Keep the class-offset component the basis cannot represent. For the
-        # oddball class it is the separating feature at any session size. A
-        # rank-deficient class keeps it too: its covariance is blind to part
-        # of the space, and a degenerate (low-rank) class would lose its only
-        # separating direction. The offset direction counts toward the cap;
-        # at the cap it displaces the weakest retained eigendirection.
+    if oddball:
+        # The oddball class keeps its mean offset's component that the basis
+        # cannot represent: it is the separating feature at any session size.
+        # The non-oddball class never keeps its own. The offset direction
+        # counts toward the cap; at the cap it displaces the weakest retained
+        # eigendirection.
         extra = _mean_offset_direction(mean, global_mean, basis)
         if extra is not None:
             if basis.shape[1] >= m_max:

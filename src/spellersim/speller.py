@@ -180,8 +180,6 @@ class Speller:
         self.frequency = frequency if frequency is not None else default_frequency_table()
         self.dictionary = dictionary if dictionary is not None else default_dictionary()
         _require_symbols(self.frequency)
-        if self.frequency.symbols != SYMBOLS:
-            self.frequency = self.frequency.restrict(SYMBOLS)
         self.pause_s = pause_s
 
         self._index = {s: i for i, s in enumerate(SYMBOLS)}

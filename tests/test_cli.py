@@ -425,7 +425,7 @@ class TestMc:
         code, _, err = run_cli(capsys, "mc", "--runs", "10", "--seed", "-1", "--out", str(out))
         assert code == 2
         assert err == "error: seed must be a non-negative integer, got -1\n"
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("runs", ["0", "-5"])
     def test_runs_below_one_rejected(self, capsys, runs):
@@ -527,7 +527,7 @@ class TestTrainBytes:
             "train_cv.csv": "224dba061b6ace520da0ca27421a9f010f20c8755559caedede10633b56c1154",
         },
         "fast_oracle": {
-            "model.bin": "0a123af49f9e3b6ad540a99840de612e981ece128d93dfbe2677ca2de65d76a5",
+            "model.bin": "141cd66d931e564576b61a880383459a4e3b5bffca2a39259a7d6283fce0a22d",
             "train_cv.csv": "70b9b938e20dd11852a493f04637c738a0a81f88159c0be12ae8936db15996b7",
         },
     }
@@ -620,7 +620,16 @@ class TestTrain:
         assert code == 2
         assert err.startswith("error: frequency table must hold exactly the 42 speller symbols")
         assert "missing ['J', 'K', 'Q', 'V', 'X', 'Z']" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+        # no other rejected run leaves its --out behind either
+        for argv, message in (
+            (("cv", "--config", "fast_oracle", "--seed", "-1"), "error: seed must be a non-negative integer"),
+            (("spell", "--config", "fast_oracle", "--model", str(tmp_path / "absent.bin")), "error: [Errno 2]"),
+        ):
+            code, _, err = run_cli(capsys, *argv, "--out", str(out))
+            assert code == 2
+            assert err.startswith(message)
+            assert not out.exists()
 
     def test_manifest_digests_are_real(self, trained):
         doc = json.loads((trained / "train_manifest.json").read_text())
@@ -647,7 +656,7 @@ class TestSpell:
         assert err == (
             "error: frequency table must hold exactly the 42 speller symbols: missing [], extra ['@']\n"
         )
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_benchmark_session(self, capsys, workdir, oracle_cfg, trained):
         out_dir = workdir / "spelled"
@@ -738,7 +747,7 @@ class TestSpell:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert err == "error: model container carries no classifier\n"
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
     def test_a_wrong_transcript_credits_no_selection(self, capsys, tmp_path):
         # the slow noise session at seed 0 errs on its first selection and

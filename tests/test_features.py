@@ -362,11 +362,8 @@ def test_binary_output_is_byte_identical(tmp_path):
 
 
 def _oracle_fit_subspace(x_c, global_mean, eta, m_max, oddball):
-    """Full eigh/SVD subspace fit, kept as an independent reference.
-
-    Returns the subspace and whether the full spectrum has an eigenvalue at
-    or below _EIG_TOL times the largest (the rank-deficiency decision). The
-    oddball class, or a rank-deficient one, keeps its mean-offset direction."""
+    """Full eigh/SVD subspace fit, kept as an independent reference. Only
+    the oddball class keeps its mean-offset direction."""
     mean = x_c.mean(axis=0)
     centered = x_c - mean
     n, d = centered.shape
@@ -382,20 +379,19 @@ def _oracle_fit_subspace(x_c, global_mean, eta, m_max, oddball):
     if eigvals[0] <= dust:
         extra = _mean_offset_direction(mean, global_mean, None)
         basis = extra if extra is not None else np.eye(d)[0]
-        return ClassSubspace(mean, basis[:, None].copy(), 1.0), True
+        return ClassSubspace(mean, basis[:, None].copy(), 1.0)
     keep = eigvals > _EIG_TOL * eigvals[0]
     eigvals, vecs = eigvals[keep], vecs[keep]
     fractions = np.cumsum(eigvals) / eigvals.sum()
     m = min(int(np.searchsorted(fractions, eta - 1e-12) + 1), m_max, len(eigvals))
     basis = _fix_signs(vecs[:m]).T.copy()
-    deficient = len(eigvals) < d
-    if oddball or deficient:
+    if oddball:
         extra = _mean_offset_direction(mean, global_mean, basis)
         if extra is not None:
             if basis.shape[1] >= m_max:
                 basis, m = basis[:, : m_max - 1], m_max - 1
             basis = np.column_stack([basis, extra])
-    return ClassSubspace(mean, basis, float(fractions[m - 1])), deficient
+    return ClassSubspace(mean, basis, float(fractions[m - 1]))
 
 
 def _decaying_classes(rng, n_o, n_e, d, sep=3.0):
@@ -431,7 +427,7 @@ EQUIVALENCE_CASES = {
 }
 
 
-_TIED_GATE_CASES = {"rank5", "zero_variance", "rank2_in_d50", "rank100_in_d480"}
+_TIED_GATE_CASES = {"rank5", "zero_variance"}
 
 
 def _sine_of_largest_angle(a, b):
@@ -446,9 +442,7 @@ def test_subspace_fit_matches_full_spectrum_oracle(case):
     for mask, oddball in ((y, True), (~y, False)):
         x_c = x[mask]
         new = _fit_subspace(x, mask, global_mean, eta, m_max, oddball)
-        old, old_deficient = _oracle_fit_subspace(x_c, global_mean, eta, m_max, oddball)
-        new_deficient = _class_eigensystem(x, mask, m_max + 1, False)[-1]
-        assert new_deficient == old_deficient
+        old = _oracle_fit_subspace(x_c, global_mean, eta, m_max, oddball)
         assert new.m == old.m
         assert np.array_equal(new.mean, old.mean)
         assert _sine_of_largest_angle(new.basis, old.basis) < 1e-9
@@ -458,18 +452,30 @@ def test_subspace_fit_matches_full_spectrum_oracle(case):
         assert abs(new.energy_fraction - old.energy_fraction) <= 1e-12
 
 
-def test_rank_rule_sees_rank_beyond_the_computed_spectrum():
+def test_only_the_oddball_fit_keeps_the_offset_whatever_the_rank():
     x, y, _, m_max = EQUIVALENCE_CASES["rank100_in_d480"]
     x_c = x[y]
     assert x_c.shape[0] - 1 >= x_c.shape[1]
-    _, _, eigvals, _, _, deficient = _class_eigensystem(x, y, m_max + 1, False)
-    # every computed eigenvalue is well above the tolerance; only the
-    # Cholesky test finds the 380 missing directions
+    eigvals = _class_eigensystem(x, y, m_max + 1)[2]
+    # every computed eigenvalue is well above the tolerance, though the
+    # class spans 100 of 480 directions
     assert np.all(eigvals > 1e3 * _EIG_TOL * eigvals[0])
-    assert deficient
-    # fitted as the non-oddball class, which keeps the offset only when deficient
-    sub = _fit_subspace(x, y, x.mean(axis=0), 0.9, m_max, False)
-    assert sub.m == m_max  # 29 spectral directions + the mean offset
+    global_mean = x.mean(axis=0)
+    offset = x_c.mean(axis=0) - global_mean
+
+    def unseen(basis):
+        return np.linalg.norm(offset - basis @ (basis.T @ offset)) / np.linalg.norm(offset)
+
+    # fitted as the non-oddball class: spectral directions only, nearly blind to the offset
+    spectral = _fit_subspace(x, y, global_mean, 0.9, m_max, False)
+    assert spectral.m == m_max
+    assert unseen(spectral.basis) > 0.99
+    # fitted as the oddball class: the weakest spectral direction gives way to the offset
+    kept = _fit_subspace(x, y, global_mean, 0.9, m_max, True)
+    assert kept.m == m_max
+    assert _bits(kept.basis[:, :-1]) == _bits(spectral.basis[:, :-1])
+    # what it still misses lies along the displaced spectral direction
+    assert unseen(kept.basis) < 0.01
 
 
 def _out_of_place_class_eigensystem(centered, k):
@@ -482,41 +488,37 @@ def _out_of_place_class_eigensystem(centered, k):
         v = centered.T @ u[:, ::-1]
         norms = np.linalg.norm(v, axis=0)
         v /= np.where(norms > 0.0, norms, 1.0)
-        return w[::-1], v.T, float(np.trace(gram)), True
+        return w[::-1], v.T, float(np.trace(gram))
     cov = centered.T @ centered / (n - 1)
     k = min(k, d)
     w, v = scipy.linalg.eigh(cov, subset_by_index=(d - k, d - 1), check_finite=False)
-    w, v = w[::-1], v[:, ::-1].T
-    trace = float(np.trace(cov))
-    cov.flat[:: d + 1] -= _EIG_TOL * max(w[0], 0.0)
-    _, info = scipy.linalg.lapack.dpotrf(cov, lower=True, clean=False, overwrite_a=True)
-    return w, v, trace, info != 0
+    return w[::-1], v[:, ::-1].T, float(np.trace(cov))
 
 
 def _out_of_place_fit_subspace(x_c, global_mean, eta, m_max, oddball):
     """_fit_subspace as it was: centers into a second class-sized array and
-    takes the dust scale from np.abs. Returns the subspace and the rank flag."""
+    takes the dust scale from np.abs."""
     mean = x_c.mean(axis=0)
-    eigvals, vecs, trace, rank_deficient = _out_of_place_class_eigensystem(x_c - mean, m_max + 1)
+    eigvals, vecs, trace = _out_of_place_class_eigensystem(x_c - mean, m_max + 1)
     eigvals = np.clip(eigvals, 0.0, None)
     dust = (1e-10 * float(np.max(np.abs(x_c)))) ** 2
     if eigvals.size == 0 or eigvals[0] <= dust:
         extra = _mean_offset_direction(mean, global_mean, None)
         basis = extra if extra is not None else np.eye(len(mean))[0]
-        return ClassSubspace(mean=mean, basis=basis[:, None].copy(), energy_fraction=1.0), rank_deficient
+        return ClassSubspace(mean=mean, basis=basis[:, None].copy(), energy_fraction=1.0)
     keep = eigvals > _EIG_TOL * eigvals[0]
     eigvals, vecs = eigvals[keep], vecs[keep]
     fractions = np.cumsum(eigvals) / trace
     m = min(int(np.searchsorted(fractions, eta - 1e-12) + 1), m_max, len(eigvals))
     basis = _fix_signs(vecs[:m]).T.copy()
-    if oddball or rank_deficient:
+    if oddball:
         extra = _mean_offset_direction(mean, global_mean, basis)
         if extra is not None:
             if basis.shape[1] >= m_max:
                 basis, m = basis[:, : m_max - 1], m_max - 1
             basis = np.column_stack([basis, extra])
     energy = float(fractions[m - 1]) if m >= 1 else 0.0
-    return ClassSubspace(mean=mean, basis=basis, energy_fraction=energy), rank_deficient
+    return ClassSubspace(mean=mean, basis=basis, energy_fraction=energy)
 
 
 def _centering_dust_classes():
@@ -534,15 +536,14 @@ def test_in_place_subspace_fit_equals_the_out_of_place_fit_bitwise(case):
     for mask, oddball in ((y, True), (~y, False)):
         x_c = x[mask]
         new = _fit_subspace(x, mask, global_mean, eta, m_max, oddball)
-        old, old_deficient = _out_of_place_fit_subspace(x_c, global_mean, eta, m_max, oddball)
+        old = _out_of_place_fit_subspace(x_c, global_mean, eta, m_max, oddball)
         assert _bits(new.mean) == _bits(old.mean)
         assert new.basis.shape == old.basis.shape
         assert _bits(new.basis) == _bits(old.basis)
         assert _bits(new.energy_fraction) == _bits(old.energy_fraction)
-        got = _class_eigensystem(x, mask, m_max + 1, False)[2:]
+        got = _class_eigensystem(x, mask, m_max + 1)[2:]
         want = _out_of_place_class_eigensystem(x_c - x_c.mean(axis=0), m_max + 1)
-        assert got[3] == want[3] == old_deficient
-        for a, b in zip(got[:3], want[:3]):
+        for a, b in zip(got, want):
             assert _bits(a) == _bits(b)
 
 
@@ -561,8 +562,8 @@ def test_extract_batch_matches_full_spectrum_oracle(case):
     x, y, eta, m_max = EQUIVALENCE_CASES[case]
     model = fit_feature_model(x, y, eta=eta, m_max=m_max)
     global_mean = x.mean(axis=0)
-    sub_o = _oracle_fit_subspace(x[y], global_mean, eta, m_max, True)[0]
-    sub_e = _oracle_fit_subspace(x[~y], global_mean, eta, m_max, False)[0]
+    sub_o = _oracle_fit_subspace(x[y], global_mean, eta, m_max, True)
+    sub_e = _oracle_fit_subspace(x[~y], global_mean, eta, m_max, False)
     projections = {ODDBALL: (x - sub_o.mean) @ sub_o.basis, NON_ODDBALL: (x - sub_e.mean) @ sub_e.basis}
     oracle = FeatureModel(
         cpca=CpcaModel(eta, m_max, global_mean, sub_o, sub_e),
@@ -574,8 +575,9 @@ def test_extract_batch_matches_full_spectrum_oracle(case):
         subs, discs = fitted.cpca.subspaces(), (fitted.disc.oddball, fitted.disc.non_oddball)
         branches.append(np.column_stack([(test - s.mean) @ s.basis @ b.t for s, b in zip(subs, discs)]))
     assert np.allclose(branches[0], branches[1], rtol=1e-9, atol=1e-9)
-    # classes on one shared span (or a zero-variance class) make the gate a
-    # tie on every row, which rounding decides; compare the gated output off ties
+    # classes on one shared span with a mean-offset column in neither
+    # subspace (or a zero-variance class) make the gate a tie on every row,
+    # which rounding decides; compare the gated output off ties
     scores = _branch_scores(oracle, branches[1])
     decided = np.abs(scores[:, 0] - scores[:, 1]) > 1e-9
     assert decided.all() == (case not in _TIED_GATE_CASES)
@@ -993,18 +995,6 @@ def test_eigh_top_equals_scipy_eigh_bitwise(case):
     assert _bits(v) == _bits(want_v)
 
 
-@pytest.mark.parametrize("case", sorted(SYMMETRIC_CASES))
-def test_rank_test_info_equals_scipy_dpotrf(case):
-    a, _ = SYMMETRIC_CASES[case]
-    shifted = a - _EIG_TOL * np.linalg.eigvalsh(a)[-1] * np.eye(a.shape[0])
-    _, info = _lapack().dpotrf(shifted.copy(), lower=True, clean=False, overwrite_a=True)
-    _, want = scipy.linalg.lapack.dpotrf(shifted.copy(), lower=True, clean=False, overwrite_a=True)
-    assert info == want
-    # a centered Gram matrix has rank n - 1, and neither it nor the
-    # rank-deficient covariance has a Cholesky factor once shifted
-    assert (info != 0) == (case in ("gram_n_below_d", "rank_deficient_covariance"))
-
-
 @pytest.fixture(scope="module")
 def midsnr_projections():
     """Projections of a 160 ms midsnr session into its fitted subspaces."""
@@ -1049,58 +1039,17 @@ def test_fisher_direction_rejects_non_finite_input_like_the_scipy_version():
             fisher(z, y)
 
 
-def test_the_rank_test_runs_for_the_non_oddball_class_only(monkeypatch):
-    real = _lapack()
-    calls = []
-
-    class CountingLapack:
-        def __getattr__(self, name):
-            routine = getattr(real, name)
-            if name != "dpotrf":
-                return routine
-
-            def counted(*args, **kwargs):
-                calls.append(name)
-                return routine(*args, **kwargs)
-
-            return counted
-
-    monkeypatch.setattr(features, "_lapack", CountingLapack)
-    # a full-rank oddball class: more rows than dimensions
-    x, y = _decaying_classes(np.random.default_rng(43), 481, 900, 480)
-    model = fit_cpca(x, y)
-    assert calls == ["dpotrf"]
-    monkeypatch.undo()
-    reference = fit_cpca(x, y)
-    for got, want in zip(model.subspaces(), reference.subspaces()):
-        assert _bits(got.basis) == _bits(want.basis)
-
-
-def test_the_covariance_fit_frees_its_class_copy_and_factors_in_place(monkeypatch):
-    real_lapack, real_eigh_top = _lapack(), features._eigh_top
+def test_the_covariance_fit_frees_its_class_copy(monkeypatch):
+    real_eigh_top = features._eigh_top
     seen = {}
 
     def eigh_top(a, k):
         seen["traced_at_eigensolve"] = tracemalloc.get_traced_memory()[0]
         return real_eigh_top(a, k)
 
-    class InPlaceLapack:
-        def __getattr__(self, name):
-            routine = getattr(real_lapack, name)
-            if name != "dpotrf":
-                return routine
-
-            def dpotrf(a, **kwargs):
-                factor, info = routine(a, **kwargs)
-                seen["in_place"] = np.shares_memory(factor, a)
-                return factor, info
-
-            return dpotrf
-
     x, y = _decaying_classes(np.random.default_rng(44), 60, 1200, 480)
     reference = _fit_subspace(x, ~y, x.mean(axis=0), 0.9, 30, False)
     monkeypatch.setattr(features, "_eigh_top", eigh_top)
-    monkeypatch.setattr(features, "_lapack", InPlaceLapack)
     tracemalloc.start()
     try:
         sub = _fit_subspace(x, ~y, x.mean(axis=0), 0.9, 30, False)
@@ -1108,7 +1057,6 @@ def test_the_covariance_fit_frees_its_class_copy_and_factors_in_place(monkeypatc
         tracemalloc.stop()
     # the 7.4 MB class copy is gone; the 1.8 MB covariance remains
     assert seen["traced_at_eigensolve"] < 1200 * 480 * 8 / 2
-    assert seen["in_place"]
     assert _bits(sub.basis) == _bits(reference.basis)
 
 

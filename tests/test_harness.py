@@ -662,7 +662,7 @@ class TestStage2Table:
         assert lazy_report == eager_report
         assert lazy_log == eager_log
         # the session redraws in stage 2, yet most entries never do; the
-        # table over all SYMBOLS is restricted once per speller
+        # table over all SYMBOLS is drawn from as given, never restricted
         assert 1 < lazy_builds < eager_builds
 
 

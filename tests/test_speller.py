@@ -363,6 +363,13 @@ class TestFrequencyTableSymbols:
         assert str(speller_error.value) == str(training_error.value)
         return str(speller_error.value)
 
+    def test_the_speller_draws_by_the_masses_training_draws_by(self):
+        table = default_frequency_table()
+        for frequency in (None, table):
+            speller = make_speller(frequency=frequency)
+            assert speller.frequency.symbols == table.symbols
+            assert speller.frequency.masses.tobytes() == table.masses.tobytes()
+
     def test_an_extra_symbol_is_rejected(self):
         table = default_frequency_table()
         extra = FrequencyTable(table.symbols + ("#",), np.append(table.probs * (1.0 - 1e-3), 1e-3))
@@ -644,7 +651,7 @@ class _ReferenceSpeller:
     """Speller as it was, with a pause mode and separate stage-2 and
     completion scans. Verbatim but for its name, form_cycle, which now
     returns the groups themselves, and the alphabet's API: it indexes SYMBOLS
-    and draws from frequency tables. Selection state machine over the default
+    and draws from frequency tables, the full one as given. Selection state machine over the default
     42-symbol character set.
 
     Drive it one trial at a time:
@@ -668,8 +675,6 @@ class _ReferenceSpeller:
         self.rng = rng
         self.frequency = frequency if frequency is not None else default_frequency_table()
         self.dictionary = dictionary if dictionary is not None else default_dictionary()
-        if self.frequency.symbols != SYMBOLS:
-            self.frequency = self.frequency.restrict(SYMBOLS)
         self.pause_s = pause_s
 
         self._index = {s: i for i, s in enumerate(SYMBOLS)}
