@@ -24,25 +24,6 @@ peak = np.unravel_index(np.argmax(waveform), waveform.shape)
 print(f"strongest positive sample: channel {peak[0]}, "
       f"t = {1000 * peak[1] / FS:.0f} ms")
 
-try:
-    import matplotlib
-
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-
-    t_ms = 1000.0 * np.arange(waveform.shape[1]) / FS
-    fig, ax = plt.subplots(figsize=(7, 3.5))
-    for row in waveform:
-        ax.plot(t_ms, row, lw=0.8)
-    ax.set_xlabel("time after onset (ms)")
-    ax.set_ylabel("amplitude (uV)")
-    ax.set_title("target response template, all channels")
-    fig.tight_layout()
-    fig.savefig("demo_template.png", dpi=120)
-    print("wrote demo_template.png")
-except ImportError:
-    print("matplotlib not installed, skipping the template plot")
-
 # Three subject presets span the difficulty range. "oracle" is noise-free,
 # "midsnr" mimics a decent recording session, "noise" carries no signal.
 for name in ("oracle", "midsnr", "noise"):

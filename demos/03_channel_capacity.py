@@ -6,8 +6,6 @@ Mutual information, the Wolpaw formula, Fano's bound, and the practical
 typing rate, side by side on the same detector operating points.
 """
 
-import numpy as np
-
 from spellersim.channel import (
     ChannelSpec,
     ConfusionMatrix,
@@ -48,35 +46,3 @@ print(f"Wolpaw(8 classes, p = 0.92): {wolpaw_itr(8, 0.92):.4f} bits/selection")
 # from a 42-symbol set per second of wall-clock time, pauses included.
 print(f"\n44 correct symbols in 207.1 s: {practical_itr(44, 207.1, 42):.3f} bits/s")
 print(f"same symbols, active time only (78.1 s): {practical_itr(44, 78.1, 42):.3f} bits/s")
-
-try:
-    import matplotlib
-
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-
-    hits = np.linspace(0.0, 1.0, 201)
-    curves = {}
-    for fa in (0.0, 0.02, 0.10):
-        curves[fa] = [
-            mutual_information(
-                ChannelSpec(
-                    ConfusionMatrix(h, 1.0 - h, fa, 1.0 - fa),
-                    PRIOR_TARGET,
-                    1.0 - PRIOR_TARGET,
-                )
-            )
-            for h in hits
-        ]
-    fig, ax = plt.subplots(figsize=(7, 4))
-    for fa, curve in curves.items():
-        ax.plot(hits, curve, label=f"false-alarm rate {fa:.2f}")
-    ax.set_xlabel("hit rate")
-    ax.set_ylabel("mutual information (bits/trial)")
-    ax.set_title("information vs operating point, 1:6 priors")
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig("demo_channel.png", dpi=120)
-    print("\nwrote demo_channel.png")
-except ImportError:
-    print("\nmatplotlib not installed, skipping the capacity plot")

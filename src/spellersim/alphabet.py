@@ -54,23 +54,6 @@ def _index_of(symbols: tuple[str, ...], symbol: str) -> int:
         raise ValueError(f"unknown symbol {symbol!r}") from None
 
 
-def _set_masses(table: "FrequencyTable", probs: np.ndarray) -> None:
-    """Give table its read-only draw weights: the steps of the running sum of
-    probs from 0, as np.diff(np.cumsum(probs), prepend=0.0), both as an array
-    for _draw_batch and as a tuple of floats for _draw_row.
-
-    _draw_batch counts running sums at or below its target, which needs
-    positive steps; a probability too small to move the sum has none."""
-    cum = np.cumsum(probs)
-    masses = cum.copy()
-    masses[1:] -= cum[:-1]
-    if (masses <= 0.0).any():
-        raise ValueError("every probability must move the cumulative sum")
-    masses.flags.writeable = False
-    object.__setattr__(table, "masses", masses)
-    object.__setattr__(table, "_mass_floats", tuple(masses.tolist()))
-
-
 @dataclass(frozen=True)
 class FrequencyTable:
     """Per-symbol selection probabilities, the bias source for randomization."""
@@ -94,19 +77,25 @@ class FrequencyTable:
         total = float(np.sum(probs))
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities must sum to 1 (got {total!r})")
-        if SPACE not in self.symbols:
-            raise ValueError(f"table must contain the space symbol {SPACE!r}")
-        # the space symbol must carry the largest mass (ties allowed: uniform table)
-        if float(probs[self.symbols.index(SPACE)]) < float(np.max(probs)) - 1e-15:
-            raise ValueError("space symbol must carry the largest probability")
-        _set_masses(self, probs)
+        # the read-only draw weights: the steps of the running sum of probs
+        # from 0, as np.diff(np.cumsum(probs), prepend=0.0), both as an array
+        # for _draw_batch and as a tuple of floats for _draw_row. _draw_batch
+        # counts running sums at or below its target, which needs positive
+        # steps; a probability too small to move the sum has none.
+        cum = np.cumsum(probs)
+        masses = cum.copy()
+        masses[1:] -= cum[:-1]
+        if (masses <= 0.0).any():
+            raise ValueError("every probability must move the cumulative sum")
+        masses.flags.writeable = False
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "_mass_floats", tuple(masses.tolist()))
 
     def restrict(self, subset: tuple[str, ...]) -> "FrequencyTable":
         """Renormalized table over a subset of symbols, preserving table order.
 
         Used for repeated single-symbol illumination passes, where the draw is
-        biased by the same relative frequencies. Exempt from the space-symbol
-        dominance rule since subsets usually exclude it.
+        biased by the same relative frequencies.
         """
         subset = tuple(subset)
         wanted = set(subset)
@@ -120,14 +109,7 @@ class FrequencyTable:
             raise ValueError(f"subset contains symbols not in the table: {sorted(missing)}")
         keep = [i for i, s in enumerate(self.symbols) if s in wanted]
         p = self.probs[keep]
-        p = p / p.sum()
-        table = object.__new__(FrequencyTable)
-        object.__setattr__(table, "symbols", tuple(self.symbols[i] for i in keep))
-        p.flags.writeable = False
-        object.__setattr__(table, "probs", p)
-        object.__setattr__(table, "source", self.source)
-        _set_masses(table, p)
-        return table
+        return FrequencyTable(tuple(self.symbols[i] for i in keep), p / p.sum(), self.source)
 
 
 def _require_symbols(table: FrequencyTable) -> None:
@@ -148,7 +130,8 @@ def uniform_frequency_table(symbols: tuple[str, ...]) -> FrequencyTable:
 
 
 def load_frequency_table(path) -> FrequencyTable:
-    """Load a two-column text file: symbol, probability; '#' starts a comment."""
+    """Load a two-column text file: symbol, probability; '#' starts a comment.
+    The space symbol must carry the largest probability (ties allowed)."""
     symbols: list[str] = []
     probs: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -164,7 +147,12 @@ def load_frequency_table(path) -> FrequencyTable:
                 probs.append(float(parts[1]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad probability {parts[1]!r}") from exc
-    return FrequencyTable(tuple(symbols), np.array(probs), source=str(path))
+    table = FrequencyTable(tuple(symbols), np.array(probs), source=str(path))
+    if SPACE not in table.symbols:
+        raise ValueError(f"{path}: table must contain the space symbol {SPACE!r}")
+    if float(table.probs[table.symbols.index(SPACE)]) < float(np.max(table.probs)) - 1e-15:
+        raise ValueError(f"{path}: space symbol must carry the largest probability")
+    return table
 
 
 def default_frequency_table() -> FrequencyTable:

@@ -154,8 +154,8 @@ def practical_itr(n_correct: int, duration_s: float, alphabet_size: int) -> floa
     only correct selections."""
     if n_correct < 0:
         raise ValueError("n_correct must be >= 0")
-    if duration_s <= 0.0:
-        raise ValueError("duration must be positive")
+    if not 0.0 < duration_s < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration_s!r}")
     if alphabet_size < 2:
         raise ValueError("alphabet must have at least 2 symbols")
     return (n_correct / duration_s) * math.log2(alphabet_size)
@@ -165,8 +165,8 @@ def per_trial_itr_from_session(spec: ChannelSpec, n_trials: int, active_time_s: 
     """Per-trial information rate over active (pause-free) session time."""
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    if active_time_s <= 0.0:
-        raise ValueError("active time must be positive")
+    if not 0.0 < active_time_s < math.inf:
+        raise ValueError(f"active time must be positive and finite, got {active_time_s!r}")
     bits = mutual_information(spec)
     rate = n_trials / active_time_s
     return ItrReport(

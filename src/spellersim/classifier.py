@@ -118,14 +118,14 @@ def posterior_oddball(params: ClassifierParams, f: float) -> float:
     return z / (1.0 + z)
 
 
-def classify(params: ClassifierParams, f: float) -> bool:
-    """True for oddball. Odds exactly at theta resolve to non-oddball."""
+def classify(params: ClassifierParams, f):
+    """True for oddball. Odds exactly at theta resolve to non-oddball.
+
+    f is a scalar (a bool comes back) or an array (a bool array comes back)."""
     return log_posterior_odds(params, f) > math.log(params.theta)
 
 
-def decide_batch(params: ClassifierParams, features) -> np.ndarray:
-    """Vectorized classify over an array of features."""
-    return log_posterior_odds(params, features) > math.log(params.theta)
+decide_batch = classify
 
 
 def conditional_risk(params: ClassifierParams, f: float) -> tuple[float, float]:

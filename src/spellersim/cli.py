@@ -3,9 +3,9 @@
 Subcommands wrap the library layers into reproducible experiments: ``train``
 (fit and persist a pipeline), ``spell`` (closed-loop copy task), ``cv``
 (offline scoring without persisting a model), ``itr`` (channel arithmetic on
-explicit inputs), ``mc`` (randomization statistics). Every command honors
-``--seed`` and writes byte-identical artifacts when repeated; every artifact
-is registered in a manifest JSON carrying the digest of the run identity.
+explicit inputs), ``mc`` (randomization statistics). Each command but ``itr``
+honors ``--seed`` and repeats its artifacts byte for byte, each registered in
+a manifest JSON carrying the digest of the run identity.
 
 Config files are plain ``key = value`` text with ``#`` comments. Recognized
 keys: the protocol fields (iti_ms, train_chars, train_seconds_per_char,
@@ -49,6 +49,7 @@ from .channel import (
 from .features import load_model, save_model
 from .harness import (
     BENCHMARK_SENTENCE,
+    ONLINE_PRIORS,
     ProtocolConfig,
     cross_validate,
     cv_row,
@@ -66,7 +67,8 @@ from .speller import Dictionary, load_dictionary
 
 __all__ = ["RunSpec", "load_config", "build_parser", "main"]
 
-CHANCE_LEVEL = 6.0 / 7.0
+# the majority-class accuracy at the design ratio
+CHANCE_LEVEL = ONLINE_PRIORS[1]
 
 
 @dataclass(frozen=True)
@@ -93,9 +95,7 @@ class RunSpec:
 
     def snapshot(self) -> dict:
         """Every effective setting, defaults included, as plain JSON data."""
-        doc = dataclasses.asdict(self)
-        doc["protocol"] = dataclasses.asdict(self.protocol)
-        return doc
+        return dataclasses.asdict(self)
 
 
 # config key -> annotated type of the field it sets
@@ -311,7 +311,10 @@ def cmd_cv(args) -> int:
             f"+- {100.0 * sub.accuracy_std:.2f}"
         )
 
-    identity = _run_identity("cv", seed, spec.snapshot(), inputs={})
+    config = spec.snapshot()
+    if args.subsample is not None:
+        config["subsample"] = args.subsample
+    identity = _run_identity("cv", seed, config, inputs={})
     out = _out_dir(args)
     cv_path = out / "cv.csv"
     write_cv_csv(cv_path, rows)
@@ -338,7 +341,6 @@ def cmd_spell(args) -> int:
             f"config asks for iti_ms={spec.protocol.iti_ms}"
         )
 
-    sentence = args.sentence if args.sentence is not None else spec.sentence
     identity = _run_identity(
         "spell", seed, spec.snapshot(), inputs={"model.bin": _sha256(model_path)}
     )
@@ -350,7 +352,7 @@ def cmd_spell(args) -> int:
         model,
         params,
         substream(seed, "spell"),
-        sentence=sentence,
+        sentence=spec.sentence,
         trial_budget=spec.trial_budget,
         dictionary=dictionary,
         frequency=frequency,
@@ -434,7 +436,7 @@ def cmd_itr(args, parser: argparse.ArgumentParser) -> int:
     else:
         if args.p_oo is None or args.p_ee is None:
             parser.error("channel mode needs --p-oo and --p-ee")
-        prior_o = args.prior_o if args.prior_o is not None else 1.0 / 7.0
+        prior_o = args.prior_o if args.prior_o is not None else ONLINE_PRIORS[0]
         confusion = ConfusionMatrix(args.p_oo, 1.0 - args.p_oo, 1.0 - args.p_ee, args.p_ee)
         spec = ChannelSpec(confusion, prior_o, 1.0 - prior_o)
         mi = mutual_information(spec)
@@ -528,13 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_spell.add_argument("--config", required=True, help="config file or bundled preset name")
     p_spell.add_argument("--model", required=True, help="model container written by train")
-    p_spell.add_argument(
-        "--sentence", default=None, help="target sentence (default: the config's sentence)"
-    )
 
-    p_itr = sub.add_parser(
-        "itr", parents=[common], help="information-rate arithmetic on explicit inputs"
-    )
+    p_itr = sub.add_parser("itr", help="information-rate arithmetic on explicit inputs")
     p_itr.add_argument("--wolpaw", action="store_true", help="evaluate the Wolpaw formula")
     p_itr.add_argument("--classes", type=int, default=None, help="wolpaw: number of classes")
     p_itr.add_argument("--pc", type=float, default=None, help="wolpaw: classification accuracy")
@@ -571,20 +568,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "cv":
-            return cmd_cv(args)
-        if args.command == "spell":
-            return cmd_spell(args)
         if args.command == "itr":
             return cmd_itr(args, parser)
-        if args.command == "mc":
-            return cmd_mc(args)
+        # the output directory is made at the first write, after the run
+        if args.out is not None and Path(args.out).exists() and not Path(args.out).is_dir():
+            raise ValueError(f"--out {args.out!r} exists and is not a directory")
+        commands = {"train": cmd_train, "cv": cmd_cv, "spell": cmd_spell, "mc": cmd_mc}
+        return commands[args.command](args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from ._fork import _one_blas_thread, fork_map
 from .alphabet import (
     BACKSPACE,
     SYMBOLS,
+    _LETTERS,
     FrequencyTable,
     _require_symbols,
     default_frequency_table,
@@ -56,9 +57,6 @@ BENCHMARK_SENTENCE = "THE>QUICK>BROWN>FOX>JUMPS>OVER>THE>LAZY>DOG*"
 
 # online classification uses the design ratio, not training label counts
 ONLINE_PRIORS = (1.0 / 7.0, 1.0 - 1.0 / 7.0)
-
-# the training targets: distinct letters, one per block
-_LETTERS = tuple(s for s in SYMBOLS if s.isalpha())
 
 
 @dataclass(frozen=True)
@@ -208,9 +206,9 @@ def _stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> np
     return assignment
 
 
-def _fold_counts(x, y, assignments, eta, m_max, repeat, fold) -> tuple[int, int, int, int, int]:
-    """Fit on every fold of one repeat but one, test on that one: correct,
-    hits, omissions, false alarms, rejections."""
+def _fold_counts(x, y, assignments, eta, m_max, repeat, fold) -> tuple[int, int, int, int]:
+    """Fit on every fold of one repeat but one, test on that one: hits,
+    omissions, false alarms, rejections."""
     train = assignments[repeat] != fold
     test = ~train
     model, f_train = _fit_with_training_features(x[train], y[train], eta, m_max)
@@ -218,7 +216,6 @@ def _fold_counts(x, y, assignments, eta, m_max, repeat, fold) -> tuple[int, int,
     decisions = decide_batch(params, extract_batch(model, x[test]))
     truth = y[test]
     return (
-        int(np.sum(decisions == truth)),
         int(np.sum(decisions & truth)),
         int(np.sum(~decisions & truth)),
         int(np.sum(decisions & ~truth)),
@@ -264,9 +261,9 @@ def cross_validate(
     jobs = [(r, k) for r in range(repeats) for k in range(folds)]
     counts = fork_map(_fold_counts, jobs, (x, y, assignments, eta, m_max))
 
-    per_repeat = np.array(counts).reshape(repeats, folds, 5).sum(axis=1)
-    acc = per_repeat[:, 0] / y.size
-    hits, omissions, false_alarms, rejections = (int(c) for c in per_repeat[:, 1:].sum(axis=0))
+    per_repeat = np.array(counts).reshape(repeats, folds, 4).sum(axis=1)
+    acc = (per_repeat[:, 0] + per_repeat[:, 3]) / y.size
+    hits, omissions, false_alarms, rejections = (int(c) for c in per_repeat.sum(axis=0))
     confusion = ConfusionMatrix.from_counts(hits, omissions, false_alarms, rejections)
     prior_o = float(np.mean(y))
     bits = mutual_information(ChannelSpec(confusion, prior_o, 1.0 - prior_o))

@@ -32,6 +32,7 @@ from .alphabet import (
     EXIT,
     BACKSPACE,
     SYMBOLS,
+    _LETTERS,
     FrequencyTable,
     _require_symbols,
     default_frequency_table,
@@ -70,7 +71,6 @@ _CLAMP = 1e-12
 _STREAK_TARGET = 10
 # unanswered passes of a single-symbol scan before stage 1 resumes
 _MAX_PASSES = 3
-_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
 @dataclass
@@ -89,7 +89,7 @@ class Dictionary:
     def __init__(self, words) -> None:
         cleaned = sorted({w.strip().upper() for w in words if w.strip()})
         for word in cleaned:
-            if not set(word) <= _LETTERS:
+            if not set(word).issubset(_LETTERS):
                 raise ValueError(f"dictionary word {word!r} contains non-letters")
         self.words: tuple[str, ...] = tuple(cleaned)
         self._next_chars: dict[str, tuple[str, ...]] = {}
@@ -174,8 +174,8 @@ class Speller:
         *,
         pause_s: float = 3.0,
     ) -> None:
-        if pause_s < 0.0:
-            raise ValueError("pause must be nonnegative")
+        if not 0.0 <= pause_s < math.inf:
+            raise ValueError(f"pause must be nonnegative and finite, got {pause_s!r}")
         self.rng = rng
         self.frequency = frequency if frequency is not None else default_frequency_table()
         self.dictionary = dictionary if dictionary is not None else default_dictionary()
@@ -275,10 +275,10 @@ class Speller:
                     self._pos = 0
 
         # integrated evidence can select outright, skipping stage 2; a
-        # same-trial single-trial selection takes precedence
+        # same-trial single-trial selection takes precedence. A streak holds
+        # the index of the strict argmax.
         if selected is None and self._streak >= _STREAK_TARGET:
-            idx = int(np.argmax(self._log_acc))
-            selected, mechanism = SYMBOLS[idx], INTEGRATION
+            selected, mechanism = SYMBOLS[self._streak_idx], INTEGRATION
 
         events: list[SelectionEvent] = []
         if selected is not None:
@@ -300,10 +300,10 @@ class Speller:
 
     def advance_clock(self, iti_ms: float, events: list[SelectionEvent], overhead_ms: float = 0.0) -> None:
         """Account one trial's time plus any selection pauses."""
-        if iti_ms <= 0.0:
-            raise ValueError("iti must be positive")
-        if overhead_ms < 0.0:
-            raise ValueError("overhead must be nonnegative")
+        if not 0.0 < iti_ms < math.inf:
+            raise ValueError(f"iti must be positive and finite, got {iti_ms!r}")
+        if not 0.0 <= overhead_ms < math.inf:
+            raise ValueError(f"overhead must be nonnegative and finite, got {overhead_ms!r}")
         self.n_trials += 1
         self._trial_ms += iti_ms + overhead_ms
         for event in events:

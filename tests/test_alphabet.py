@@ -79,9 +79,18 @@ class TestFrequencyTable:
         with pytest.raises(ValueError):
             FrequencyTable((SPACE, "E"), np.array([0.9, 0.2]))
 
-    def test_rejects_space_not_max(self):
-        with pytest.raises(ValueError):
-            FrequencyTable((SPACE, "E"), np.array([0.4, 0.6]))
+    def test_rejects_space_not_max(self, tmp_path):
+        # a table built in code need not favour the space; a loaded one must
+        assert FrequencyTable((SPACE, "E"), np.array([0.4, 0.6])).symbols == (SPACE, "E")
+        path = tmp_path / "table.txt"
+        path.write_text(f"{SPACE} 0.4\nE 0.6\n")
+        with pytest.raises(ValueError) as exc:
+            load_frequency_table(path)
+        assert str(exc.value) == f"{path}: space symbol must carry the largest probability"
+        path.write_text("T 0.4\nE 0.6\n")
+        with pytest.raises(ValueError) as exc:
+            load_frequency_table(path)
+        assert str(exc.value) == f"{path}: table must contain the space symbol '>'"
 
     def test_uniform_table_allowed(self, table):
         uniform = uniform_frequency_table(table.symbols)

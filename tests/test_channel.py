@@ -289,6 +289,9 @@ class TestPracticalItr:
             practical_itr(-1, 10.0, 42)
         with pytest.raises(ValueError):
             practical_itr(5, 0.0, 42)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"duration must be positive and finite, got {t!r}"):
+                practical_itr(5, t, 42)
         with pytest.raises(ValueError):
             practical_itr(5, 10.0, 1)
 
@@ -311,6 +314,12 @@ class TestSessionReport:
         spec = ChannelSpec(ConfusionMatrix.perfect(), *PRIOR_16)
         with pytest.raises(ValueError):
             per_trial_itr_from_session(spec, 100, 0.0)
+
+    @pytest.mark.parametrize("active_time_s", [math.nan, math.inf])
+    def test_non_finite_active_time_rejected(self, active_time_s):
+        spec = ChannelSpec(ConfusionMatrix.perfect(), *PRIOR_16)
+        with pytest.raises(ValueError, match=f"active time must be positive and finite, got {active_time_s!r}"):
+            per_trial_itr_from_session(spec, 100, active_time_s)
 
     def test_simulation_round_trip(self):
         # Estimate the confusion from sampled decisions and check the

@@ -300,6 +300,13 @@ class TestItr:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_time_is_an_error(self, capsys, t):
+        code, out, err = run_cli(capsys, "itr", "--nc", "44", "--t", t)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: duration must be positive and finite, got {t}\n"
+
     def test_nan_prior_is_an_error(self, capsys):
         code, out, err = run_cli(capsys, "itr", "--p-oo", "0.9", "--p-ee", "0.95", "--prior-o", "nan")
         assert code == 2
@@ -705,22 +712,17 @@ class TestSpell:
         for name in ("session.jsonl", "session_report.json", "session.csv", "spell_manifest.json"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
-    def test_exit_sentence_is_immediate(self, capsys, workdir, oracle_cfg, trained):
-        code, out, _ = run_cli(
-            capsys,
-            "spell",
-            "--config",
-            str(oracle_cfg),
-            "--model",
-            str(trained / "model.bin"),
-            "--sentence",
-            "*",
-            "--out",
-            str(workdir / "sp_exit"),
-        )
+    def test_exit_sentence_is_immediate(self, capsys, workdir, trained):
+        cfg = workdir / "exit.cfg"
+        cfg.write_text("iti_ms = 400\nsubject = oracle\nsentence = *\n")
+        out_dir = workdir / "sp_exit"
+        argv = ["spell", "--config", str(cfg), "--model", str(trained / "model.bin"), "--out", str(out_dir)]
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert grab(out, "N_c:").startswith("1 ")
         assert grab(out, "transcript:") == "*"
+        # the sentence is a config setting, so the run identity names it
+        assert json.loads((out_dir / "spell_manifest.json").read_text())["config"]["sentence"] == "*"
 
     def test_iti_mismatch_rejected(self, capsys, workdir, trained):
         fast_cfg = workdir / "fast.cfg"
@@ -822,6 +824,22 @@ class TestSpell:
 
 
 class TestRemovedKnobs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spell", "--config", "slow_oracle", "--model", "model.bin", "--sentence", "HI*"],
+            ["itr", "--nc", "44", "--t", "207.1", "--seed", "1"],
+            ["itr", "--nc", "44", "--t", "207.1", "--out", "run"],
+        ],
+        ids=["spell --sentence", "itr --seed", "itr --out"],
+    )
+    def test_removed_flag_is_a_usage_error(self, capsys, argv):
+        # the sentence comes from the config alone; itr reads no seed and writes no file
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["duty_cycle = 0.6", "t_a_ms = 300", "t_d_ms = 100"])
     def test_removed_window_knob_is_an_unknown_key(self, capsys, workdir, line):
         key = line.split()[0]
@@ -925,3 +943,34 @@ class TestCv:
         table = (out_dir / "cv.csv").read_text().splitlines()
         assert len(table) == 3  # header + full row + subsample row
         assert (out_dir / "cv_manifest.json").exists()
+
+    def test_subsample_enters_the_run_digest(self, capsys, workdir):
+        cfg = workdir / "cv_digest.cfg"
+        cfg.write_text("iti_ms = 400\nsubject = oracle\ncv_repeats = 1\ncv_folds = 2\n")
+        manifests = []
+        for extra in ([], ["--subsample", "600"]):
+            out_dir = workdir / f"cv_digest{len(extra)}"
+            assert main(["cv", "--config", str(cfg), *extra, "--out", str(out_dir)]) == 0
+            manifests.append(json.loads((out_dir / "cv_manifest.json").read_text()))
+        capsys.readouterr()
+        plain, sub = manifests
+        assert "subsample" not in plain["config"]
+        assert sub["config"] == {**plain["config"], "subsample": 600}
+        assert sub["digest"] != plain["digest"]
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "spell", "mc"])
+def test_out_naming_a_file_is_rejected_before_the_run(capsys, tmp_path, oracle_cfg, trained, command):
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"keep me\n")
+    argv = {
+        "train": ["train", "--config", str(oracle_cfg)],
+        "cv": ["cv", "--config", str(oracle_cfg)],
+        "spell": ["spell", "--config", str(oracle_cfg), "--model", str(trained / "model.bin")],
+        "mc": ["mc", "--runs", "10"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--out", str(afile))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --out {str(afile)!r} exists and is not a directory\n"
+    assert afile.read_bytes() == b"keep me\n"

@@ -1,8 +1,5 @@
-"""The demos print what they printed before: their stdout is pinned by digest.
-
-Demos 02 and 03 are not pinned: each prints a line that depends on whether
-matplotlib is installed, and each writes a PNG into the working directory.
-"""
+"""The demos print what they printed before: the stdout of each one is
+pinned by digest."""
 
 import hashlib
 import os
@@ -18,6 +15,10 @@ PINNED = {
     # 2 x 100,000 Monte Carlo permutations: a full-size byte check of the
     # batch permutation kernel
     "01_randomization_bias.py": "0cae701cd8545141c628c7f2eca446522d11ca306ae362af4e962ff84d369313",
+    # template, presets and cross-validation at three stimulus intervals
+    "02_synthetic_recordings.py": "a82d1248109235fc210c33a4c82f0c04b288ea7e01127ad4cda5c88ce4dbf6fd",
+    # closed-form channel arithmetic
+    "03_channel_capacity.py": "558433c9561735d9e6491762c91ef474cdecafe15d80c9831d59c70a59a19b56",
     # calibration, final fit and a closed-loop session for two subjects
     "04_closed_loop_session.py": "63bfb7388dbe2fbd6148b948518358f4ff8165db057c27bc0bca0e6a36cbc706",
 }

@@ -425,14 +425,15 @@ class TestFoldPool:
         def fold_counts(x, y, assignments, eta, m_max, repeat, fold):
             if (repeat, fold) == (0, 0):
                 time.sleep(0.5)  # the other worker finishes every later fold first
-            return (10 * repeat, 1, 1, 1, 1)
+            return (10 * repeat, 1, 1, 1)
 
         monkeypatch.setattr(harness, "_fold_counts", fold_counts)
         cpus(2)
         trials = sessions["oracle"]
         cv = cross_validate(trials, repeats=3, folds=4)
-        assert cv.accuracies == tuple(40 * r / len(trials) for r in range(3))
-        assert cv.confusion == ConfusionMatrix.from_counts(12, 12, 12, 12)
+        # accuracy counts hits and rejections: 4 folds of 10 * repeat + 1
+        assert cv.accuracies == tuple((40 * r + 4) / len(trials) for r in range(3))
+        assert cv.confusion == ConfusionMatrix.from_counts(120, 12, 12, 12)
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_fold_error_reaches_the_caller_and_leaves_nothing_behind(

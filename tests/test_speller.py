@@ -416,6 +416,18 @@ class TestClock:
             speller.advance_clock(0.0, events)
         with pytest.raises(ValueError):
             speller.advance_clock(100.0, events, -1.0)
+        with pytest.raises(ValueError, match="iti must be positive and finite, got nan"):
+            speller.advance_clock(math.nan, events)
+        with pytest.raises(ValueError, match="iti must be positive and finite, got inf"):
+            speller.advance_clock(math.inf, events)
+        with pytest.raises(ValueError, match="overhead must be nonnegative and finite, got inf"):
+            speller.advance_clock(160.0, events, math.inf)
+        with pytest.raises(ValueError, match="overhead must be nonnegative and finite, got nan"):
+            speller.advance_clock(160.0, events, math.nan)
+        assert speller.n_trials == 0 and speller.clock_ms == 0.0
+        for pause_s in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"pause must be nonnegative and finite, got {pause_s!r}"):
+                make_speller(pause_s=pause_s)
 
 
 class TestOracleBenchmark:
