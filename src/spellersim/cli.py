@@ -207,6 +207,13 @@ def _load_tables(spec: RunSpec) -> tuple[FrequencyTable | None, Dictionary | Non
     return frequency, dictionary
 
 
+def _table_inputs(spec: RunSpec) -> dict[str, str]:
+    """Digests of the files the config names: the snapshot holds only their
+    paths, and an edited file must change the run identity."""
+    named = {"frequency_table": spec.frequency_table, "dictionary": spec.dictionary}
+    return {key: _sha256(Path(path)) for key, path in named.items() if path}
+
+
 def _effective_seed(args, spec: RunSpec) -> int:
     return args.seed if args.seed is not None else spec.protocol.seed
 
@@ -262,7 +269,7 @@ def cmd_train(args) -> int:
     trials, cv = _calibrate(spec, seed, frequency)
     model, params = fit_final_model(trials, spec.protocol)
 
-    identity = _run_identity("train", seed, spec.snapshot(), inputs={})
+    identity = _run_identity("train", seed, spec.snapshot(), inputs=_table_inputs(spec))
     digest = _run_digest(identity)
     out = _out_dir(args)
     model_path = out / "model.bin"
@@ -314,7 +321,7 @@ def cmd_cv(args) -> int:
     config = spec.snapshot()
     if args.subsample is not None:
         config["subsample"] = args.subsample
-    identity = _run_identity("cv", seed, config, inputs={})
+    identity = _run_identity("cv", seed, config, inputs=_table_inputs(spec))
     out = _out_dir(args)
     cv_path = out / "cv.csv"
     write_cv_csv(cv_path, rows)
@@ -341,9 +348,8 @@ def cmd_spell(args) -> int:
             f"config asks for iti_ms={spec.protocol.iti_ms}"
         )
 
-    identity = _run_identity(
-        "spell", seed, spec.snapshot(), inputs={"model.bin": _sha256(model_path)}
-    )
+    inputs = {"model.bin": _sha256(model_path), **_table_inputs(spec)}
+    identity = _run_identity("spell", seed, spec.snapshot(), inputs=inputs)
     digest = _run_digest(identity)
 
     log, report = run_online(
@@ -488,7 +494,7 @@ def cmd_mc(args) -> int:
             "mc",
             seed,
             {"runs": args.runs, "table": table.source, "uniform": bool(args.uniform)},
-            inputs={},
+            inputs={"table": _sha256(Path(args.table))} if args.table is not None else {},
         )
         manifest = _write_manifest(out, "mc_manifest.json", identity, {"mc.csv": csv_path})
         print(f"table: {csv_path}")

@@ -179,7 +179,9 @@ class SessionSynthesizer:
     bleeds across overlapping trials. Onsets must not go backwards (equal
     onsets are allowed): each trial drops the noise before its onset, so the
     buffer holds at most N_SAMPLES plus one onset step of samples however
-    long the session runs. Single-owner, sequential use only.
+    long the session runs. A noiseless subject (the oracle, or a zero noise
+    sigma) keeps no noise buffer at all: each window starts from zeros and
+    carries only the responses. Single-owner, sequential use only.
     """
 
     def __init__(self, subject: SubjectModel, rng: np.random.Generator):
@@ -222,21 +224,21 @@ class SessionSynthesizer:
             if fires:
                 waveform = self._still if jitter == 0.0 else self.subject.template.render(jitter)
                 events.append((onset_sample, waveform))
-        # no window from here on starts before this onset: drop the noise
-        # before it, and draw the stream on to the end of this window
-        drop = min(onset_sample - self._origin, self._noise.shape[1])
-        self._origin += drop
-        noise = self._noise[:, drop:]
-        grow = onset_sample + N_SAMPLES - self._origin - noise.shape[1]
-        if grow > 0:
-            if self._silent:
-                block = np.zeros((N_CHANNELS, grow))
-            else:
+        if self._silent:
+            window = np.zeros((N_CHANNELS, N_SAMPLES))
+        else:
+            # no window from here on starts before this onset: drop the noise
+            # before it, and draw the stream on to the end of this window
+            drop = min(onset_sample - self._origin, self._noise.shape[1])
+            self._origin += drop
+            noise = self._noise[:, drop:]
+            grow = onset_sample + N_SAMPLES - self._origin - noise.shape[1]
+            if grow > 0:
                 block = self.rng.normal(0.0, self.subject.noise_sigma_uv, size=(N_CHANNELS, grow))
-            noise = np.concatenate((noise, block), axis=1)
-        self._noise = noise
-        start = onset_sample - self._origin
-        window = noise[:, start : start + N_SAMPLES].copy()
+                noise = np.concatenate((noise, block), axis=1)
+            self._noise = noise
+            start = onset_sample - self._origin
+            window = noise[:, start : start + N_SAMPLES].copy()
         # every response left began at or before this onset and overlaps it
         for ev_sample, waveform in events:
             shift = onset_sample - ev_sample

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -304,6 +304,9 @@ class Speller:
             raise ValueError(f"iti must be positive and finite, got {iti_ms!r}")
         if not 0.0 <= overhead_ms < math.inf:
             raise ValueError(f"overhead must be nonnegative and finite, got {overhead_ms!r}")
+        for event in events:
+            if not 0.0 <= event.pause_s < math.inf:
+                raise ValueError(f"pause must be nonnegative and finite, got {event.pause_s!r}")
         self.n_trials += 1
         self._trial_ms += iti_ms + overhead_ms
         for event in events:
@@ -375,44 +378,54 @@ class Speller:
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class SessionLog:
-    """JSON-lines record of every trial and selection in one session."""
+# json's own string encoder, the one json.dumps uses at ensure_ascii=True
+_quote = json.encoder.encode_basestring_ascii
 
-    meta: dict = field(default_factory=dict)
-    records: list = field(default_factory=list)
+
+def _number(name: str, value) -> str:
+    """A float as json.dumps writes it; json would write nan and inf as
+    NaN and Infinity, which are not JSON."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float.__repr__(value)
+
+
+class SessionLog:
+    """JSON-lines record of every trial and selection in one session.
+
+    Each record is encoded once, when it is logged, into the line
+    json.dumps(record, sort_keys=True) gives, newline included; records
+    and selections() decode those lines for their readers."""
+
+    def __init__(self, meta: dict | None = None) -> None:
+        self.meta = meta if meta is not None else {}
+        self._lines: list[str] = []
 
     def trial(self, t_s: float, mode: str, illuminated, decision: str, posterior: float) -> None:
-        self.records.append(
-            {
-                "record": "trial",
-                "t_s": float(t_s),
-                "mode": mode,
-                "illuminated": list(illuminated),
-                "decision": decision,
-                "posterior": float(posterior),
-            }
+        self._lines.append(
+            f'{{"decision": {_quote(decision)}, '
+            f'"illuminated": [{", ".join(map(_quote, illuminated))}], '
+            f'"mode": {_quote(mode)}, "posterior": {_number("posterior", posterior)}, '
+            f'"record": "trial", "t_s": {_number("t_s", t_s)}}}\n'
         )
 
     def selection(self, event: SelectionEvent) -> None:
-        self.records.append(
-            {
-                "record": "selection",
-                "t_s": float(event.time_s) if event.time_s is not None else None,
-                "symbol": event.symbol,
-                "mechanism": event.mechanism,
-                "pause_s": float(event.pause_s),
-            }
+        t_s = "null" if event.time_s is None else _number("t_s", event.time_s)
+        self._lines.append(
+            f'{{"mechanism": {_quote(event.mechanism)}, "pause_s": {_number("pause_s", event.pause_s)}, '
+            f'"record": "selection", "symbol": {_quote(event.symbol)}, "t_s": {t_s}}}\n'
         )
+
+    @property
+    def records(self) -> list[dict]:
+        return [json.loads(line) for line in self._lines]
 
     def write(self, path) -> None:
         header = {"record": "header", "schema_version": SCHEMA_VERSION, "meta": self.meta}
-        # the encoder json.dumps(record, sort_keys=True) builds, built once
-        encode = json.JSONEncoder(sort_keys=True).encode
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(encode(header) + "\n")
-            for record in self.records:
-                fh.write(encode(record) + "\n")
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            fh.writelines(self._lines)
 
     def selections(self) -> list[dict]:
         return [r for r in self.records if r["record"] == "selection"]
@@ -420,10 +433,14 @@ class SessionLog:
 
 def load_session_log(path) -> SessionLog:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines or lines[0].get("record") != "header":
+        lines = [line.strip() + "\n" for line in fh if line.strip()]
+    # every line must parse, though only the header is kept decoded
+    decoded = [json.loads(line) for line in lines]
+    if not decoded or not isinstance(decoded[0], dict) or decoded[0].get("record") != "header":
         raise ValueError("session log must start with a header record")
-    header = lines[0]
+    header = decoded[0]
     if header.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {header.get('schema_version')!r}")
-    return SessionLog(meta=header.get("meta", {}), records=lines[1:])
+    log = SessionLog(meta=header.get("meta", {}))
+    log._lines = lines[1:]
+    return log

@@ -853,6 +853,79 @@ class TestRemovedKnobs:
         assert f"unknown key {key!r}" in err
 
 
+class TestInputFilesEnterTheRunDigest:
+    """A config names its table and dictionary by path, and mc its table;
+    the bytes of those files enter the run digest, so editing one changes it."""
+
+    @staticmethod
+    def write_table(path: Path, swap_e_and_t: bool) -> None:
+        table = default_frequency_table()
+        probs = dict(zip(table.symbols, table.probs.tolist()))
+        if swap_e_and_t:
+            probs["E"], probs["T"] = probs["T"], probs["E"]
+        path.write_text("".join(f"{s} {p!r}\n" for s, p in probs.items()))
+
+    @staticmethod
+    def manifest(out: Path, name: str) -> dict:
+        return json.loads((out / name).read_text())
+
+    def test_mc_table(self, capsys, tmp_path):
+        path = tmp_path / "t.txt"
+        docs = []
+        for swap in (False, False, True):
+            self.write_table(path, swap)
+            out = tmp_path / f"out{len(docs)}"
+            code, _, _ = run_cli(capsys, "mc", "--runs", "10", "--table", str(path), "--out", str(out))
+            assert code == 0
+            docs.append(self.manifest(out, "mc_manifest.json"))
+            assert docs[-1]["inputs"] == {"table": hashlib.sha256(path.read_bytes()).hexdigest()}
+        assert docs[0]["digest"] == docs[1]["digest"] != docs[2]["digest"]
+        assert docs[1]["outputs"] != docs[2]["outputs"]
+        # the bundled and the uniform table name no file
+        code, _, _ = run_cli(capsys, "mc", "--runs", "10", "--uniform", "--out", str(tmp_path / "u"))
+        assert code == 0
+        assert self.manifest(tmp_path / "u", "mc_manifest.json")["inputs"] == {}
+
+    def test_spell_table_and_dictionary(self, capsys, tmp_path, trained):
+        table, words = tmp_path / "table.txt", tmp_path / "words.txt"
+        cfg = tmp_path / "files.cfg"
+        cfg.write_text(f"iti_ms = 400\nsubject = oracle\nfrequency_table = {table}\ndictionary = {words}\n")
+        edits = [(False, "THE\nFOX\n"), (False, "THE\nFOX\n"), (True, "THE\nFOX\n"), (True, "THE\nFOX\nDOG\n")]
+        docs = []
+        for swap, text in edits:
+            self.write_table(table, swap)
+            words.write_text(text)
+            out = tmp_path / f"out{len(docs)}"
+            argv = ["spell", "--config", str(cfg), "--model", str(trained / "model.bin"), "--out", str(out)]
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == 0
+            docs.append(self.manifest(out, "spell_manifest.json"))
+            assert docs[-1]["inputs"] == {
+                "model.bin": hashlib.sha256((trained / "model.bin").read_bytes()).hexdigest(),
+                "frequency_table": hashlib.sha256(table.read_bytes()).hexdigest(),
+                "dictionary": hashlib.sha256(words.read_bytes()).hexdigest(),
+            }
+        digests = [doc["digest"] for doc in docs]
+        assert digests[0] == digests[1]
+        assert len(set(digests[1:])) == 3
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_calibration_table(self, capsys, tmp_path, command):
+        table = tmp_path / "table.txt"
+        cfg = tmp_path / "table.cfg"
+        cfg.write_text(f"iti_ms = 400\nsubject = oracle\ncv_repeats = 1\ncv_folds = 2\nfrequency_table = {table}\n")
+        digests = []
+        for swap in (False, True):
+            self.write_table(table, swap)
+            out = tmp_path / f"out{len(digests)}"
+            code, _, _ = run_cli(capsys, command, "--config", str(cfg), "--out", str(out))
+            assert code == 0
+            doc = self.manifest(out, f"{command}_manifest.json")
+            assert doc["inputs"] == {"frequency_table": hashlib.sha256(table.read_bytes()).hexdigest()}
+            digests.append(doc["digest"])
+        assert digests[0] != digests[1]
+
+
 def _raw_container(meta, specs, body: bytes) -> bytes:
     """Container bytes with a hand-written array table."""
     header = json.dumps({"meta": meta, "arrays": specs}, sort_keys=True).encode()

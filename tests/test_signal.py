@@ -222,6 +222,8 @@ def _onset_schedule(n, seed):
 # attention below 1 and a wide jitter: of the subjects here, only this one
 # draws both a response that fires and one that does not
 _PARTIAL_SUBJECT = SubjectModel(default_erp_template(), 6.0, 0.8, 15.0)
+# the same draws without noise: noiseless, but not the oracle
+_SILENT_SUBJECT = SubjectModel(default_erp_template(), 0.0, 0.8, 15.0)
 
 
 @pytest.mark.parametrize(
@@ -253,19 +255,24 @@ _EDGE_ODDBALL = (
 
 @pytest.mark.parametrize(
     "subject",
-    [subject_preset("midsnr"), subject_preset("oracle"), _PARTIAL_SUBJECT],
-    ids=["midsnr", "oracle", "partial_attention"],
+    [subject_preset("midsnr"), subject_preset("oracle"), _PARTIAL_SUBJECT, _SILENT_SUBJECT],
+    ids=["midsnr", "oracle", "partial_attention", "silent_partial_attention"],
 )
 def test_session_windows_match_full_buffer_reference_across_pauses_and_repeats(subject):
     session = SessionSynthesizer(subject, np.random.default_rng(3))
     reference = FullBufferSynthesizer(subject, np.random.default_rng(3))
+    silent = subject.oracle or subject.noise_sigma_uv == 0.0
     for onset, is_odd in zip(_EDGE_ONSETS, _EDGE_ODDBALL):
         got = session.trial(onset / FS, is_odd)
         want = reference.trial(onset / FS, is_odd)
         assert np.array_equal(got, want)
-        # the buffer ends with this window and starts at or before it
-        assert session._origin <= onset
-        assert session._origin + session._noise.shape[1] == onset + N_SAMPLES
+        if silent:
+            # a noiseless subject holds no noise at any onset
+            assert session._noise.shape[1] == 0
+        else:
+            # the buffer ends with this window and starts at or before it
+            assert session._origin <= onset
+            assert session._origin + session._noise.shape[1] == onset + N_SAMPLES
     assert session.rng.random() == reference.rng.random()
 
 

@@ -428,6 +428,14 @@ class TestClock:
         for pause_s in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match=f"pause must be nonnegative and finite, got {pause_s!r}"):
                 make_speller(pause_s=pause_s)
+            # a caller-built event's pause is checked too, before the clock moves
+            bad = [SelectionEvent("A", STAGE2, pause_s)]
+            with pytest.raises(ValueError, match=f"pause must be nonnegative and finite, got {pause_s!r}"):
+                speller.advance_clock(160.0, bad)
+            assert bad[0].time_s is None
+        with pytest.raises(ValueError, match="pause must be nonnegative and finite, got -5.0"):
+            speller.advance_clock(160.0, [SelectionEvent("A", STAGE2, -5.0)])
+        assert speller.n_trials == 0 and speller.clock_ms == 0.0 and speller.pause_time_ms == 0.0
 
 
 class TestOracleBenchmark:
@@ -541,9 +549,77 @@ class TestSessionLog:
         assert path.read_text(encoding="utf-8") == want
         assert log.records[3]["t_s"] is None
 
+    # symbols json must escape, and floats at the edges of repr: the smallest
+    # subnormal, a tiny normal, negative zero, the switch to exponent form,
+    # and a sum that does not round to its decimal
+    ODD_SYMBOLS = ('"', "\\", "é", "€", "\n", "A")
+    ODD_FLOATS = (5e-324, 1e-300, -0.0, 1e16, 0.1 + 0.2, 0.0, 1.0, 123456.789)
+
+    @pytest.mark.parametrize("value", ODD_FLOATS)
+    def test_lines_equal_json_dumps(self, tmp_path, value):
+        log = SessionLog(meta={"sentence": "é\"*"})
+        log.trial(value, "Stage\\1", self.ODD_SYMBOLS, '"odd"', value)
+        log.trial(np.float64(value), STAGE2, (), "non-oddball", np.float64(value))
+        log.selection(SelectionEvent(symbol="é", mechanism='"', pause_s=value, time_s=value))
+        log.selection(SelectionEvent(symbol="\\", mechanism=INTEGRATION, pause_s=value))
+        want = [
+            {"record": "trial", "t_s": value, "mode": "Stage\\1", "illuminated": list(self.ODD_SYMBOLS),
+             "decision": '"odd"', "posterior": value},
+            {"record": "trial", "t_s": value, "mode": STAGE2, "illuminated": [],
+             "decision": "non-oddball", "posterior": value},
+            {"record": "selection", "t_s": value, "symbol": "é", "mechanism": '"', "pause_s": value},
+            {"record": "selection", "t_s": None, "symbol": "\\", "mechanism": INTEGRATION, "pause_s": value},
+        ]
+        path = tmp_path / "session.jsonl"
+        log.write(path)
+        header = {"record": "header", "schema_version": 1, "meta": log.meta}
+        lines = [json.dumps(r, sort_keys=True) for r in [header, *want]]
+        assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("ascii")
+        # the decoded records keep the value's sign and every bit
+        for record in log.records:
+            number = record["posterior"] if record["record"] == "trial" else record["pause_s"]
+            assert number == value and math.copysign(1.0, number) == math.copysign(1.0, value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_raise(self, bad):
+        log = SessionLog()
+        with pytest.raises(ValueError, match=f"t_s must be finite, got {bad!r}"):
+            log.trial(bad, STAGE1, ("A",), "oddball", 0.5)
+        with pytest.raises(ValueError, match=f"posterior must be finite, got {bad!r}"):
+            log.trial(0.0, STAGE1, ("A",), "oddball", np.float64(bad))
+        with pytest.raises(ValueError, match=f"t_s must be finite, got {bad!r}"):
+            log.selection(SelectionEvent(symbol="A", mechanism=STAGE2, pause_s=3.0, time_s=bad))
+        with pytest.raises(ValueError, match=f"pause_s must be finite, got {bad!r}"):
+            log.selection(SelectionEvent(symbol="A", mechanism=STAGE2, pause_s=bad, time_s=1.0))
+        assert log.records == []
+
+    def test_loaded_log_writes_the_same_bytes(self, tmp_path):
+        log = SessionLog(meta={"seed": 3})
+        log.trial(0.0, STAGE1, ("A", "B"), "oddball", 0.75)
+        log.selection(SelectionEvent(symbol="A", mechanism=STAGE2, pause_s=3.0, time_s=0.172))
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        log.write(first)
+        loaded = load_session_log(first)
+        loaded.write(second)
+        assert second.read_bytes() == first.read_bytes()
+        assert loaded.selections() == log.selections() == [log.records[1]]
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"record": "trial"}) + "\n")
+        with pytest.raises(ValueError):
+            load_session_log(path)
+
+    @pytest.mark.parametrize("first", ["[]", ""])
+    def test_header_must_be_an_object(self, tmp_path, first):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(first + "\n")
+        with pytest.raises(ValueError, match="must start with a header record"):
+            load_session_log(path)
+
+    def test_every_line_must_parse(self, tmp_path):
+        path = tmp_path / "torn.jsonl"
+        path.write_text('{"record": "header", "schema_version": 1, "meta": {}}\n{"record": "tri\n')
         with pytest.raises(ValueError):
             load_session_log(path)
 
