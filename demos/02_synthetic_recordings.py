@@ -2,7 +2,7 @@
 Synthetic recordings and the decoding pipeline
 ==============================================
 
-From event-locked waveform templates to a trained single-trial decoder:
+From the event-locked response waveform to a trained single-trial decoder:
 synthesize a training session, fit the subspace + discriminant pipeline,
 and cross-validate at each presentation rate.
 """
@@ -10,14 +10,14 @@ and cross-validate at each presentation rate.
 import numpy as np
 
 from spellersim.harness import ProtocolConfig, cross_validate, run_training
-from spellersim.signal import FS, default_erp_template, subject_preset
+from spellersim.signal import FS, erp_waveform, subject_preset
 
 rng = np.random.default_rng(1)
 
-# The target response template: a negative deflection near 190 ms and a
+# The target response: a negative deflection near 190 ms and a
 # positive one near 290 ms, mixed across 8 channels. Non-target epochs
 # carry no event-locked component at all.
-waveform = default_erp_template().render()
+waveform = erp_waveform()
 print(f"template: {waveform.shape[0]} channels x "
       f"{waveform.shape[1]} samples at {FS} Hz")
 peak = np.unravel_index(np.argmax(waveform), waveform.shape)

@@ -2,10 +2,11 @@
 
 Subcommands wrap the library layers into reproducible experiments: ``train``
 (fit and persist a pipeline), ``spell`` (closed-loop copy task), ``cv``
-(offline scoring without persisting a model), ``itr`` (channel arithmetic on
-explicit inputs), ``mc`` (randomization statistics). Each command but ``itr``
-honors ``--seed`` and repeats its artifacts byte for byte, each registered in
-a manifest JSON carrying the digest of the run identity.
+(offline scoring without persisting a model), ``itr`` (information-rate
+arithmetic on explicit inputs: ``practical``, ``wolpaw`` or ``channel``),
+``mc`` (randomization statistics). Each command but ``itr`` honors
+``--seed`` and repeats its artifacts byte for byte, each registered in a
+manifest JSON carrying the digest of the run identity.
 
 Config files are plain ``key = value`` text with ``#`` comments. Recognized
 keys: the protocol fields (iti_ms, train_chars, train_seconds_per_char,
@@ -414,49 +415,24 @@ def cmd_spell(args) -> int:
     return 0
 
 
-def _itr_mode(args, parser: argparse.ArgumentParser) -> str:
-    wolpaw = args.wolpaw or args.classes is not None or args.pc is not None
-    practical = args.nc is not None or args.t is not None
-    channel = args.p_oo is not None or args.p_ee is not None or args.prior_o is not None
-    chosen = [name for name, active in (("wolpaw", wolpaw), ("practical", practical), ("channel", channel)) if active]
-    if len(chosen) != 1:
-        parser.error(
-            "give exactly one input group: --wolpaw --classes --pc, "
-            "or --nc --t [--alphabet], or --p-oo --p-ee [--prior-o]"
-        )
-    return chosen[0]
-
-
-def cmd_itr(args, parser: argparse.ArgumentParser) -> int:
-    mode = _itr_mode(args, parser)
-    if mode == "wolpaw":
-        if not args.wolpaw or args.classes is None or args.pc is None:
-            parser.error("wolpaw mode needs --wolpaw --classes --pc")
-        bits = wolpaw_itr(args.classes, args.pc)
-        print(f"wolpaw: {bits:.4f} bits/trial")
-    elif mode == "practical":
-        if args.nc is None or args.t is None:
-            parser.error("practical mode needs --nc and --t")
-        bits = practical_itr(args.nc, args.t, args.alphabet)
-        print(f"practical ITR: {bits:.4f} bits/s")
+def cmd_itr(args) -> int:
+    if args.form == "wolpaw":
+        print(f"wolpaw: {wolpaw_itr(args.classes, args.pc):.4f} bits/trial")
+    elif args.form == "practical":
+        print(f"practical ITR: {practical_itr(args.nc, args.t, args.alphabet):.4f} bits/s")
     else:
-        if args.p_oo is None or args.p_ee is None:
-            parser.error("channel mode needs --p-oo and --p-ee")
-        prior_o = args.prior_o if args.prior_o is not None else ONLINE_PRIORS[0]
         confusion = ConfusionMatrix(args.p_oo, 1.0 - args.p_oo, 1.0 - args.p_ee, args.p_ee)
-        spec = ChannelSpec(confusion, prior_o, 1.0 - prior_o)
+        spec = ChannelSpec(confusion, args.prior_o, 1.0 - args.prior_o)
         mi = mutual_information(spec)
         accuracy = spec.accuracy()
         print(f"mutual information: {mi:.4f} bits/trial")
-        print(f"fano lower bound: {fano_lower_bound(prior_o, accuracy):.4f} bits/trial")
+        print(f"fano lower bound: {fano_lower_bound(args.prior_o, accuracy):.4f} bits/trial")
         print(f"wolpaw (C=2, p_c=accuracy): {wolpaw_itr(2, accuracy):.4f} bits/trial")
         print(f"accuracy: {accuracy:.6f}")
     return 0
 
 
 def cmd_mc(args) -> int:
-    if args.uniform and args.table is not None:
-        raise ValueError("--uniform and --table are mutually exclusive")
     if args.runs < 1:
         raise ValueError("--runs must be >= 1")
     if args.uniform:
@@ -538,31 +514,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_spell.add_argument("--model", required=True, help="model container written by train")
 
     p_itr = sub.add_parser("itr", help="information-rate arithmetic on explicit inputs")
-    p_itr.add_argument("--wolpaw", action="store_true", help="evaluate the Wolpaw formula")
-    p_itr.add_argument("--classes", type=int, default=None, help="wolpaw: number of classes")
-    p_itr.add_argument("--pc", type=float, default=None, help="wolpaw: classification accuracy")
-    p_itr.add_argument("--nc", type=int, default=None, help="practical: correct selections")
-    p_itr.add_argument("--t", type=float, default=None, help="practical: total time, seconds")
-    p_itr.add_argument(
-        "--alphabet", type=int, default=42, help="practical: alphabet size (default 42)"
-    )
-    p_itr.add_argument("--p-oo", dest="p_oo", type=float, default=None, help="channel: hit rate")
-    p_itr.add_argument(
-        "--p-ee", dest="p_ee", type=float, default=None, help="channel: rejection rate"
-    )
-    p_itr.add_argument(
-        "--prior-o",
-        dest="prior_o",
-        type=float,
-        default=None,
-        help="channel: rare-class prior (default 1/7)",
+    forms = p_itr.add_subparsers(dest="form", required=True)
+    p_practical = forms.add_parser("practical", help="bits/s of a spelling session")
+    p_practical.add_argument("--nc", type=int, required=True, help="correct selections")
+    p_practical.add_argument("--t", type=float, required=True, help="total time, seconds")
+    p_practical.add_argument("--alphabet", type=int, default=42, help="alphabet size (default 42)")
+    p_wolpaw = forms.add_parser("wolpaw", help="Wolpaw bits/trial")
+    p_wolpaw.add_argument("--classes", type=int, required=True, help="number of classes")
+    p_wolpaw.add_argument("--pc", type=float, required=True, help="classification accuracy")
+    p_channel = forms.add_parser("channel", help="bits/trial of the binary oddball channel")
+    p_channel.add_argument("--p-oo", type=float, required=True, help="hit rate")
+    p_channel.add_argument("--p-ee", type=float, required=True, help="rejection rate")
+    p_channel.add_argument(
+        "--prior-o", type=float, default=ONLINE_PRIORS[0], help="rare-class prior (default 1/7)"
     )
 
     p_mc = sub.add_parser(
         "mc", parents=[common], help="Monte Carlo statistics of the biased randomization"
     )
-    p_mc.add_argument("--table", default=None, help="frequency table file (default: bundled)")
-    p_mc.add_argument(
+    table = p_mc.add_mutually_exclusive_group()
+    table.add_argument("--table", default=None, help="frequency table file (default: bundled)")
+    table.add_argument(
         "--uniform", action="store_true", help="use a uniform table over the default symbols"
     )
     p_mc.add_argument("--runs", type=int, default=100_000, help="number of cycles (default 1e5)")
@@ -574,12 +546,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "itr":
-            return cmd_itr(args, parser)
         # the output directory is made at the first write, after the run
-        if args.out is not None and Path(args.out).exists() and not Path(args.out).is_dir():
-            raise ValueError(f"--out {args.out!r} exists and is not a directory")
-        commands = {"train": cmd_train, "cv": cmd_cv, "spell": cmd_spell, "mc": cmd_mc}
+        out = getattr(args, "out", None)
+        if out is not None and Path(out).exists() and not Path(out).is_dir():
+            raise ValueError(f"--out {out!r} exists and is not a directory")
+        commands = {"train": cmd_train, "cv": cmd_cv, "spell": cmd_spell, "itr": cmd_itr, "mc": cmd_mc}
         return commands[args.command](args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -58,6 +59,10 @@ BENCHMARK_SENTENCE = "THE>QUICK>BROWN>FOX>JUMPS>OVER>THE>LAZY>DOG*"
 # online classification uses the design ratio, not training label counts
 ONLINE_PRIORS = (1.0 / 7.0, 1.0 - 1.0 / 7.0)
 
+# the largest calibration session, in trials: 50,000 rows of FEATURE_DIM
+# float64 are about 192 MB (the presets' largest session has 1,870)
+_MAX_TRAIN_TRIALS = 50_000
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -96,10 +101,12 @@ class ProtocolConfig:
         if self.m_max < 1:
             raise ValueError("m_max must be >= 1")
         per_char = self.train_seconds_per_char * 1000.0 // self.iti_ms
-        if not 1.0 <= per_char < math.inf:
+        if not 1.0 <= per_char <= _MAX_TRAIN_TRIALS // self.train_chars:
             raise ValueError(
-                f"train_seconds_per_char = {self.train_seconds_per_char!r} at iti_ms = "
-                f"{self.iti_ms!r} gives {per_char} trials per character; need a finite count >= 1"
+                f"train_chars = {self.train_chars}, train_seconds_per_char = "
+                f"{self.train_seconds_per_char!r} and iti_ms = {self.iti_ms!r} give {per_char:g} "
+                f"trials per character; need at least 1, and at most {_MAX_TRAIN_TRIALS:,} "
+                "training trials in all"
             )
 
     @property
@@ -400,7 +407,6 @@ def run_online(
     )
 
     hits = omissions = false_alarms = rejections = 0
-    n_correct = 0
     n_selections = 0
     # the prompt, and so the attended symbol, changes only on a selection
     desired = _desired_symbol(speller.prompt, sentence)
@@ -429,8 +435,6 @@ def run_online(
         for event in events:
             log.selection(event)
             n_selections += 1
-            if event.symbol == desired != BACKSPACE:
-                n_correct += 1
         if events:
             desired = _desired_symbol(speller.prompt, sentence)
 
@@ -438,6 +442,8 @@ def run_online(
     t_active_s = speller.trial_time_ms / 1000.0
     t_pause_s = speller.pause_time_ms / 1000.0
     n_trials = speller.n_trials
+    # a character counts once, however often it was deleted and retyped
+    n_correct = len(os.path.commonprefix((speller.prompt, sentence)))
     practical = practical_itr(n_correct, t_total_s, len(SYMBOLS))
 
     per_trial = None

@@ -1,7 +1,7 @@
-"""Synthetic EEG trials: ERP templates, subject models, and preprocessing.
+"""Synthetic EEG trials: the ERP waveform, subject models, and preprocessing.
 
 A trial is one 8-channel, 400 ms segment sampled at 200 Hz (8 x 80), time
-locked to a stimulus onset. Oddball trials carry an evoked-response template
+locked to a stimulus onset. Oddball trials carry one fixed evoked waveform
 (negativity ~190 ms strongest occipitally, positivity ~290 ms on all
 channels) on top of Gaussian noise; non-oddball trials are noise only.
 Preprocessing discards the first 100 ms of every channel and flattens the
@@ -29,10 +29,8 @@ __all__ = [
     "FEATURE_DIM",
     "ODDBALL",
     "NON_ODDBALL",
-    "ErpComponent",
-    "ErpTemplate",
     "SubjectModel",
-    "default_erp_template",
+    "erp_waveform",
     "subject_preset",
     "preprocess",
     "SessionSynthesizer",
@@ -51,58 +49,26 @@ NON_ODDBALL = "non-oddball"
 _FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
 
-@dataclass(frozen=True)
-class ErpComponent:
-    """One evoked-response bump: a Gaussian in time, scaled per channel."""
-
-    amplitude_uv: float      # signed peak amplitude
-    peak_ms: float           # latency post stimulus
-    width_ms: float          # full width at half maximum
-    gains: tuple[float, ...] # one multiplier per channel
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.peak_ms <= 400.0:
-            raise ValueError(f"peak latency out of [0, 400] ms: {self.peak_ms}")
-        if self.width_ms <= 0.0:
-            raise ValueError("component width must be positive")
-        if len(self.gains) != N_CHANNELS:
-            raise ValueError(f"need {N_CHANNELS} channel gains")
+# the evoked response's two Gaussian components: (signed peak amplitude uV,
+# peak latency ms, full width at half maximum ms, one gain per channel)
+_ERP_COMPONENTS = (
+    # negativity at 190 ms: strongest occipitally, phase-reversed fronto-centrally
+    #                     C3     Cz     C4     P3    Pz    P4    O1   O2
+    (-5.0, 190.0, 40.0, (-0.35, -0.35, -0.35, 0.25, 0.25, 0.25, 1.0, 1.0)),
+    # broad positivity at 290 ms on all channels
+    (8.0, 290.0, 80.0, (0.7, 0.8, 0.7, 0.9, 1.0, 0.9, 0.6, 0.6)),
+)
 
 
-@dataclass(frozen=True)
-class ErpTemplate:
-    components: tuple[ErpComponent, ...]
-
-    def render(self, jitter_ms: float = 0.0) -> np.ndarray:
-        """Evaluate the template on the trial grid, shifted by jitter_ms."""
-        t_ms = np.arange(N_SAMPLES) * (1000.0 / FS)
-        out = np.zeros((N_CHANNELS, N_SAMPLES))
-        for comp in self.components:
-            sigma = comp.width_ms * _FWHM_TO_SIGMA
-            bump = comp.amplitude_uv * np.exp(
-                -0.5 * ((t_ms - comp.peak_ms - jitter_ms) / sigma) ** 2
-            )
-            out += np.asarray(comp.gains)[:, None] * bump[None, :]
-        return out
-
-
-def default_erp_template() -> ErpTemplate:
-    """Negativity at 190 ms (occipital, phase-reversed fronto-centrally) plus
-    a broad positivity at 290 ms on all channels."""
-    n200 = ErpComponent(
-        amplitude_uv=-5.0,
-        peak_ms=190.0,
-        width_ms=40.0,
-        #       C3     Cz     C4     P3    Pz    P4    O1   O2
-        gains=(-0.35, -0.35, -0.35, 0.25, 0.25, 0.25, 1.0, 1.0),
-    )
-    p300 = ErpComponent(
-        amplitude_uv=8.0,
-        peak_ms=290.0,
-        width_ms=80.0,
-        gains=(0.7, 0.8, 0.7, 0.9, 1.0, 0.9, 0.6, 0.6),
-    )
-    return ErpTemplate(components=(n200, p300))
+def erp_waveform(jitter_ms: float = 0.0) -> np.ndarray:
+    """The evoked response on the (8, 80) trial grid, shifted by jitter_ms."""
+    t_ms = np.arange(N_SAMPLES) * (1000.0 / FS)
+    out = np.zeros((N_CHANNELS, N_SAMPLES))
+    for amplitude_uv, peak_ms, width_ms, gains in _ERP_COMPONENTS:
+        sigma = width_ms * _FWHM_TO_SIGMA
+        bump = amplitude_uv * np.exp(-0.5 * ((t_ms - peak_ms - jitter_ms) / sigma) ** 2)
+        out += np.asarray(gains)[:, None] * bump[None, :]
+    return out
 
 
 @dataclass(frozen=True)
@@ -110,13 +76,12 @@ class SubjectModel:
     """Parametric stand-in for a human subject.
 
     attention is the probability that an attended rare stimulus actually
-    evokes the template. The noise is white and Gaussian, with standard
+    evokes the response. The noise is white and Gaussian, with standard
     deviation noise_sigma_uv on every channel. The oracle flag forces
     noiseless trials with perfect attention and no latency jitter, whatever
     the other fields say.
     """
 
-    template: ErpTemplate
     noise_sigma_uv: float
     attention: float
     latency_jitter_ms: float
@@ -133,18 +98,17 @@ class SubjectModel:
 
 def subject_preset(name: str) -> SubjectModel:
     """Bundled subject models: 'oracle', 'midsnr' and 'noise'."""
-    template = default_erp_template()
     if name == "oracle":
-        return SubjectModel(template, 0.0, 1.0, 0.0, oracle=True)
+        return SubjectModel(0.0, 1.0, 0.0, oracle=True)
     if name == "midsnr":
         # tuned for ~94% single-trial CV accuracy on the fast protocol; the
         # noise floor sets the error rate while full attention keeps both
         # classes homoscedastic, so the shared-variance model stays exact
         # and the false-alarm rate sits near zero for any training session
-        return SubjectModel(template, 15.5, 1.0, 8.0)
+        return SubjectModel(15.5, 1.0, 8.0)
     if name == "noise":
-        # attention 0: trials never carry the template, labels are noise
-        return SubjectModel(template, 10.0, 0.0, 0.0)
+        # attention 0: trials never carry the response, labels are noise
+        return SubjectModel(10.0, 0.0, 0.0)
     raise ValueError(f"unknown subject preset {name!r}")
 
 
@@ -195,7 +159,7 @@ class SessionSynthesizer:
         # window, in onset order
         self._events: list[tuple[int, np.ndarray]] = []
         # the waveform of every jitter-free response, shared read-only
-        self._still = subject.template.render(0.0)
+        self._still = erp_waveform(0.0)
         self._still.flags.writeable = False
 
     def trial(self, onset_s: float, is_oddball: bool) -> np.ndarray:
@@ -222,7 +186,7 @@ class SessionSynthesizer:
         if is_oddball:
             fires, jitter = _erp_fires(self.subject, self.rng)
             if fires:
-                waveform = self._still if jitter == 0.0 else self.subject.template.render(jitter)
+                waveform = self._still if jitter == 0.0 else erp_waveform(jitter)
                 events.append((onset_sample, waveform))
         if self._silent:
             window = np.zeros((N_CHANNELS, N_SAMPLES))

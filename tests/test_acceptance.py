@@ -274,7 +274,7 @@ def test_criterion_7_property_suites(tmp_path):
             ),
             ("cv", ["cv", "--config", str(cfg), "--seed", "4", "--out", str(root / "cv")]),
             ("mc", ["mc", "--runs", "2000", "--seed", "4", "--out", str(root / "mc")]),
-            ("itr", ["itr", "--nc", "44", "--t", "207.1"]),
+            ("itr", ["itr", "practical", "--nc", "44", "--t", "207.1"]),
         ):
             buffer = io.StringIO()
             with contextlib.redirect_stdout(buffer):

@@ -1,6 +1,7 @@
 """Protocol-level behavior: training sessions, offline scoring, the online loop."""
 
 import csv
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -23,6 +24,7 @@ from spellersim.harness import (
     CvResult,
     ProtocolConfig,
     TrialBatch,
+    _MAX_TRAIN_TRIALS,
     cross_validate,
     cv_row,
     fit_final_model,
@@ -122,6 +124,23 @@ class TestProtocolConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ProtocolConfig(**kwargs)
+
+    def test_calibration_session_is_bounded(self):
+        # the largest session the bound allows: 10 characters x 5,000 trials
+        largest = ProtocolConfig(iti_ms=100.0, train_seconds_per_char=500.0)
+        assert largest.train_trial_count == _MAX_TRAIN_TRIALS == 50_000
+        # one trial per character more; and 213 PiB of rows, which once
+        # reached the allocation before anything failed
+        for kwargs in (
+            {"iti_ms": 100.0, "train_seconds_per_char": 500.1},
+            {"iti_ms": 160.0, "train_seconds_per_char": 1e12},
+            {"iti_ms": 1.0, "train_chars": 1, "train_seconds_per_char": 50.001},
+        ):
+            with pytest.raises(ValueError) as exc:
+                ProtocolConfig(**kwargs)
+            message = str(exc.value)
+            for name in ("train_chars", "train_seconds_per_char", "iti_ms", "50,000"):
+                assert name in message, (kwargs, message)
 
 
 class TestRunTraining:
@@ -628,6 +647,46 @@ class TestOracleOnline:
             run_online(cfg, oracle, model, params, np.random.default_rng(0), sentence="a*")
         with pytest.raises(ValueError):
             run_online(cfg, oracle, model, params, np.random.default_rng(0), trial_budget=0)
+
+
+class TestCorrectCount:
+    """N_c is the length of the transcript's correct prefix, so a character
+    that is deleted and typed again counts once."""
+
+    SENTENCE_SEEDS = range(12)
+
+    @pytest.fixture(scope="class")
+    def noisy(self):
+        # midsnr at 19 uV, where spurious selections are common
+        cfg = ProtocolConfig(iti_ms=160.0)
+        subject = dataclasses.replace(subject_preset("midsnr"), noise_sigma_uv=19.0)
+        model, params = fit_final_model(run_training(cfg, subject, substream(0, "train")), cfg)
+        return cfg, subject, model, params
+
+    def test_a_retyped_character_counts_once(self, noisy):
+        log, report = run_online(*noisy, substream(0, "spell"))
+        selected = [r["symbol"] for r in log.selections()]
+        # a spurious backspace deletes the correct 'O' of BROWN, and the
+        # subject types it again: 48 selections, the sentence's 44 characters
+        assert selected[14:18] == ["O", "<", "O", "W"]
+        assert report.completed
+        assert (report.n_correct, report.n_selections) == (44, 48)
+        assert report.practical_bits_per_sec == pytest.approx(44 * math.log2(42) / report.t_total_s, rel=1e-12)
+
+    def test_never_more_than_the_sentence(self, noisy):
+        outcomes = set()
+        for seed in self.SENTENCE_SEEDS:
+            _, report = run_online(*noisy, substream(seed, "spell"))
+            assert report.n_correct <= len(BENCHMARK_SENTENCE)
+            prefix = 0
+            while prefix < len(report.prompt) and report.prompt[prefix] == BENCHMARK_SENTENCE[prefix]:
+                prefix += 1
+            assert report.n_correct == prefix
+            if report.completed:
+                assert report.n_correct == len(BENCHMARK_SENTENCE)
+            outcomes.add(report.completed)
+        # the seeds cover both a completed and an unfinished session
+        assert outcomes == {True, False}
 
 
 class _EagerStage2Speller(Speller):

@@ -10,9 +10,10 @@ from spellersim.signal import (
     FEATURE_DIM,
     SessionSynthesizer,
     SubjectModel,
-    default_erp_template,
+    erp_waveform,
     preprocess,
     subject_preset,
+    _ERP_COMPONENTS,
     _erp_fires,
 )
 
@@ -20,7 +21,7 @@ T_MS = np.arange(N_SAMPLES) * (1000.0 / FS)
 
 
 def test_template_shape_and_peak_latencies():
-    wave = default_erp_template().render()
+    wave = erp_waveform()
     assert wave.shape == (N_CHANNELS, N_SAMPLES)
     # positivity peaks at 290 ms on every channel
     assert np.all(T_MS[np.argmax(wave, axis=1)] == 290.0)
@@ -34,16 +35,15 @@ def test_template_shape_and_peak_latencies():
 
 
 def test_component_fwhm_definition():
-    template = default_erp_template()
-    for comp in template.components:
-        sigma = comp.width_ms / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-        bump = np.exp(-0.5 * ((T_MS - comp.peak_ms) / sigma) ** 2)
-        half = np.interp(comp.peak_ms + comp.width_ms / 2.0, T_MS, bump)
+    for _, peak_ms, width_ms, _ in _ERP_COMPONENTS:
+        sigma = width_ms / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+        bump = np.exp(-0.5 * ((T_MS - peak_ms) / sigma) ** 2)
+        half = np.interp(peak_ms + width_ms / 2.0, T_MS, bump)
         assert half == pytest.approx(0.5, abs=1e-12)
 
 
 def test_template_amplitudes_at_peaks():
-    wave = default_erp_template().render()
+    wave = erp_waveform()
     k290 = np.flatnonzero(T_MS == 290.0)[0]
     # Pz gain 1.0 on the positivity; the early bump is negligible 100 ms out
     assert wave[4, k290] == pytest.approx(8.0, abs=1e-2)
@@ -54,7 +54,7 @@ def test_template_amplitudes_at_peaks():
 
 
 def test_render_jitter_shifts_peak():
-    wave = default_erp_template().render(jitter_ms=10.0)
+    wave = erp_waveform(jitter_ms=10.0)
     assert np.all(T_MS[np.argmax(wave, axis=1)] == 300.0)
 
 
@@ -65,7 +65,7 @@ _APART_S = N_SAMPLES / FS
 def test_attention_zero_never_fires():
     subject = subject_preset("noise")
     session = SessionSynthesizer(subject, np.random.default_rng(3))
-    peak = subject.template.render()[4].max()
+    peak = erp_waveform()[4].max()
     for i in range(50):
         window = session.trial(i * _APART_S, True)
         # oddball windows are label-free noise, so no systematic positivity
@@ -73,8 +73,7 @@ def test_attention_zero_never_fires():
 
 
 def test_attention_rate_matches_probability():
-    template = default_erp_template()
-    subject = SubjectModel(template, 0.0, 0.7, 0.0)
+    subject = SubjectModel(0.0, 0.7, 0.0)
     session = SessionSynthesizer(subject, np.random.default_rng(11))
     n = 4000
     fired = sum(bool(session.trial(i * _APART_S, True).any()) for i in range(n))
@@ -82,13 +81,12 @@ def test_attention_rate_matches_probability():
 
 
 def test_subject_model_validation():
-    template = default_erp_template()
     with pytest.raises(ValueError):
-        SubjectModel(template, -1.0, 1.0, 0.0)
+        SubjectModel(-1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        SubjectModel(template, 1.0, 1.5, 0.0)
+        SubjectModel(1.0, 1.5, 0.0)
     with pytest.raises(ValueError):
-        SubjectModel(template, 1.0, 1.0, -2.0)
+        SubjectModel(1.0, 1.0, -2.0)
     with pytest.raises(ValueError):
         subject_preset("nope")
 
@@ -122,10 +120,10 @@ def test_preprocess_accepts_trial_and_validates():
 
 
 def test_session_bleed_at_short_iti():
-    # oracle subject: signal is exactly the sum of evoked templates
+    # oracle subject: signal is exactly the sum of evoked responses
     subject = subject_preset("oracle")
     session = SessionSynthesizer(subject, np.random.default_rng(0))
-    wave = subject.template.render()
+    wave = erp_waveform()
     first = session.trial(0.0, True)
     second = session.trial(0.160, False)
     assert np.array_equal(first, wave)
@@ -143,7 +141,7 @@ def test_session_no_bleed_at_long_iti():
 
 
 def test_session_overlapping_windows_share_noise():
-    subject = SubjectModel(default_erp_template(), 4.0, 1.0, 0.0)
+    subject = SubjectModel(4.0, 1.0, 0.0)
     session = SessionSynthesizer(subject, np.random.default_rng(21))
     first = session.trial(0.0, False)
     second = session.trial(0.160, False)
@@ -187,7 +185,7 @@ class FullBufferSynthesizer:
         if is_oddball:
             fires, jitter = _erp_fires(self.subject, self.rng)
             if fires:
-                self._events.append((onset_sample, self.subject.template.render(jitter)))
+                self._events.append((onset_sample, erp_waveform(jitter)))
         self._extend_noise(onset_sample + N_SAMPLES)
         window = self._buf[:, onset_sample : onset_sample + N_SAMPLES].copy()
         for ev_sample, waveform in self._events:
@@ -221,9 +219,9 @@ def _onset_schedule(n, seed):
 
 # attention below 1 and a wide jitter: of the subjects here, only this one
 # draws both a response that fires and one that does not
-_PARTIAL_SUBJECT = SubjectModel(default_erp_template(), 6.0, 0.8, 15.0)
+_PARTIAL_SUBJECT = SubjectModel(6.0, 0.8, 15.0)
 # the same draws without noise: noiseless, but not the oracle
-_SILENT_SUBJECT = SubjectModel(default_erp_template(), 0.0, 0.8, 15.0)
+_SILENT_SUBJECT = SubjectModel(0.0, 0.8, 15.0)
 
 
 @pytest.mark.parametrize(
@@ -327,7 +325,7 @@ def test_jitter_free_waveform_is_rendered_once_and_read_only():
     subject = subject_preset("oracle")
     session = SessionSynthesizer(subject, np.random.default_rng(0))
     still = session._still
-    assert np.array_equal(still, subject.template.render(0.0))
+    assert np.array_equal(still, erp_waveform(0.0))
     with pytest.raises(ValueError):
         still[0, 0] = 1.0
     session.trial(0.0, True)
