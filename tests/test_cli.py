@@ -459,12 +459,23 @@ class TestMc:
         assert err == "error: --runs must be >= 1\n"
 
 
-# OpenBLAS kernel -> the key of its byte pins. The fits (syrk, dsyevr, dsygvd)
-# and the single-row extract round differently per kernel, so model.bin and
-# the posteriors in session.jsonl keep their bytes within a kernel family
-# only. AVX2 kernels, Intel (Haswell) or AMD (Zen), give one set of bytes, and
-# the AVX-512 kernel (SkylakeX, also chosen on newer Intel cores) another.
+# OpenBLAS kernel -> the key of its byte pins. The fits (syrk, dsyevr, dsygvd),
+# the single-row extract and numpy's own SIMD loops round differently per
+# instruction set, so model.bin and the posteriors in session.jsonl keep their
+# bytes within one host family only. AVX2 hosts, Intel (OpenBLAS's Haswell
+# kernel) or AMD (Zen), give one set of bytes; AVX-512 hosts (SkylakeX, also
+# chosen on newer Intel cores), where numpy dispatches its X86_V4 loops, give
+# another.
 PIN_FAMILY = {"SkylakeX": "SkylakeX", "Haswell": "Haswell", "Zen": "Haswell"}
+NUMPY_AVX512 = {"SkylakeX": True, "Haswell": False}
+# what makes an AVX-512 host compute as an AVX2 one
+AVX2_HOST_ENV = {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def numpy_avx512() -> bool:
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return bool(__cpu_features__.get("X86_V4"))
 
 
 def blas_corename() -> str:
@@ -478,30 +489,40 @@ def blas_corename() -> str:
 
 
 def blas_pin_family() -> str:
-    core = blas_corename()
-    if core not in PIN_FAMILY:
-        pytest.fail(f"no byte pins for the OpenBLAS kernel {core!r}; pinned kernels: {sorted(PIN_FAMILY)}")
-    return PIN_FAMILY[core]
+    core, avx512 = blas_corename(), numpy_avx512()
+    family = PIN_FAMILY.get(core)
+    if family is None or NUMPY_AVX512[family] != avx512:
+        pytest.fail(
+            f"no byte pins for the OpenBLAS kernel {core!r} with numpy's X86_V4 loops "
+            f"{'on' if avx512 else 'off'}; pinned: SkylakeX with them on, Haswell or Zen with them off"
+        )
+    return family
 
 
-@pytest.mark.parametrize("coretype, family", [("Haswell", "Haswell"), ("Zen", "Haswell"), ("Sandybridge", None)])
-def test_the_pin_family_follows_the_blas_kernel(coretype, family):
+@pytest.mark.skipif(not numpy_avx512(), reason="emulates an AVX2 host on an AVX-512 one")
+@pytest.mark.parametrize(
+    "env, family",
+    [
+        (AVX2_HOST_ENV, "Haswell"),
+        ({**AVX2_HOST_ENV, "OPENBLAS_CORETYPE": "Zen"}, "Haswell"),
+        ({"OPENBLAS_CORETYPE": "Haswell"}, None),
+        ({**AVX2_HOST_ENV, "OPENBLAS_CORETYPE": "Sandybridge"}, None),
+    ],
+    ids=["avx2", "zen", "haswell_blas_only", "sandybridge"],
+)
+def test_the_pin_family_follows_the_host(env, family):
     code = (
         f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
         "import test_cli\n"
         "print(test_cli.blas_pin_family())\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, OPENBLAS_CORETYPE=coretype),
-        capture_output=True,
-        text=True,
-        timeout=120,
+        [sys.executable, "-c", code], env=dict(os.environ, **env), capture_output=True, text=True, timeout=120
     )
     if family is None:
-        # an unpinned kernel fails by name; it never passes silently
+        # an unpinned combination fails by name; it never passes silently
         assert done.returncode != 0
-        assert f"no byte pins for the OpenBLAS kernel {coretype!r}" in done.stderr + done.stdout
+        assert f"no byte pins for the OpenBLAS kernel {env['OPENBLAS_CORETYPE']!r}" in done.stderr + done.stdout
     else:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == family
@@ -547,7 +568,7 @@ class TestSpellBytes:
                 "session.csv": "57c18921226c7f6c2568c88463df9205ecfd4f479ac97c5fe621a74c1bf4458c",
             },
             "fast_midsnr": {
-                "session.jsonl": "33d59045c646db820b830b5896f26196d034755e721576d450e5dde9b161d35c",
+                "session.jsonl": "690b49ef116bb988262500d1caba99528c8261f098c9d0d2ff17450d3ce140d8",
                 "session_report.json": "53376fbf6f5529adb06d6084ab6aa7a630f858f0221e248e0c2accead9582409",
                 "session.csv": "f18ceb663bae8963a9d455f7310ddba625d16440d7561336d3cea66ad534bd7b",
             },
@@ -633,11 +654,11 @@ class TestTrainBytes:
         },
         "Haswell": {
             "fast_midsnr": {
-                "model.bin": "6e524bec418e03d12466d6d481ece5983b538c6c736bb6c6405ff6858425a62c",
+                "model.bin": "2459db6887b1a40b06f9c77c7c4e92a5e23d87ac24f17d3a8804c15cb16a9be0",
                 "train_cv.csv": "224dba061b6ace520da0ca27421a9f010f20c8755559caedede10633b56c1154",
             },
             "fast_oracle": {
-                "model.bin": "3611bae245ec43959c249633efeb711a52c9fb4b6e6e598eb2ef7f665c81ddb6",
+                "model.bin": "e5aa992dfeacc2bb6583dfc2cf1a435f08baef538115ab62b178bd60d9ee14e9",
                 "train_cv.csv": "70b9b938e20dd11852a493f04637c738a0a81f88159c0be12ae8936db15996b7",
             },
         },
