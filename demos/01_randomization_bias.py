@@ -38,7 +38,7 @@ print("\nfirst group of one draw:", " ".join(groups[0]))
 stats = monte_carlo_group_stats(table, 100_000, rng)
 print("\nmean group index (1..7) over 100,000 draws:")
 for symbol in (">", "E", "T", "Q", "*"):
-    print(f"  {symbol!r}  {stats.mean_group_of(symbol):.3f}")
+    print(f"  {symbol!r}  {stats.mean_group[table.symbols.index(symbol)]:.3f}")
 
 # Against a uniform table every symbol averages group 4, the middle of
 # seven. The bias buys roughly 2.5 groups of headroom for the symbols a

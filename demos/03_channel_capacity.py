@@ -24,7 +24,7 @@ PRIOR_TARGET = 1.0 / 7.0
 print("hit rate  accuracy  MI bits   Fano bound")
 for p_hit in (0.5, 0.7, 0.9, 0.99, 1.0):
     confusion = ConfusionMatrix(p_hit, 1.0 - p_hit, 0.02, 0.98)
-    spec = ChannelSpec(confusion, PRIOR_TARGET, 1.0 - PRIOR_TARGET)
+    spec = ChannelSpec(confusion, PRIOR_TARGET)
     mi = mutual_information(spec)
     acc = spec.accuracy()
     fano = fano_lower_bound(PRIOR_TARGET, acc)
@@ -32,7 +32,7 @@ for p_hit in (0.5, 0.7, 0.9, 0.99, 1.0):
 
 # The degenerate detector that always answers "absent" scores 85.7%
 # accuracy and exactly zero information.
-lazy = ChannelSpec(ConfusionMatrix(0.0, 1.0, 0.0, 1.0), PRIOR_TARGET, 1.0 - PRIOR_TARGET)
+lazy = ChannelSpec(ConfusionMatrix(0.0, 1.0, 0.0, 1.0), PRIOR_TARGET)
 print(f"\nalways-absent detector: accuracy {lazy.accuracy():.4f}, "
       f"MI {mutual_information(lazy):.4f} bits")
 

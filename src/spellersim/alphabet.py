@@ -47,13 +47,6 @@ _PUNCT = (".", ",", "?")
 SYMBOLS = _LETTERS + _DIGITS + (SPACE, BACKSPACE, EXIT) + _PUNCT
 
 
-def _index_of(symbols: tuple[str, ...], symbol: str) -> int:
-    try:
-        return symbols.index(symbol)
-    except ValueError:
-        raise ValueError(f"unknown symbol {symbol!r}") from None
-
-
 @dataclass(frozen=True)
 class FrequencyTable:
     """Per-symbol selection probabilities, the bias source for randomization."""
@@ -293,9 +286,6 @@ class GroupStats:
     symbols: tuple[str, ...]
     mean_group: np.ndarray      # per symbol, 1-based group index average
     mean_position: np.ndarray   # per symbol, 1-based draw position average
-
-    def mean_group_of(self, symbol: str) -> float:
-        return float(self.mean_group[_index_of(self.symbols, symbol)])
 
 
 # Fewest blocks worth a worker of monte_carlo_group_stats: starting the pool

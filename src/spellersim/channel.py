@@ -66,24 +66,21 @@ class ConfusionMatrix:
             raise ValueError("need at least one trial of each class")
         return cls(hits / n_o, omissions / n_o, false_alarms / n_e, rejections / n_e)
 
-    @classmethod
-    def perfect(cls) -> "ConfusionMatrix":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
 
 @dataclass(frozen=True)
 class ChannelSpec:
     confusion: ConfusionMatrix
     prior_o: float
-    prior_e: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.prior_o) and math.isfinite(self.prior_e)):
-            raise ValueError(f"priors must be finite, got {self.prior_o!r} and {self.prior_e!r}")
+        if not math.isfinite(self.prior_o):
+            raise ValueError(f"priors must be finite, got {self.prior_o!r}")
         if self.prior_o <= 0.0 or self.prior_e <= 0.0:
             raise ValueError("priors must be positive")
-        if abs(self.prior_o + self.prior_e - 1.0) > 1e-12:
-            raise ValueError("priors must sum to 1")
+
+    @property
+    def prior_e(self) -> float:
+        return 1.0 - self.prior_o
 
     @property
     def output_probs(self) -> tuple[float, float]:

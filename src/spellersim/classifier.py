@@ -3,8 +3,7 @@
 Both classes are modeled as Gaussians with a shared variance, so the log
 posterior odds are affine in the feature. A trial is called oddball when the
 posterior odds exceed the threshold theta = lambda_fa / lambda_om, the ratio
-of the false-alarm and omission costs; this is the risk-minimizing rule, and
-conditional_risk exposes both decision risks for cross-checking.
+of the false-alarm and omission costs; this is the risk-minimizing rule.
 """
 from __future__ import annotations
 
@@ -20,7 +19,6 @@ __all__ = [
     "posterior_oddball",
     "classify",
     "decide_batch",
-    "conditional_risk",
     "with_theta",
 ]
 
@@ -127,13 +125,3 @@ def classify(params: ClassifierParams, f):
 
 decide_batch = classify
 
-
-def conditional_risk(params: ClassifierParams, f: float) -> tuple[float, float]:
-    """(risk of deciding oddball, risk of deciding non-oddball) at f.
-
-    Deciding oddball risks a false alarm, so its risk is lambda_fa * p(e|f);
-    deciding non-oddball risks an omission, lambda_om * p(o|f). The smaller
-    risk reproduces classify, with the tie landing on non-oddball.
-    """
-    p_o = posterior_oddball(params, f)
-    return params.lambda_fa * (1.0 - p_o), params.lambda_om * p_o

@@ -71,6 +71,10 @@ __all__ = ["RunSpec", "load_config", "build_parser", "main"]
 # the majority-class accuracy at the design ratio
 CHANCE_LEVEL = ONLINE_PRIORS[1]
 
+# the most CV repeats a config may ask for: 1,000 repeats of 10 folds are
+# 10,000 fold fits, minutes of work on the presets
+_MAX_CV_REPEATS = 1_000
+
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -86,8 +90,10 @@ class RunSpec:
     dictionary: str | None = None
 
     def __post_init__(self) -> None:
-        if self.cv_repeats < 1 or self.cv_folds < 2:
-            raise ValueError("need cv_repeats >= 1 and cv_folds >= 2")
+        if not 1 <= self.cv_repeats <= _MAX_CV_REPEATS:
+            raise ValueError(f"cv_repeats must lie in [1, {_MAX_CV_REPEATS:,}], got {self.cv_repeats}")
+        if self.cv_folds < 2:
+            raise ValueError("need cv_folds >= 2")
         if self.trial_budget < 1:
             raise ValueError("trial_budget must be >= 1")
         if not self.sentence:
@@ -300,6 +306,11 @@ def cmd_cv(args) -> int:
     spec = load_config(_resolve_config(args.config))
     seed = _effective_seed(args, spec)
     frequency, _ = _load_tables(spec)
+    if args.subsample is not None:
+        # subsample_check keeps floor(N/7) oddballs, and each fold needs one
+        low, high = 7 * spec.cv_folds, spec.protocol.train_trial_count
+        if not low <= args.subsample <= high:
+            raise ValueError(f"--subsample must lie in [{low}, {high}] for this config, got {args.subsample}")
 
     trials, cv = _calibrate(spec, seed, frequency)
     rows = [cv_row(spec.subject, spec.protocol.iti_ms, cv)]
@@ -422,7 +433,7 @@ def cmd_itr(args) -> int:
         print(f"practical ITR: {practical_itr(args.nc, args.t, args.alphabet):.4f} bits/s")
     else:
         confusion = ConfusionMatrix(args.p_oo, 1.0 - args.p_oo, 1.0 - args.p_ee, args.p_ee)
-        spec = ChannelSpec(confusion, args.prior_o, 1.0 - args.prior_o)
+        spec = ChannelSpec(confusion, args.prior_o)
         mi = mutual_information(spec)
         accuracy = spec.accuracy()
         print(f"mutual information: {mi:.4f} bits/trial")

@@ -63,6 +63,10 @@ ONLINE_PRIORS = (1.0 / 7.0, 1.0 - 1.0 / 7.0)
 # float64 are about 192 MB (the presets' largest session has 1,870)
 _MAX_TRAIN_TRIALS = 50_000
 
+# the longest gap between two onsets, in seconds: each trial draws the noise
+# of the whole gap since the previous window, up to 2,000 samples a channel
+_MAX_GAP_S = 10.0
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -96,6 +100,13 @@ class ProtocolConfig:
             raise ValueError("thresholds must be positive")
         if self.overhead_ms < 0.0:
             raise ValueError("overhead must be nonnegative")
+        if (self.iti_ms + self.overhead_ms) / 1000.0 > _MAX_GAP_S:
+            raise ValueError(
+                f"iti_ms + overhead_ms must be at most {_MAX_GAP_S:g} s, got "
+                f"{self.iti_ms!r} + {self.overhead_ms!r} ms"
+            )
+        if self.pause_s > _MAX_GAP_S:
+            raise ValueError(f"pause_s must be at most {_MAX_GAP_S:g} s, got {self.pause_s!r}")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
         if self.m_max < 1:
@@ -234,8 +245,8 @@ def cross_validate(
     trials: TrialBatch,
     repeats: int = 10,
     folds: int = 10,
-    rng: np.random.Generator | None = None,
     *,
+    rng: np.random.Generator,
     eta: float = 0.9,
     m_max: int = 30,
 ) -> CvResult:
@@ -246,8 +257,6 @@ def cross_validate(
     partition alone. The folds are fitted by fork_map, in up to one forked
     process per core of this process's CPU affinity, at one BLAS thread
     each; the result is the same at any core count."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     if repeats < 1 or folds < 2:
         raise ValueError("need repeats >= 1 and folds >= 2")
     x, y = trials.vectors, trials.is_oddball
@@ -273,7 +282,7 @@ def cross_validate(
     hits, omissions, false_alarms, rejections = (int(c) for c in per_repeat.sum(axis=0))
     confusion = ConfusionMatrix.from_counts(hits, omissions, false_alarms, rejections)
     prior_o = float(np.mean(y))
-    bits = mutual_information(ChannelSpec(confusion, prior_o, 1.0 - prior_o))
+    bits = mutual_information(ChannelSpec(confusion, prior_o))
     return CvResult(
         accuracy_mean=float(acc.mean()),
         accuracy_std=float(acc.std(ddof=1)) if acc.size > 1 else 0.0,
@@ -287,15 +296,14 @@ def cross_validate(
 def subsample_check(
     trials: TrialBatch,
     target: int = 750,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     **cv_kwargs,
 ) -> CvResult:
     """Cross-validate a stratified random subsample of the session.
 
     The subsample keeps floor(target/7) oddballs, so the class ratio is
     preserved to within one trial of 1:6."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     if len(trials) < target:
         raise ValueError(f"need at least {target} trials, got {len(trials)}")
     n_odd = target // 7
@@ -450,7 +458,7 @@ def run_online(
     if hits + omissions > 0 and false_alarms + rejections > 0:
         confusion = ConfusionMatrix.from_counts(hits, omissions, false_alarms, rejections)
         prior_o = (hits + omissions) / n_trials
-        spec = ChannelSpec(confusion, prior_o, 1.0 - prior_o)
+        spec = ChannelSpec(confusion, prior_o)
         per_trial = per_trial_itr_from_session(spec, n_trials, t_active_s)
     accuracy = (hits + rejections) / n_trials
 

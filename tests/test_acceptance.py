@@ -27,7 +27,7 @@ from spellersim.channel import (
     practical_itr,
     wolpaw_itr,
 )
-from spellersim.classifier import ClassifierParams, classify, conditional_risk, with_theta
+from spellersim.classifier import ClassifierParams, classify, posterior_oddball, with_theta
 from spellersim.cli import main
 from spellersim.features import _fisher_direction
 from spellersim.harness import (
@@ -63,10 +63,10 @@ def oracle_stack():
 
 
 def test_criterion_1_channel_math():
-    chance = ChannelSpec(ConfusionMatrix(0.0, 1.0, 0.0, 1.0), 1.0 / 7.0, 6.0 / 7.0)
+    chance = ChannelSpec(ConfusionMatrix(0.0, 1.0, 0.0, 1.0), 1.0 / 7.0)
     assert mutual_information(chance) == 0.0
 
-    perfect = ChannelSpec(ConfusionMatrix.perfect(), 1.0 / 7.0, 6.0 / 7.0)
+    perfect = ChannelSpec(ConfusionMatrix(1.0, 0.0, 0.0, 1.0), 1.0 / 7.0)
     mi = mutual_information(perfect)
     assert abs(mi - 0.592) <= 5e-4
 
@@ -182,9 +182,7 @@ def test_criterion_7_property_suites(tmp_path):
     for _ in range(1000):
         p_oo, p_oe = rng.uniform(size=2)
         prior_o = rng.uniform(1e-3, 1.0 - 1e-3)
-        spec = ChannelSpec(
-            ConfusionMatrix(p_oo, 1.0 - p_oo, p_oe, 1.0 - p_oe), prior_o, 1.0 - prior_o
-        )
+        spec = ChannelSpec(ConfusionMatrix(p_oo, 1.0 - p_oo, p_oe, 1.0 - p_oe), prior_o)
         joint = np.array(
             [
                 [spec.prior_o * p_oo, spec.prior_o * (1.0 - p_oo)],
@@ -205,9 +203,7 @@ def test_criterion_7_property_suites(tmp_path):
     for _ in range(10_000):
         p_oo, p_oe = rng.uniform(size=2)
         prior_o = rng.uniform(1e-3, 1.0 - 1e-3)
-        spec = ChannelSpec(
-            ConfusionMatrix(p_oo, 1.0 - p_oo, p_oe, 1.0 - p_oe), prior_o, 1.0 - prior_o
-        )
+        spec = ChannelSpec(ConfusionMatrix(p_oo, 1.0 - p_oo, p_oe, 1.0 - p_oe), prior_o)
         assert fano_lower_bound(prior_o, spec.accuracy()) <= mutual_information(spec) + 1e-12
 
     # threshold form and risk form of the decision agree everywhere
@@ -222,7 +218,9 @@ def test_criterion_7_property_suites(tmp_path):
             lambda_om=rng.uniform(0.1, 5.0),
         )
         x = rng.normal(scale=3.0)
-        risk_odd, risk_non = conditional_risk(params, x)
+        # deciding oddball risks a false alarm, deciding non-oddball an omission
+        p_odd = posterior_oddball(params, x)
+        risk_odd, risk_non = params.lambda_fa * (1.0 - p_odd), params.lambda_om * p_odd
         assert classify(params, x) == (risk_odd < risk_non)
 
     # fitted discriminant direction vs analytic LDA on shared-covariance data

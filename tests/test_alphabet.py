@@ -120,10 +120,6 @@ class TestFrequencyTable:
         with pytest.raises(ValueError, match=r"repeats symbols \['E'\]"):
             table.restrict(("E", "T", "E"))
 
-    def test_unknown_symbol_is_named(self, biased_stats):
-        with pytest.raises(ValueError, match="unknown symbol '#'"):
-            biased_stats.mean_group_of("#")
-
 
 class TestCdf:
     """A table's masses: the steps of the running CDF (the breakpoints) that
@@ -369,11 +365,11 @@ class TestMonteCarloStats:
         stats_1 = monte_carlo_group_stats(table, 1, np.random.default_rng(9))
         perm = draw_permutation(table, np.random.default_rng(9))
         for symbol in table.symbols:
-            assert stats_1.mean_group_of(symbol) == perm.index(symbol) // 6 + 1
+            assert stats_1.mean_group[table.symbols.index(symbol)] == perm.index(symbol) // 6 + 1
             assert stats_1.mean_position[table.symbols.index(symbol)] == perm.index(symbol) + 1
 
     def test_space_lands_in_the_first_two_groups(self, biased_stats):
-        mean_group = biased_stats.mean_group_of(SPACE)
+        mean_group = biased_stats.mean_group[biased_stats.symbols.index(SPACE)]
         assert 1.5 <= mean_group <= 1.7
 
     def test_top_twelve_lead_the_cycle(self, table, biased_stats):

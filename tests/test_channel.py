@@ -1,4 +1,5 @@
 """Channel math: exact mutual information, bounds, and rate reports."""
+import dataclasses
 import math
 import struct
 
@@ -18,7 +19,8 @@ from spellersim.channel import (
     wolpaw_itr,
 )
 
-PRIOR_16 = (1.0 / 7.0, 6.0 / 7.0)
+PRIOR_O = 1.0 / 7.0
+PERFECT = ConfusionMatrix(1.0, 0.0, 0.0, 1.0)
 
 
 def mi_bruteforce(spec: ChannelSpec) -> float:
@@ -45,7 +47,7 @@ def random_spec(rng) -> ChannelSpec:
     p_oe = rng.uniform(0.0, 1.0)
     prior_o = rng.uniform(1e-3, 1.0 - 1e-3)
     conf = ConfusionMatrix(p_oo, 1.0 - p_oo, p_oe, 1.0 - p_oe)
-    return ChannelSpec(conf, prior_o, 1.0 - prior_o)
+    return ChannelSpec(conf, prior_o)
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +108,12 @@ class TestEntropyMatchesXlogy:
                 assert _same_bits(_entropy_bits((p, q)), _xlogy_entropy_bits((p, q))), (p, q)
 
     def test_mutual_information(self):
-        priors = [(1.0 / 7.0, 6.0 / 7.0), (0.5, 0.5), (5e-324, 1.0), (2.2e-308, 1.0), (0.9, 0.1)]
-        priors.append((math.nextafter(1.0, 0.0), 1.0 - math.nextafter(1.0, 0.0)))
+        priors = [1.0 / 7.0, 0.5, 5e-324, 2.2e-308, 0.9, math.nextafter(1.0, 0.0)]
         for p_oo in self.GRID[::2]:
             for p_ee in self.GRID[1::2]:
                 confusion = ConfusionMatrix(p_oo, 1.0 - p_oo, 1.0 - p_ee, p_ee)
-                for prior_o, prior_e in priors:
-                    spec = ChannelSpec(confusion, prior_o, prior_e)
+                for prior_o in priors:
+                    spec = ChannelSpec(confusion, prior_o)
                     assert _same_bits(mutual_information(spec), _xlogy_mutual_information(spec))
 
     def test_wolpaw_and_fano(self):
@@ -145,42 +146,41 @@ class TestConfusionMatrix:
 
 
 class TestChannelSpec:
-    def test_priors_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            ChannelSpec(ConfusionMatrix.perfect(), 0.3, 0.3)
+    def test_the_other_prior_is_derived(self):
+        spec = ChannelSpec(PERFECT, 0.3)
+        assert spec.prior_e == 1.0 - 0.3
+        assert [f.name for f in dataclasses.fields(spec)] == ["confusion", "prior_o"]
 
     def test_priors_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ChannelSpec(ConfusionMatrix.perfect(), 0.0, 1.0)
+        for prior_o in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="positive"):
+                ChannelSpec(PERFECT, prior_o)
 
-    @pytest.mark.parametrize(
-        "prior_o, prior_e",
-        [(math.nan, 0.5), (0.5, math.nan), (math.inf, -math.inf)],
-    )
-    def test_priors_must_be_finite(self, prior_o, prior_e):
+    @pytest.mark.parametrize("prior_o", [math.nan, math.inf, -math.inf])
+    def test_priors_must_be_finite(self, prior_o):
         with pytest.raises(ValueError, match="finite"):
-            ChannelSpec(ConfusionMatrix.perfect(), prior_o, prior_e)
+            ChannelSpec(PERFECT, prior_o)
 
     def test_output_probs(self):
         conf = ConfusionMatrix(0.8, 0.2, 0.1, 0.9)
-        spec = ChannelSpec(conf, *PRIOR_16)
+        spec = ChannelSpec(conf, PRIOR_O)
         p_out_o, p_out_e = spec.output_probs
         assert p_out_o == pytest.approx(0.8 / 7.0 + 0.1 * 6.0 / 7.0, abs=1e-15)
         assert p_out_o + p_out_e == pytest.approx(1.0, abs=1e-15)
 
     def test_accuracy(self):
         conf = ConfusionMatrix(0.8, 0.2, 0.1, 0.9)
-        spec = ChannelSpec(conf, 0.5, 0.5)
+        spec = ChannelSpec(conf, 0.5)
         assert spec.accuracy() == pytest.approx(0.85, abs=1e-15)
 
 
 class TestMutualInformation:
     def test_chance_channel_is_exactly_zero(self):
         conf = ConfusionMatrix(0.0, 1.0, 0.0, 1.0)
-        assert mutual_information(ChannelSpec(conf, *PRIOR_16)) == 0.0
+        assert mutual_information(ChannelSpec(conf, PRIOR_O)) == 0.0
 
     def test_perfect_channel_pinned_value(self):
-        spec = ChannelSpec(ConfusionMatrix.perfect(), *PRIOR_16)
+        spec = ChannelSpec(PERFECT, PRIOR_O)
         assert mutual_information(spec) == pytest.approx(0.592, abs=5e-4)
 
     def test_matches_bruteforce_on_random_specs(self):
@@ -207,22 +207,22 @@ class TestMutualInformation:
             p = rng.uniform(0.0, 1.0)
             conf = ConfusionMatrix(p, 1.0 - p, p, 1.0 - p)
             prior_o = rng.uniform(0.01, 0.99)
-            assert mutual_information(ChannelSpec(conf, prior_o, 1.0 - prior_o)) <= 1e-15
+            assert mutual_information(ChannelSpec(conf, prior_o)) <= 1e-15
         for _ in range(200):
             p_oo = rng.uniform(0.0, 1.0)
             p_oe = rng.uniform(0.0, 1.0)
             if abs(p_oo - p_oe) < 1e-3:
                 continue
             conf = ConfusionMatrix(p_oo, 1.0 - p_oo, p_oe, 1.0 - p_oe)
-            assert mutual_information(ChannelSpec(conf, 0.25, 0.75)) > 0.0
+            assert mutual_information(ChannelSpec(conf, 0.25)) > 0.0
 
     def test_asymmetry_same_accuracy_different_information(self):
         # Equal accuracy and equal error rate, yet different mutual
         # information: the channel is not a function of (p_c, p_eps).
         omission_heavy = ConfusionMatrix(0.65, 0.35, 0.0, 1.0)
         fa_heavy = ConfusionMatrix(1.0, 0.0, 0.35 / 6.0, 1.0 - 0.35 / 6.0)
-        spec_a = ChannelSpec(omission_heavy, *PRIOR_16)
-        spec_b = ChannelSpec(fa_heavy, *PRIOR_16)
+        spec_a = ChannelSpec(omission_heavy, PRIOR_O)
+        spec_b = ChannelSpec(fa_heavy, PRIOR_O)
         assert spec_a.accuracy() == pytest.approx(spec_b.accuracy(), abs=1e-12)
         assert abs(mutual_information(spec_a) - mutual_information(spec_b)) > 0.01
 
@@ -307,17 +307,17 @@ class TestSessionReport:
 
     def test_zero_information_session(self):
         conf = ConfusionMatrix(0.0, 1.0, 0.0, 1.0)
-        report = per_trial_itr_from_session(ChannelSpec(conf, *PRIOR_16), 1, 10.0)
+        report = per_trial_itr_from_session(ChannelSpec(conf, PRIOR_O), 1, 10.0)
         assert report.bits_per_sec == 0.0
 
     def test_zero_active_time_rejected(self):
-        spec = ChannelSpec(ConfusionMatrix.perfect(), *PRIOR_16)
+        spec = ChannelSpec(PERFECT, PRIOR_O)
         with pytest.raises(ValueError):
             per_trial_itr_from_session(spec, 100, 0.0)
 
     @pytest.mark.parametrize("active_time_s", [math.nan, math.inf])
     def test_non_finite_active_time_rejected(self, active_time_s):
-        spec = ChannelSpec(ConfusionMatrix.perfect(), *PRIOR_16)
+        spec = ChannelSpec(PERFECT, PRIOR_O)
         with pytest.raises(ValueError, match=f"active time must be positive and finite, got {active_time_s!r}"):
             per_trial_itr_from_session(spec, 100, active_time_s)
 
@@ -341,8 +341,8 @@ class TestSessionReport:
             rejections=int(np.sum(~labels & ~decide_odd)),
         )
         active = n / 5.814
-        report = per_trial_itr_from_session(ChannelSpec(est, prior_o, 1.0 - prior_o), n, active)
-        truth = mutual_information(ChannelSpec(generator, prior_o, 1.0 - prior_o))
+        report = per_trial_itr_from_session(ChannelSpec(est, prior_o), n, active)
+        truth = mutual_information(ChannelSpec(generator, prior_o))
         assert report.bits_per_trial == pytest.approx(truth, abs=5e-3)
         assert report.trials_per_sec == pytest.approx(5.814, abs=1e-9)
 
@@ -354,7 +354,7 @@ class TestRecomputeWithRatio:
         conf = ConfusionMatrix(0.9, 0.1, 0.05, 0.95)
         for ratio in (1e-9, 1e9):
             prior_o = ratio / (1.0 + ratio)
-            assert mutual_information(ChannelSpec(conf, prior_o, 1.0 - prior_o)) < 1e-6
+            assert mutual_information(ChannelSpec(conf, prior_o)) < 1e-6
 
     def test_one_to_three_envelope(self):
         # Operating points whose accuracy at the true 1:6 ratio spans the
@@ -366,10 +366,10 @@ class TestRecomputeWithRatio:
         for p_oo in np.linspace(0.50, 0.95, 19):
             for p_ee in np.linspace(0.95, 0.995, 10):
                 conf = ConfusionMatrix(p_oo, 1.0 - p_oo, 1.0 - p_ee, p_ee)
-                acc = ChannelSpec(conf, *PRIOR_16).accuracy()
+                acc = ChannelSpec(conf, PRIOR_O).accuracy()
                 if not 0.905 <= acc <= 0.966:
                     continue
-                values.append(mutual_information(ChannelSpec(conf, 0.25, 0.75)))
+                values.append(mutual_information(ChannelSpec(conf, 0.25)))
         assert values
         assert min(values) > 0.10
         assert max(values) < 0.70

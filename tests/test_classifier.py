@@ -6,7 +6,6 @@ import pytest
 from spellersim.classifier import (
     ClassifierParams,
     classify,
-    conditional_risk,
     decide_batch,
     fit,
     log_posterior_odds,
@@ -145,6 +144,13 @@ def test_separable_classes_high_accuracy():
     assert accuracy == pytest.approx(expected, abs=0.005)
 
 
+def _risks(params, f):
+    """(risk of deciding oddball, risk of deciding non-oddball) at f: a false
+    alarm costs lambda_fa * p(e|f), an omission lambda_om * p(o|f)."""
+    p_o = posterior_oddball(params, f)
+    return params.lambda_fa * (1.0 - p_o), params.lambda_om * p_o
+
+
 def test_risk_form_matches_threshold_form():
     rng = np.random.default_rng(99)
     for _ in range(10_000):
@@ -159,13 +165,13 @@ def test_risk_form_matches_threshold_form():
             lambda_om=rng.uniform(0.1, 5.0),
         )
         f = rng.normal(0.0, 3.0)
-        risk_o, risk_e = conditional_risk(params, f)
+        risk_o, risk_e = _risks(params, f)
         assert classify(params, f) == (risk_o < risk_e)
 
 
 def test_equal_costs_equal_posteriors_equal_risks():
     params = _params(mu_o=1.0, mu_e=-1.0, prior_o=0.5)
-    risk_o, risk_e = conditional_risk(params, 0.0)  # p(o|0) = p(e|0) = 0.5
+    risk_o, risk_e = _risks(params, 0.0)  # p(o|0) = p(e|0) = 0.5
     assert risk_o == pytest.approx(risk_e, abs=1e-12)
 
 

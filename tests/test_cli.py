@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 
 from spellersim._container import load_container, save_container
 from spellersim.alphabet import BACKSPACE, default_frequency_table
-from spellersim.cli import _PROTOCOL_KEYS, _RUN_KEYS, RunSpec, load_config, main
+from spellersim.cli import _MAX_CV_REPEATS, _PROTOCOL_KEYS, _RUN_KEYS, RunSpec, load_config, main
 from spellersim.features import load_model, save_model
-from spellersim.harness import BENCHMARK_SENTENCE, ProtocolConfig
+from spellersim.harness import _MAX_GAP_S, _MAX_TRAIN_TRIALS, BENCHMARK_SENTENCE, ProtocolConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -92,6 +92,15 @@ class TestConfigLoading:
         bad.write_text("cv_folds = 1\n")
         with pytest.raises(ValueError):
             load_config(bad)
+
+    def test_cv_repeats_are_bounded(self, tmp_path):
+        cfg = tmp_path / "repeats.cfg"
+        cfg.write_text(f"cv_repeats = {_MAX_CV_REPEATS}\n")
+        assert load_config(cfg).cv_repeats == _MAX_CV_REPEATS == 1_000
+        for value in (_MAX_CV_REPEATS + 1, 10**9, 0):
+            cfg.write_text(f"cv_repeats = {value}\n")
+            with pytest.raises(ValueError, match=rf"cv_repeats must lie in \[1, 1,000\], got {value}"):
+                load_config(cfg)
 
     def test_train_chars_above_the_letter_count_rejected(self, tmp_path):
         # targets are distinct letters, so a session has at most 26 of them
@@ -253,6 +262,26 @@ class TestConfigFuzz:
             value = getattr(spec.protocol, key)
             assert isinstance(value, int) or math.isfinite(value), key
         assert spec.protocol.trials_per_char >= 1
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.sampled_from(_KNOWN_KEYS), _values)
+    def test_any_value_of_one_key_gives_a_bounded_spec_or_value_error(self, tmp_path, key, value):
+        path = tmp_path / "one.cfg"
+        path.write_text(f"{key} = {value}\n", encoding="utf-8")
+        try:
+            spec = load_config(path)
+        except ValueError:
+            return
+        assert isinstance(spec, RunSpec)
+        protocol = spec.protocol
+        assert 1 <= protocol.train_trial_count <= _MAX_TRAIN_TRIALS
+        assert (protocol.iti_ms + protocol.overhead_ms) / 1000.0 <= _MAX_GAP_S
+        assert protocol.pause_s <= _MAX_GAP_S
+        assert 1 <= spec.cv_repeats <= _MAX_CV_REPEATS
 
 
 def load_preset_text(name: str) -> str:
@@ -949,35 +978,79 @@ class TestSpell:
             assert "iti_ms" in err
 
 
+def _fails_before_it_starts(tmp_path, argv: list[str], names) -> None:
+    """main(argv) in a child process under a 1 GiB address-space limit, so any
+    large allocation fails, and a timeout: exit 2, one error line naming each
+    of names, nothing printed and no --out made."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from spellersim.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--out", str(out)],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: ")
+    for name in names:
+        assert name in line, line
+    assert done.stdout == ""
+    assert not out.exists()
+
+
 class TestCalibrationBound:
     def test_an_oversized_calibration_fails_before_it_allocates(self, tmp_path):
-        # 1e12 s per character asks for 213 PiB of trial rows; the child runs
-        # under a 1 GiB address-space limit, so any large allocation fails
+        # 1e12 s per character asks for 213 PiB of trial rows
         cfg = tmp_path / "huge.cfg"
         cfg.write_text("iti_ms = 160\nsubject = oracle\ntrain_seconds_per_char = 1e12\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        code = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            f"sys.path.insert(0, {src!r})\n"
-            "from spellersim.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        out = tmp_path / "out"
-        done = subprocess.run(
-            [sys.executable, "-c", code, "cv", "--config", str(cfg), "--out", str(out)],
-            env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert done.returncode == 2, done.stderr
-        (line,) = done.stderr.splitlines()
-        assert line.startswith("error: ")
-        for name in ("train_chars", "train_seconds_per_char", "iti_ms", "50,000"):
-            assert name in line
-        assert done.stdout == ""
-        assert not out.exists()
+        names = ("train_chars", "train_seconds_per_char", "iti_ms", "50,000")
+        _fails_before_it_starts(tmp_path, ["cv", "--config", str(cfg)], names)
+
+    # a small midsnr model for spell: its noisy subject draws the noise of
+    # every gap, where the oracle's silent one draws none
+    SMALL_MIDSNR = "iti_ms = 160\nsubject = midsnr\ntrain_chars = 2\ncv_repeats = 1\ncv_folds = 2\n"
+
+    @pytest.fixture(scope="class")
+    def midsnr_model(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("midsnr_model")
+        cfg = out / "small.cfg"
+        cfg.write_text(self.SMALL_MIDSNR)
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        return out / "model.bin"
+
+    @pytest.mark.parametrize(
+        "argv, preset, lines, names",
+        [
+            # 1e9 repeats of fold assignments fill memory before any fit
+            (["cv"], "fast_oracle", "cv_repeats = 1000000000", ["cv_repeats", "1,000"]),
+            # one trial's gap draws 11.9 GiB of noise
+            (["cv"], "fast_midsnr", "overhead_ms = 1e9", ["iti_ms", "overhead_ms", "10 s"]),
+            (["cv"], "fast_midsnr", "iti_ms = 1e9\ntrain_seconds_per_char = 1e9", ["iti_ms", "overhead_ms", "10 s"]),
+            # the first pause draws 11.6 TiB of noise
+            (["spell"], None, "pause_s = 1e9", ["pause_s", "10 s"]),
+            # once failed only after the whole calibration
+            (["cv", "--subsample", "-3"], "fast_midsnr", "", ["--subsample", "70", "1870"]),
+        ],
+        ids=["cv_repeats", "overhead_ms", "iti_ms+train_seconds_per_char", "pause_s", "subsample"],
+    )
+    def test_an_unbounded_run_fails_before_it_starts(self, tmp_path, request, argv, preset, lines, names):
+        cfg = tmp_path / "edit.cfg"
+        argv = [*argv, "--config", str(cfg)]
+        if preset is None:
+            cfg.write_text(f"{self.SMALL_MIDSNR}{lines}\n")
+            argv += ["--model", str(request.getfixturevalue("midsnr_model"))]
+        else:
+            cfg.write_text(f"{load_preset_text(preset)}{lines}\n")
+        _fails_before_it_starts(tmp_path, argv, names)
 
 
 class TestRemovedKnobs:

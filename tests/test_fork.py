@@ -83,7 +83,7 @@ class TestWorkerHeap:
             "from spellersim.seeding import substream\n"
             "from spellersim.signal import subject_preset\n"
             "trials = run_training(ProtocolConfig(iti_ms=160.0), subject_preset('midsnr'), substream(0, 'train'))\n"
-            "cross_validate(trials, 10, 10, substream(0, 'cv'))\n"
+            "cross_validate(trials, 10, 10, rng=substream(0, 'cv'))\n"
             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt)\n"
         )
         env = dict(os.environ, PYTHONPATH=SRC)

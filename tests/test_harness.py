@@ -24,6 +24,7 @@ from spellersim.harness import (
     CvResult,
     ProtocolConfig,
     TrialBatch,
+    _MAX_GAP_S,
     _MAX_TRAIN_TRIALS,
     cross_validate,
     cv_row,
@@ -140,6 +141,24 @@ class TestProtocolConfig:
                 ProtocolConfig(**kwargs)
             message = str(exc.value)
             for name in ("train_chars", "train_seconds_per_char", "iti_ms", "50,000"):
+                assert name in message, (kwargs, message)
+
+    def test_the_gap_between_onsets_is_bounded(self):
+        # each trial draws the noise of the whole gap since the previous
+        # window, so its cost grows with the gap
+        assert _MAX_GAP_S == 10.0
+        assert ProtocolConfig(iti_ms=9988.0, overhead_ms=12.0, pause_s=10.0).pause_s == 10.0
+        for kwargs, names in (
+            ({"iti_ms": 9988.5, "overhead_ms": 12.0}, ("iti_ms", "overhead_ms")),
+            ({"iti_ms": 160.0, "overhead_ms": 1e9}, ("iti_ms", "overhead_ms")),
+            ({"iti_ms": 1e9, "train_seconds_per_char": 1e9}, ("iti_ms", "overhead_ms")),
+            ({"pause_s": 10.5}, ("pause_s",)),
+            ({"pause_s": 1e9}, ("pause_s",)),
+        ):
+            with pytest.raises(ValueError) as exc:
+                ProtocolConfig(**kwargs)
+            message = str(exc.value)
+            for name in (*names, "10 s"):
                 assert name in message, (kwargs, message)
 
 
@@ -342,9 +361,18 @@ class TestCrossValidate:
 
     def test_rejects_bad_parameters(self, oracle_sessions):
         with pytest.raises(ValueError):
-            cross_validate(oracle_sessions["slow"], repeats=0)
+            cross_validate(oracle_sessions["slow"], repeats=0, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            cross_validate(oracle_sessions["slow"], folds=1)
+            cross_validate(oracle_sessions["slow"], folds=1, rng=np.random.default_rng(0))
+
+    def test_the_generator_is_a_required_keyword(self, oracle_sessions):
+        trials = oracle_sessions["slow"]
+        with pytest.raises(TypeError, match="rng"):
+            cross_validate(trials, repeats=1)
+        with pytest.raises(TypeError):
+            cross_validate(trials, 1, 10, np.random.default_rng(0))
+        with pytest.raises(TypeError, match="rng"):
+            subsample_check(trials, target=750)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_rows(self, oracle_sessions, bad):
@@ -352,10 +380,10 @@ class TestCrossValidate:
         vectors = trials.vectors.copy()
         vectors[17, 300] = bad
         with pytest.raises(ValueError, match="finite"):
-            cross_validate(TrialBatch(vectors, trials.is_oddball), repeats=1)
+            cross_validate(TrialBatch(vectors, trials.is_oddball), repeats=1, rng=np.random.default_rng(0))
 
     def test_result_validation(self):
-        conf = ConfusionMatrix.perfect()
+        conf = ConfusionMatrix(1.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             CvResult(1.2, 0.0, 1.0, (1.0,), conf, 0.5)
         with pytest.raises(ValueError):
@@ -394,7 +422,7 @@ def _cross_validate_one_by_one(trials, repeats, folds, rng, eta=0.9, m_max=30):
         accuracy_best=float(acc.max()),
         accuracies=tuple(float(a) for a in acc),
         confusion=confusion,
-        bits_per_trial=mutual_information(ChannelSpec(confusion, prior_o, 1.0 - prior_o)),
+        bits_per_trial=mutual_information(ChannelSpec(confusion, prior_o)),
     )
 
 
@@ -449,7 +477,7 @@ class TestFoldPool:
         monkeypatch.setattr(harness, "_fold_counts", fold_counts)
         cpus(2)
         trials = sessions["oracle"]
-        cv = cross_validate(trials, repeats=3, folds=4)
+        cv = cross_validate(trials, repeats=3, folds=4, rng=np.random.default_rng(0))
         # accuracy counts hits and rejections: 4 folds of 10 * repeat + 1
         assert cv.accuracies == tuple((40 * r + 4) / len(trials) for r in range(3))
         assert cv.confusion == ConfusionMatrix.from_counts(120, 12, 12, 12)
@@ -465,7 +493,7 @@ class TestFoldPool:
         monkeypatch.setattr(harness, "_fit_with_training_features", broken_fit)  # forks inherit it
         cpus(n_cpus)
         with pytest.raises(RuntimeError, match="fold fit failed"):
-            cross_validate(sessions["oracle"], repeats=1, folds=4)
+            cross_validate(sessions["oracle"], repeats=1, folds=4, rng=np.random.default_rng(0))
         assert multiprocessing.active_children() == []
         assert _blas_thread_counts() == before
         assert _fork._inputs == ()
@@ -540,7 +568,7 @@ class TestSubsampleCheck:
 
     def test_rejects_sessions_smaller_than_target(self, oracle_sessions):
         with pytest.raises(ValueError):
-            subsample_check(oracle_sessions["slow"], target=1000)
+            subsample_check(oracle_sessions["slow"], target=1000, rng=np.random.default_rng(0))
 
     def test_short_class_counts_are_named(self, oracle_sessions):
         trials = oracle_sessions["slow"]
@@ -550,7 +578,7 @@ class TestSubsampleCheck:
             f"need 107 oddball and 643 other trials; the session has {n_odd} and {750 - n_odd}"
         )
         with pytest.raises(ValueError, match=want):
-            subsample_check(trials, target=750)
+            subsample_check(trials, target=750, rng=np.random.default_rng(0))
 
 
 class TestFitFinalModel:
