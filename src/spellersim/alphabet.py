@@ -156,8 +156,10 @@ def default_frequency_table() -> FrequencyTable:
     return FrequencyTable(table.symbols, table.probs, source="builtin English table")
 
 
-# Symbols lit together on one stage-1 trial: a cycle is 7 groups of 6.
+# Symbols lit together on one stage-1 trial, and the groups of one cycle,
+# which lights every symbol once: 7 groups of 6.
 _GROUP_SIZE = 6
+_CYCLE_GROUPS = len(SYMBOLS) // _GROUP_SIZE
 
 # Runs per block of monte_carlo_group_stats: each (1024, 42) array fits in L2.
 _BLOCK_RUNS = 1024

@@ -33,6 +33,7 @@ import numpy as np
 from . import __version__
 from ._fork import _one_blas_thread
 from .alphabet import (
+    _CYCLE_GROUPS,
     FrequencyTable,
     default_frequency_table,
     load_frequency_table,
@@ -92,8 +93,12 @@ class RunSpec:
     def __post_init__(self) -> None:
         if not 1 <= self.cv_repeats <= _MAX_CV_REPEATS:
             raise ValueError(f"cv_repeats must lie in [1, {_MAX_CV_REPEATS:,}], got {self.cv_repeats}")
-        if self.cv_folds < 2:
-            raise ValueError("need cv_folds >= 2")
+        most = min(self.protocol.class_floors)
+        if not 2 <= self.cv_folds <= most:
+            raise ValueError(
+                f"cv_folds must lie in [2, {most}], the fewest trials of a class that a training "
+                f"session of this protocol holds, got {self.cv_folds}"
+            )
         if self.trial_budget < 1:
             raise ValueError("trial_budget must be >= 1")
         if not self.sentence:
@@ -193,14 +198,18 @@ def _run_identity(command: str, seed: int, config: dict, inputs: dict[str, str])
     }
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(out_dir: Path, name: str, identity: dict, outputs: dict[str, Path]) -> Path:
     doc = dict(identity)
     doc["digest"] = _run_digest(identity)
     doc["outputs"] = {key: _sha256(path) for key, path in sorted(outputs.items())}
     path = out_dir / name
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
     return path
 
 
@@ -307,8 +316,12 @@ def cmd_cv(args) -> int:
     seed = _effective_seed(args, spec)
     frequency, _ = _load_tables(spec)
     if args.subsample is not None:
-        # subsample_check keeps floor(N/7) oddballs, and each fold needs one
-        low, high = 7 * spec.cv_folds, spec.protocol.train_trial_count
+        # subsample_check keeps floor(N/7) oddballs and N - floor(N/7) others:
+        # each fold needs an oddball, and every session of the protocol must
+        # hold both shares
+        odd, other = spec.protocol.class_floors
+        low = _CYCLE_GROUPS * spec.cv_folds
+        high = min(_CYCLE_GROUPS * (odd + 1) - 1, other * _CYCLE_GROUPS // (_CYCLE_GROUPS - 1))
         if not low <= args.subsample <= high:
             raise ValueError(f"--subsample must lie in [{low}, {high}] for this config, got {args.subsample}")
 
@@ -351,8 +364,6 @@ def cmd_spell(args) -> int:
 
     model_path = Path(args.model)
     model, params, meta = load_model(model_path)
-    if params is None:
-        raise ValueError("model container carries no classifier")
     trained_iti = meta.get("iti_ms")
     if trained_iti is not None and trained_iti != spec.protocol.iti_ms:
         raise ValueError(
@@ -382,12 +393,8 @@ def cmd_spell(args) -> int:
     out = _out_dir(args)
     log_path = out / "session.jsonl"
     log.write(log_path)
-    report_doc = dataclasses.asdict(report)
-    report_doc["manifest_digest"] = digest
     report_path = out / "session_report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report_doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(report_path, {**dataclasses.asdict(report), "manifest_digest": digest})
     csv_path = out / "session.csv"
     write_session_csv(csv_path, [session_row(spec.subject, spec.protocol.iti_ms, report)])
     manifest = _write_manifest(
@@ -502,26 +509,23 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--out", default=None, help="output directory (default: .)")
+    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    configured.add_argument("--config", required=True, help="config file or bundled preset name")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser(
-        "train", parents=[common], help="fit the pipeline on a synthetic session"
-    )
-    p_train.add_argument("--config", required=True, help="config file or bundled preset name")
+    sub.add_parser("train", parents=[configured], help="fit the pipeline on a synthetic session")
 
     p_cv = sub.add_parser(
-        "cv", parents=[common], help="score the pipeline offline without saving a model"
+        "cv", parents=[configured], help="score the pipeline offline without saving a model"
     )
-    p_cv.add_argument("--config", required=True, help="config file or bundled preset name")
     p_cv.add_argument(
         "--subsample", type=int, default=None, help="also score a fixed-size stratified subsample"
     )
 
     p_spell = sub.add_parser(
-        "spell", parents=[common], help="run the closed-loop copy task with a trained model"
+        "spell", parents=[configured], help="run the closed-loop copy task with a trained model"
     )
-    p_spell.add_argument("--config", required=True, help="config file or bundled preset name")
     p_spell.add_argument("--model", required=True, help="model container written by train")
 
     p_itr = sub.add_parser("itr", help="information-rate arithmetic on explicit inputs")

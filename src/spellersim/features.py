@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from pathlib import Path
@@ -496,34 +496,23 @@ def _model_arrays(model: FeatureModel) -> dict[str, np.ndarray]:
     }
 
 
-def _model_meta(model: FeatureModel, classifier: ClassifierParams | None, meta: dict | None) -> dict:
-    out = {
+def _model_meta(model: FeatureModel, classifier: ClassifierParams, meta: dict) -> dict:
+    return {
         "kind": "feature_model",
         "eta": model.cpca.eta,
         "m_max": model.cpca.m_max,
         "o_energy": model.cpca.oddball.energy_fraction,
         "e_energy": model.cpca.non_oddball.energy_fraction,
-        "classifier": None,
-        "extra": meta or {},
+        "classifier": asdict(classifier),
+        "extra": meta,
     }
-    if classifier is not None:
-        out["classifier"] = {
-            "mu_o": classifier.mu_o,
-            "mu_e": classifier.mu_e,
-            "sigma2": classifier.sigma2,
-            "prior_o": classifier.prior_o,
-            "prior_e": classifier.prior_e,
-            "lambda_fa": classifier.lambda_fa,
-            "lambda_om": classifier.lambda_om,
-        }
-    return out
 
 
 def _is_real(value) -> bool:
     return type(value) in (int, float) and abs(value) < math.inf
 
 
-def _model_from_parts(meta: dict, arrays: dict) -> tuple[FeatureModel, ClassifierParams | None, dict]:
+def _model_from_parts(meta: dict, arrays: dict) -> tuple[FeatureModel, ClassifierParams, dict]:
     if not isinstance(meta, dict) or meta.get("kind") != "feature_model":
         raise ValueError("container does not hold a feature model")
     for name, arr in arrays.items():
@@ -549,24 +538,22 @@ def _model_from_parts(meta: dict, arrays: dict) -> tuple[FeatureModel, Classifie
         raise ValueError(f"model container is missing {exc.args[0]!r}") from None
     if not isinstance(extra, dict):
         raise ValueError("model meta 'extra' must be an object")
+    if not isinstance(params, dict):
+        raise ValueError("model container carries no classifier")
     try:
-        classifier = ClassifierParams(**params) if params is not None else None
+        classifier = ClassifierParams(**params)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"bad classifier entry in model container: {exc}") from None
     return FeatureModel(cpca=cpca, disc=disc), classifier, extra
 
 
-def save_model(
-    path,
-    model: FeatureModel,
-    classifier: ClassifierParams | None = None,
-    meta: dict | None = None,
-) -> None:
-    """Versioned binary container; byte-identical for identical inputs."""
+def save_model(path, model: FeatureModel, classifier: ClassifierParams, meta: dict) -> None:
+    """The whole pipeline in a versioned binary container; byte-identical for
+    identical inputs."""
     save_container(path, _model_meta(model, classifier, meta), _model_arrays(model))
 
 
-def load_model(path) -> tuple[FeatureModel, ClassifierParams | None, dict]:
+def load_model(path) -> tuple[FeatureModel, ClassifierParams, dict]:
     meta, arrays = load_container(path)
     return _model_from_parts(meta, arrays)
 

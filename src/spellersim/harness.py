@@ -23,6 +23,7 @@ from ._fork import _one_blas_thread, fork_map
 from .alphabet import (
     BACKSPACE,
     SYMBOLS,
+    _CYCLE_GROUPS,
     _LETTERS,
     FrequencyTable,
     _require_symbols,
@@ -56,8 +57,9 @@ __all__ = [
 
 BENCHMARK_SENTENCE = "THE>QUICK>BROWN>FOX>JUMPS>OVER>THE>LAZY>DOG*"
 
-# online classification uses the design ratio, not training label counts
-ONLINE_PRIORS = (1.0 / 7.0, 1.0 - 1.0 / 7.0)
+# online classification uses the design ratio, one group of each cycle, not
+# training label counts
+ONLINE_PRIORS = (1.0 / _CYCLE_GROUPS, 1.0 - 1.0 / _CYCLE_GROUPS)
 
 # the largest calibration session, in trials: 50,000 rows of FEATURE_DIM
 # float64 are about 192 MB (the presets' largest session has 1,870)
@@ -128,6 +130,13 @@ class ProtocolConfig:
     def train_trial_count(self) -> int:
         return self.train_chars * self.trials_per_char
 
+    @property
+    def class_floors(self) -> tuple[int, int]:
+        """The fewest oddball and other trials of any training session: each
+        full cycle of a block lights its target once, a partial one at most once."""
+        per_char, chars = self.trials_per_char, self.train_chars
+        return chars * (per_char // _CYCLE_GROUPS), chars * (per_char - -(-per_char // _CYCLE_GROUPS))
+
 
 @dataclass(frozen=True)
 class TrialBatch:
@@ -156,7 +165,6 @@ class CvResult:
     accuracy_mean: float
     accuracy_std: float
     accuracy_best: float
-    accuracies: tuple[float, ...]
     confusion: ConfusionMatrix
     bits_per_trial: float
 
@@ -287,7 +295,6 @@ def cross_validate(
         accuracy_mean=float(acc.mean()),
         accuracy_std=float(acc.std(ddof=1)) if acc.size > 1 else 0.0,
         accuracy_best=float(acc.max()),
-        accuracies=tuple(float(a) for a in acc),
         confusion=confusion,
         bits_per_trial=bits,
     )
@@ -306,7 +313,7 @@ def subsample_check(
     preserved to within one trial of 1:6."""
     if len(trials) < target:
         raise ValueError(f"need at least {target} trials, got {len(trials)}")
-    n_odd = target // 7
+    n_odd = target // _CYCLE_GROUPS
     n_rest = target - n_odd
     idx_odd = np.flatnonzero(trials.is_oddball)
     idx_rest = np.flatnonzero(~trials.is_oddball)

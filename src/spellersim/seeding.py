@@ -13,18 +13,13 @@ import numpy as np
 __all__ = ["substream"]
 
 
-def substream(seed: int, *labels: str) -> np.random.Generator:
-    """Return the generator for the substream named by ``labels``.
+def substream(seed: int, label: str) -> np.random.Generator:
+    """Return the generator for the substream named by ``label``.
 
-    The same (seed, labels) pair always yields an identical stream. The seed
+    The same (seed, label) pair always yields an identical stream. The seed
     must be a non-negative integer.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if not labels:
-        return np.random.default_rng(np.random.SeedSequence(seed))
-    key = tuple(
-        int.from_bytes(hashlib.sha256(lab.encode("utf-8")).digest()[:8], "little")
-        for lab in labels
-    )
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    key = int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))

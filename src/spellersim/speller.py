@@ -209,12 +209,8 @@ class Speller:
     # -- read-only views ----------------------------------------------------
 
     @property
-    def clock_ms(self) -> float:
-        return self._trial_ms + self._pause_ms
-
-    @property
     def clock_s(self) -> float:
-        return self.clock_ms / 1000.0
+        return (self._trial_ms + self._pause_ms) / 1000.0
 
     @property
     def trial_time_ms(self) -> float:

@@ -3,7 +3,7 @@
 import pytest
 
 from spellersim import _fork, harness
-from spellersim.alphabet import form_cycle
+from spellersim.alphabet import _CYCLE_GROUPS, form_cycle
 
 
 @pytest.fixture
@@ -35,7 +35,7 @@ def _recorded_training(config, subject, rng):
         mp.setattr(synthesizer, "trial", recording_trial)
         trials = harness.run_training(config, subject, rng)
     per_char = config.trials_per_char
-    per_block = -(-per_char // 7)  # cycles drawn per block
+    per_block = -(-per_char // _CYCLE_GROUPS)  # cycles drawn per block
     groups = []
     for b in range(0, len(cycles), per_block):
         groups += [group for cycle in cycles[b : b + per_block] for group in cycle][:per_char]

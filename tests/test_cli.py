@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from spellersim._container import load_container, save_container
 from spellersim.alphabet import BACKSPACE, default_frequency_table
 from spellersim.cli import _MAX_CV_REPEATS, _PROTOCOL_KEYS, _RUN_KEYS, RunSpec, load_config, main
-from spellersim.features import load_model, save_model
+from spellersim.features import load_model
 from spellersim.harness import _MAX_GAP_S, _MAX_TRAIN_TRIALS, BENCHMARK_SENTENCE, ProtocolConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -100,6 +100,16 @@ class TestConfigLoading:
         for value in (_MAX_CV_REPEATS + 1, 10**9, 0):
             cfg.write_text(f"cv_repeats = {value}\n")
             with pytest.raises(ValueError, match=rf"cv_repeats must lie in \[1, 1,000\], got {value}"):
+                load_config(cfg)
+
+    def test_cv_folds_are_bounded_by_the_class_floors(self, tmp_path):
+        # a fast session holds at least 260 oddballs, and each fold needs one
+        cfg = tmp_path / "folds.cfg"
+        cfg.write_text("iti_ms = 160\ncv_folds = 260\n")
+        assert load_config(cfg).cv_folds == 260
+        for value in (261, 1, 10**9):
+            cfg.write_text(f"iti_ms = 160\ncv_folds = {value}\n")
+            with pytest.raises(ValueError, match=rf"cv_folds must lie in \[2, 260\], .* got {value}"):
                 load_config(cfg)
 
     def test_train_chars_above_the_letter_count_rejected(self, tmp_path):
@@ -282,6 +292,7 @@ class TestConfigFuzz:
         assert (protocol.iti_ms + protocol.overhead_ms) / 1000.0 <= _MAX_GAP_S
         assert protocol.pause_s <= _MAX_GAP_S
         assert 1 <= spec.cv_repeats <= _MAX_CV_REPEATS
+        assert 2 <= spec.cv_folds <= min(protocol.class_floors)
 
 
 def load_preset_text(name: str) -> str:
@@ -896,9 +907,11 @@ class TestSpell:
         assert "trained at iti_ms=400" in err
 
     def test_model_without_a_classifier_rejected(self, capsys, workdir, oracle_cfg, trained):
-        model, _, meta = load_model(trained / "model.bin")
+        meta, arrays = load_container(trained / "model.bin")
         bare = workdir / "bare_model.bin"
-        save_model(bare, model, None, meta)
+        save_container(bare, {**meta, "classifier": None}, arrays)
+        with pytest.raises(ValueError, match="^model container carries no classifier$"):
+            load_model(bare)
         out_dir = workdir / "sp_bare"
         argv = ["spell", "--config", str(oracle_cfg), "--model", str(bare), "--out", str(out_dir)]
         code, _, err = run_cli(capsys, *argv)
@@ -1038,9 +1051,21 @@ class TestCalibrationBound:
             # the first pause draws 11.6 TiB of noise
             (["spell"], None, "pause_s = 1e9", ["pause_s", "10 s"]),
             # once failed only after the whole calibration
-            (["cv", "--subsample", "-3"], "fast_midsnr", "", ["--subsample", "70", "1870"]),
+            (["cv", "--subsample", "-3"], "fast_midsnr", "", ["--subsample", "70", "1826"]),
+            # once passed or failed with the seed, after the whole calibration
+            (["cv", "--subsample", "1827"], "fast_midsnr", "", ["--subsample", "70", "1826"]),
+            # once ran 261 fold fits: a session may hold only 260 oddballs
+            (["cv"], "fast_midsnr", "cv_folds = 261\ncv_repeats = 1", ["cv_folds", "260"]),
         ],
-        ids=["cv_repeats", "overhead_ms", "iti_ms+train_seconds_per_char", "pause_s", "subsample"],
+        ids=[
+            "cv_repeats",
+            "overhead_ms",
+            "iti_ms+train_seconds_per_char",
+            "pause_s",
+            "subsample",
+            "subsample_above_the_class_floors",
+            "cv_folds",
+        ],
     )
     def test_an_unbounded_run_fails_before_it_starts(self, tmp_path, request, argv, preset, lines, names):
         cfg = tmp_path / "edit.cfg"

@@ -351,9 +351,10 @@ def test_binary_output_is_byte_identical(tmp_path):
     rng = np.random.default_rng(18)
     x, y = _gaussian_classes(rng, n_o=60, n_e=200, d=12)
     model = fit_feature_model(x, y)
+    params = classifier.fit(extract_batch(model, x), y)
     p1, p2 = tmp_path / "a.ssmc", tmp_path / "b.ssmc"
-    save_model(p1, model)
-    save_model(p2, model)
+    save_model(p1, model, params, {})
+    save_model(p2, model, params, {})
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -720,7 +721,7 @@ class TestContainerFuzz:
         except ValueError:
             return
         assert isinstance(model, FeatureModel) and isinstance(extra, dict)
-        assert params is None or isinstance(params, classifier.ClassifierParams)
+        assert isinstance(params, classifier.ClassifierParams)
 
     @settings(max_examples=150, **_FUZZ)
     @given(keep=st.floats(0.0, 1.0))

@@ -126,6 +126,30 @@ class TestProtocolConfig:
         with pytest.raises(ValueError):
             ProtocolConfig(**kwargs)
 
+    def test_class_floors_on_the_fast_presets(self):
+        # 187 trials per character: 26 full cycles and a partial one of 5
+        assert ProtocolConfig(iti_ms=160.0).class_floors == (260, 1600)
+        assert ProtocolConfig().class_floors == (100, 640)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        train_chars=st.integers(1, 4),
+        iti_ms=st.sampled_from([100.0, 160.0, 400.0]),
+        train_seconds_per_char=st.floats(0.4, 4.0),
+        seed=st.integers(0, 3),
+    )
+    def test_every_session_holds_the_class_floors(self, train_chars, iti_ms, train_seconds_per_char, seed):
+        # each block's full cycles light its target once, and its partial
+        # cycle at most once
+        config = ProtocolConfig(
+            iti_ms=iti_ms, train_chars=train_chars, train_seconds_per_char=train_seconds_per_char
+        )
+        trials = run_training(config, subject_preset("oracle"), substream(seed, "train"))
+        odd_floor, other_floor = config.class_floors
+        n_odd = int(trials.is_oddball.sum())
+        assert odd_floor <= n_odd <= odd_floor + train_chars
+        assert len(trials) - n_odd >= other_floor
+
     def test_calibration_session_is_bounded(self):
         # the largest session the bound allows: 10 characters x 5,000 trials
         largest = ProtocolConfig(iti_ms=100.0, train_seconds_per_char=500.0)
@@ -320,7 +344,6 @@ class TestCrossValidate:
         assert cv.confusion.p_oo == 1.0
         assert cv.confusion.p_ee == 1.0
         assert cv.bits_per_trial > 0.55
-        assert len(cv.accuracies) == 2
 
     def test_label_independent_noise_collapses_to_majority(self, config_by_speed):
         trials = run_training(config_by_speed["fast"], subject_preset("noise"), np.random.default_rng(7))
@@ -385,9 +408,9 @@ class TestCrossValidate:
     def test_result_validation(self):
         conf = ConfusionMatrix(1.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            CvResult(1.2, 0.0, 1.0, (1.0,), conf, 0.5)
+            CvResult(1.2, 0.0, 1.0, conf, 0.5)
         with pytest.raises(ValueError):
-            CvResult(0.9, -0.1, 1.0, (0.9,), conf, 0.5)
+            CvResult(0.9, -0.1, 1.0, conf, 0.5)
 
 
 def _cross_validate_one_by_one(trials, repeats, folds, rng, eta=0.9, m_max=30):
@@ -420,7 +443,6 @@ def _cross_validate_one_by_one(trials, repeats, folds, rng, eta=0.9, m_max=30):
         accuracy_mean=float(acc.mean()),
         accuracy_std=float(acc.std(ddof=1)) if acc.size > 1 else 0.0,
         accuracy_best=float(acc.max()),
-        accuracies=tuple(float(a) for a in acc),
         confusion=confusion,
         bits_per_trial=mutual_information(ChannelSpec(confusion, prior_o)),
     )
@@ -479,7 +501,12 @@ class TestFoldPool:
         trials = sessions["oracle"]
         cv = cross_validate(trials, repeats=3, folds=4, rng=np.random.default_rng(0))
         # accuracy counts hits and rejections: 4 folds of 10 * repeat + 1
-        assert cv.accuracies == tuple((40 * r + 4) / len(trials) for r in range(3))
+        acc = np.array([(40 * r + 4) / len(trials) for r in range(3)])
+        assert (cv.accuracy_mean, cv.accuracy_std, cv.accuracy_best) == (
+            float(acc.mean()),
+            float(acc.std(ddof=1)),
+            float(acc.max()),
+        )
         assert cv.confusion == ConfusionMatrix.from_counts(120, 12, 12, 12)
 
     @pytest.mark.parametrize("n_cpus", [1, 2])

@@ -388,7 +388,7 @@ class TestFrequencyTableSymbols:
 class TestClock:
     def test_zero_trials_zero_time(self):
         speller = make_speller()
-        assert speller.clock_ms == 0.0
+        assert speller.clock_s == 0.0
 
     def test_accounting_identity_exact(self):
         speller = make_speller(seed=16)
@@ -402,7 +402,7 @@ class TestClock:
             speller.advance_clock(160.0, events, 12.0)
             n_pauses += sum(1 for ev in events if ev.pause_s > 0)
         expected = speller.n_trials * (160.0 + 12.0) + n_pauses * 3000.0
-        assert speller.clock_ms == expected
+        assert speller.trial_time_ms + speller.pause_time_ms == expected
 
     def test_trial_rate_with_overhead(self):
         rate = 1000.0 / (160.0 + 12.0)
@@ -424,7 +424,7 @@ class TestClock:
             speller.advance_clock(160.0, events, math.inf)
         with pytest.raises(ValueError, match="overhead must be nonnegative and finite, got nan"):
             speller.advance_clock(160.0, events, math.nan)
-        assert speller.n_trials == 0 and speller.clock_ms == 0.0
+        assert speller.n_trials == 0 and speller.clock_s == 0.0
         for pause_s in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match=f"pause must be nonnegative and finite, got {pause_s!r}"):
                 make_speller(pause_s=pause_s)
@@ -435,7 +435,7 @@ class TestClock:
             assert bad[0].time_s is None
         with pytest.raises(ValueError, match="pause must be nonnegative and finite, got -5.0"):
             speller.advance_clock(160.0, [SelectionEvent("A", STAGE2, -5.0)])
-        assert speller.n_trials == 0 and speller.clock_ms == 0.0 and speller.pause_time_ms == 0.0
+        assert speller.n_trials == 0 and speller.clock_s == 0.0 and speller.pause_time_ms == 0.0
 
 
 class TestOracleBenchmark:
@@ -468,7 +468,7 @@ class TestOracleBenchmark:
             transcripts.append(
                 (
                     speller.n_trials,
-                    speller.clock_ms,
+                    speller.clock_s,
                     tuple((ev.symbol, ev.mechanism, ev.time_s) for ev, _ in events),
                 )
             )
@@ -1026,7 +1026,7 @@ def _drive_pair(seed, frequency, dictionary, tally):
             (e.symbol, e.mechanism, e.pause_s, e.time_s) for e in ref_events
         ]
         assert new.prompt == ref.prompt
-        assert new.clock_ms == ref.clock_ms
+        assert new.clock_s == ref.clock_s
         # the reference pauses; the new speller is already in the mode the
         # reference resumes into
         assert new.mode == (ref._resume if ref.mode == PAUSED else ref.mode)
