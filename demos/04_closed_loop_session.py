@@ -9,6 +9,7 @@ mental-stop shortcut active.
 
 import numpy as np
 
+from spellersim.alphabet import default_frequency_table
 from spellersim.harness import (
     BENCHMARK_SENTENCE,
     ProtocolConfig,
@@ -18,9 +19,15 @@ from spellersim.harness import (
     run_training,
 )
 from spellersim.signal import subject_preset
+from spellersim.speller import default_dictionary
 
 # The benchmark prompt: 43 characters plus the exit symbol.
 print(f"prompt ({len(BENCHMARK_SENTENCE)} selections): {BENCHMARK_SENTENCE}")
+
+# Stimuli follow the bundled English letter frequencies, and word completion
+# draws on the bundled dictionary.
+frequency = default_frequency_table()
+dictionary = default_dictionary()
 
 for name in ("oracle", "midsnr"):
     subject = subject_preset(name)
@@ -28,15 +35,26 @@ for name in ("oracle", "midsnr"):
 
     # Calibration: ~1 minute of simulated recording at ~6 stimuli/second.
     rng = np.random.default_rng(42)
-    trials = run_training(config, subject, rng)
-    cv = cross_validate(trials, repeats=2, folds=10, rng=rng)
+    trials = run_training(config, subject, rng, frequency)
+    cv = cross_validate(trials, config, repeats=2, folds=10, rng=rng)
     model, params = fit_final_model(trials, config)
     print(f"\n{name}: {len(trials)} calibration trials, "
           f"CV accuracy {100 * cv.accuracy_mean:.1f}%")
 
     # The online run. The subject attends the prompt's next character,
-    # corrects mistakes with backspace, and exits with '*' when done.
-    log, report = run_online(config, subject, model, params, rng)
+    # corrects mistakes with backspace, and exits with '*' when done. The
+    # session stops early only if it runs past 50,000 trials.
+    log, report = run_online(
+        config,
+        subject,
+        model,
+        params,
+        rng,
+        sentence=BENCHMARK_SENTENCE,
+        trial_budget=50_000,
+        dictionary=dictionary,
+        frequency=frequency,
+    )
     print(f"  typed: {report.prompt}")
     print(f"  completed: {report.completed}, "
           f"{report.n_correct}/{report.n_selections} selections correct")

@@ -285,9 +285,8 @@ def form_cycle(permutation: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
 class GroupStats:
     """Monte Carlo statistics of symbol placement over many drawn cycles."""
 
-    symbols: tuple[str, ...]
-    mean_group: np.ndarray      # per symbol, 1-based group index average
-    mean_position: np.ndarray   # per symbol, 1-based draw position average
+    mean_group: np.ndarray      # per symbol of the table, 1-based group index average
+    mean_position: np.ndarray   # per symbol of the table, 1-based draw position average
 
 
 # Fewest blocks worth a worker of monte_carlo_group_stats: starting the pool
@@ -353,7 +352,6 @@ def monte_carlo_group_stats(freq: FrequencyTable, n_runs: int, rng: np.random.Ge
         }
     group_sum, position_sum = sums
     return GroupStats(
-        symbols=freq.symbols,
         mean_group=(group_sum + n_runs) / n_runs,
         mean_position=(position_sum + n_runs) / n_runs,
     )

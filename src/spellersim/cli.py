@@ -65,7 +65,7 @@ from .harness import (
 )
 from .seeding import substream
 from .signal import subject_preset
-from .speller import Dictionary, load_dictionary
+from .speller import default_dictionary, load_dictionary
 
 __all__ = ["RunSpec", "load_config", "build_parser", "main"]
 
@@ -75,6 +75,10 @@ CHANCE_LEVEL = ONLINE_PRIORS[1]
 # the most CV repeats a config may ask for: 1,000 repeats of 10 folds are
 # 10,000 fold fits, minutes of work on the presets
 _MAX_CV_REPEATS = 1_000
+
+# the longest spell a config may ask for: about 0.42 KB of log and 61 us a
+# trial, so 500,000 trials are about 250 MB and 30 s (10x the default)
+_MAX_TRIAL_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -99,8 +103,8 @@ class RunSpec:
                 f"cv_folds must lie in [2, {most}], the fewest trials of a class that a training "
                 f"session of this protocol holds, got {self.cv_folds}"
             )
-        if self.trial_budget < 1:
-            raise ValueError("trial_budget must be >= 1")
+        if not 1 <= self.trial_budget <= _MAX_TRIAL_BUDGET:
+            raise ValueError(f"trial_budget must lie in [1, {_MAX_TRIAL_BUDGET:,}], got {self.trial_budget}")
         if not self.sentence:
             raise ValueError("sentence must be nonempty")
         subject_preset(self.subject)
@@ -217,15 +221,14 @@ def _write_manifest(out_dir: Path, name: str, identity: dict, outputs: dict[str,
 # shared loading helpers
 
 
-def _load_tables(spec: RunSpec) -> tuple[FrequencyTable | None, Dictionary | None]:
-    frequency = load_frequency_table(spec.frequency_table) if spec.frequency_table else None
-    dictionary = load_dictionary(spec.dictionary) if spec.dictionary else None
-    return frequency, dictionary
+def _frequency_table(spec: RunSpec) -> FrequencyTable:
+    return load_frequency_table(spec.frequency_table) if spec.frequency_table else default_frequency_table()
 
 
 def _table_inputs(spec: RunSpec) -> dict[str, str]:
     """Digests of the files the config names: the snapshot holds only their
-    paths, and an edited file must change the run identity."""
+    paths, and an edited file must change the run identity. Taken before the
+    run, so a missing file fails before any work."""
     named = {"frequency_table": spec.frequency_table, "dictionary": spec.dictionary}
     return {key: _sha256(Path(path)) for key, path in named.items() if path}
 
@@ -250,17 +253,12 @@ def _chance_tag(accuracy: float) -> str:
 # subcommands
 
 
-def _calibrate(spec: RunSpec, seed: int, frequency: FrequencyTable | None):
+def _calibrate(spec: RunSpec, seed: int):
     """Training session and its cross-validation, with their summary lines."""
     subject = subject_preset(spec.subject)
-    trials = run_training(spec.protocol, subject, substream(seed, "train"), frequency=frequency)
+    trials = run_training(spec.protocol, subject, substream(seed, "train"), _frequency_table(spec))
     cv = cross_validate(
-        trials,
-        repeats=spec.cv_repeats,
-        folds=spec.cv_folds,
-        rng=substream(seed, "cv"),
-        eta=spec.protocol.eta,
-        m_max=spec.protocol.m_max,
+        trials, spec.protocol, repeats=spec.cv_repeats, folds=spec.cv_folds, rng=substream(seed, "cv")
     )
     print(f"subject: {spec.subject}")
     print(f"training trials: {len(trials)}")
@@ -280,12 +278,12 @@ def _calibrate(spec: RunSpec, seed: int, frequency: FrequencyTable | None):
 def cmd_train(args) -> int:
     spec = load_config(_resolve_config(args.config))
     seed = _effective_seed(args, spec)
-    frequency, _ = _load_tables(spec)
+    inputs = _table_inputs(spec)
 
-    trials, cv = _calibrate(spec, seed, frequency)
+    trials, cv = _calibrate(spec, seed)
     model, params = fit_final_model(trials, spec.protocol)
 
-    identity = _run_identity("train", seed, spec.snapshot(), inputs=_table_inputs(spec))
+    identity = _run_identity("train", seed, spec.snapshot(), inputs=inputs)
     digest = _run_digest(identity)
     out = _out_dir(args)
     model_path = out / "model.bin"
@@ -314,7 +312,7 @@ def cmd_train(args) -> int:
 def cmd_cv(args) -> int:
     spec = load_config(_resolve_config(args.config))
     seed = _effective_seed(args, spec)
-    frequency, _ = _load_tables(spec)
+    inputs = _table_inputs(spec)
     if args.subsample is not None:
         # subsample_check keeps floor(N/7) oddballs and N - floor(N/7) others:
         # each fold needs an oddball, and every session of the protocol must
@@ -325,17 +323,16 @@ def cmd_cv(args) -> int:
         if not low <= args.subsample <= high:
             raise ValueError(f"--subsample must lie in [{low}, {high}] for this config, got {args.subsample}")
 
-    trials, cv = _calibrate(spec, seed, frequency)
+    trials, cv = _calibrate(spec, seed)
     rows = [cv_row(spec.subject, spec.protocol.iti_ms, cv)]
     if args.subsample is not None:
         sub = subsample_check(
             trials,
-            target=args.subsample,
-            rng=substream(seed, "subsample"),
+            spec.protocol,
+            args.subsample,
             repeats=spec.cv_repeats,
             folds=spec.cv_folds,
-            eta=spec.protocol.eta,
-            m_max=spec.protocol.m_max,
+            rng=substream(seed, "subsample"),
         )
         rows.append(cv_row(f"{spec.subject}[n={args.subsample}]", spec.protocol.iti_ms, sub))
         print(
@@ -346,7 +343,7 @@ def cmd_cv(args) -> int:
     config = spec.snapshot()
     if args.subsample is not None:
         config["subsample"] = args.subsample
-    identity = _run_identity("cv", seed, config, inputs=_table_inputs(spec))
+    identity = _run_identity("cv", seed, config, inputs=inputs)
     out = _out_dir(args)
     cv_path = out / "cv.csv"
     write_cv_csv(cv_path, rows)
@@ -359,7 +356,8 @@ def cmd_cv(args) -> int:
 def cmd_spell(args) -> int:
     spec = load_config(_resolve_config(args.config))
     seed = _effective_seed(args, spec)
-    frequency, dictionary = _load_tables(spec)
+    frequency = _frequency_table(spec)
+    dictionary = load_dictionary(spec.dictionary) if spec.dictionary else default_dictionary()
     subject = subject_preset(spec.subject)
 
     model_path = Path(args.model)
@@ -420,7 +418,7 @@ def cmd_spell(args) -> int:
     )
     print(f"N_c: {report.n_correct} of {report.n_selections} selections")
     print(f"practical ITR: {report.practical_bits_per_sec:.4f} bits/s")
-    if report.per_trial is not None and report.per_trial.bits_per_sec is not None:
+    if report.per_trial is not None:
         print(
             f"active-time ITR: {report.per_trial.bits_per_sec:.4f} bits/s "
             f"({report.per_trial.bits_per_trial:.4f} bits/trial x "

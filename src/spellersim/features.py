@@ -247,7 +247,7 @@ def _fit_subspace(
     )
 
 
-def fit_cpca(vectors, labels, eta: float = 0.9, m_max: int = 30) -> CpcaModel:
+def fit_cpca(vectors, labels, eta: float, m_max: int) -> CpcaModel:
     """Per-class PCA with an energy threshold.
 
     vectors: (n, d) array-like; labels: boolean, True for oddball. Each class

@@ -27,7 +27,6 @@ from .alphabet import (
     _LETTERS,
     FrequencyTable,
     _require_symbols,
-    default_frequency_table,
     draw_permutation,
     form_cycle,
 )
@@ -183,7 +182,7 @@ def run_training(
     config: ProtocolConfig,
     subject: SubjectModel,
     rng: np.random.Generator,
-    frequency: FrequencyTable | None = None,
+    frequency: FrequencyTable,
 ) -> TrialBatch:
     """Labeled copy-task session: block-randomized cycles, one target per block.
 
@@ -193,7 +192,6 @@ def run_training(
     target's group is the one illuminated. Each window is kept only as its
     preprocessed row. The frequency table must hold exactly the SYMBOLS, so
     that every cycle lights each target once."""
-    frequency = frequency if frequency is not None else default_frequency_table()
     _require_symbols(frequency)
     targets = [_LETTERS[int(i)] for i in rng.choice(len(_LETTERS), size=config.train_chars, replace=False)]
 
@@ -251,14 +249,14 @@ def _fold_counts(x, y, assignments, eta, m_max, repeat, fold) -> tuple[int, int,
 
 def cross_validate(
     trials: TrialBatch,
-    repeats: int = 10,
-    folds: int = 10,
+    config: ProtocolConfig,
     *,
+    repeats: int,
+    folds: int,
     rng: np.random.Generator,
-    eta: float = 0.9,
-    m_max: int = 30,
 ) -> CvResult:
-    """Repeated stratified k-fold of the full pipeline at theta = 1.
+    """Repeated stratified k-fold of the full pipeline at theta = 1, with
+    the config's eta and m_max.
 
     Folds approximately preserve the oddball ratio; each repeat re-randomizes
     the folds. Priors and the classifier are refit per fold from its training
@@ -283,7 +281,7 @@ def cross_validate(
     _lapack()
 
     jobs = [(r, k) for r in range(repeats) for k in range(folds)]
-    counts = fork_map(_fold_counts, jobs, (x, y, assignments, eta, m_max))
+    counts = fork_map(_fold_counts, jobs, (x, y, assignments, config.eta, config.m_max))
 
     per_repeat = np.array(counts).reshape(repeats, folds, 4).sum(axis=1)
     acc = (per_repeat[:, 0] + per_repeat[:, 3]) / y.size
@@ -302,10 +300,12 @@ def cross_validate(
 
 def subsample_check(
     trials: TrialBatch,
-    target: int = 750,
+    config: ProtocolConfig,
+    target: int,
     *,
+    repeats: int,
+    folds: int,
     rng: np.random.Generator,
-    **cv_kwargs,
 ) -> CvResult:
     """Cross-validate a stratified random subsample of the session.
 
@@ -329,7 +329,8 @@ def subsample_check(
         ]
     )
     pick.sort()
-    return cross_validate(TrialBatch(trials.vectors[pick], trials.is_oddball[pick]), rng=rng, **cv_kwargs)
+    subsample = TrialBatch(trials.vectors[pick], trials.is_oddball[pick])
+    return cross_validate(subsample, config, repeats=repeats, folds=folds, rng=rng)
 
 
 def fit_final_model(
@@ -381,10 +382,11 @@ def run_online(
     model: FeatureModel,
     params: ClassifierParams,
     rng: np.random.Generator,
-    sentence: str = BENCHMARK_SENTENCE,
-    trial_budget: int = 50_000,
-    dictionary: Dictionary | None = None,
-    frequency: FrequencyTable | None = None,
+    *,
+    sentence: str,
+    trial_budget: int,
+    dictionary: Dictionary,
+    frequency: FrequencyTable,
 ) -> tuple[SessionLog, SessionReport]:
     """Closed-loop copy-spelling of one sentence.
 
@@ -399,12 +401,7 @@ def run_online(
     for symbol in sentence:
         if symbol not in SYMBOLS:
             raise ValueError(f"sentence symbol {symbol!r} not in the character set")
-    speller = Speller(
-        rng,
-        frequency=frequency,
-        dictionary=dictionary,
-        pause_s=config.pause_s,
-    )
+    speller = Speller(rng, frequency, dictionary, pause_s=config.pause_s)
     synth = SessionSynthesizer(subject, rng)
     group_params = with_theta(params, config.theta_stage1)
     single_params = with_theta(params, config.theta_stage2)

@@ -60,7 +60,7 @@ _ERP_COMPONENTS = (
 )
 
 
-def erp_waveform(jitter_ms: float = 0.0) -> np.ndarray:
+def erp_waveform(jitter_ms: float) -> np.ndarray:
     """The evoked response on the (8, 80) trial grid, shifted by jitter_ms."""
     t_ms = np.arange(N_SAMPLES) * (1000.0 / FS)
     out = np.zeros((N_CHANNELS, N_SAMPLES))

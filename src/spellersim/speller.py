@@ -35,7 +35,6 @@ from .alphabet import (
     _LETTERS,
     FrequencyTable,
     _require_symbols,
-    default_frequency_table,
     draw_permutation,
     form_cycle,
 )
@@ -169,17 +168,17 @@ class Speller:
     def __init__(
         self,
         rng: np.random.Generator,
-        frequency: FrequencyTable | None = None,
-        dictionary: Dictionary | None = None,
+        frequency: FrequencyTable,
+        dictionary: Dictionary,
         *,
-        pause_s: float = 3.0,
+        pause_s: float,
     ) -> None:
         if not 0.0 <= pause_s < math.inf:
             raise ValueError(f"pause must be nonnegative and finite, got {pause_s!r}")
         self.rng = rng
-        self.frequency = frequency if frequency is not None else default_frequency_table()
-        self.dictionary = dictionary if dictionary is not None else default_dictionary()
-        _require_symbols(self.frequency)
+        self.frequency = frequency
+        self.dictionary = dictionary
+        _require_symbols(frequency)
         self.pause_s = pause_s
 
         self._index = {s: i for i, s in enumerate(SYMBOLS)}
@@ -294,7 +293,7 @@ class Speller:
             events.append(SelectionEvent(symbol=selected, mechanism=mechanism, pause_s=pause))
         return events
 
-    def advance_clock(self, iti_ms: float, events: list[SelectionEvent], overhead_ms: float = 0.0) -> None:
+    def advance_clock(self, iti_ms: float, events: list[SelectionEvent], overhead_ms: float) -> None:
         """Account one trial's time plus any selection pauses."""
         if not 0.0 < iti_ms < math.inf:
             raise ValueError(f"iti must be positive and finite, got {iti_ms!r}")
@@ -394,8 +393,8 @@ class SessionLog:
     json.dumps(record, sort_keys=True) gives, newline included; records
     and selections() decode those lines for their readers."""
 
-    def __init__(self, meta: dict | None = None) -> None:
-        self.meta = meta if meta is not None else {}
+    def __init__(self, meta: dict) -> None:
+        self.meta = meta
         self._lines: list[str] = []
 
     def trial(self, t_s: float, mode: str, illuminated, decision: str, posterior: float) -> None:

@@ -1,9 +1,38 @@
 """Fixtures shared by the test modules."""
 
+import dataclasses
+
 import pytest
 
 from spellersim import _fork, harness
-from spellersim.alphabet import _CYCLE_GROUPS, form_cycle
+from spellersim.alphabet import _CYCLE_GROUPS, default_frequency_table, form_cycle
+from spellersim.cli import RunSpec
+from spellersim.speller import default_dictionary
+
+
+@pytest.fixture(scope="session")
+def frequency():
+    """The bundled frequency table, the one a config that names none uses."""
+    return default_frequency_table()
+
+
+@pytest.fixture(scope="session")
+def dictionary():
+    """The bundled completion dictionary, the one a config that names none uses."""
+    return default_dictionary()
+
+
+@pytest.fixture(scope="session")
+def online_settings(frequency, dictionary):
+    """run_online's keyword arguments as a config that sets none of them
+    gives them: RunSpec's sentence and trial budget, the bundled tables."""
+    spec = {f.name: f.default for f in dataclasses.fields(RunSpec)}
+    return {
+        "sentence": spec["sentence"],
+        "trial_budget": spec["trial_budget"],
+        "dictionary": dictionary,
+        "frequency": frequency,
+    }
 
 
 @pytest.fixture
@@ -12,7 +41,7 @@ def cpus(monkeypatch):
     return lambda n: monkeypatch.setattr(_fork, "_available_cpus", lambda: n)
 
 
-def _recorded_training(config, subject, rng):
+def _recorded_training(config, subject, rng, frequency):
     """run_training, plus the group and the onset of every trial.
 
     The cycles are recorded from form_cycle and cut as run_training cuts
@@ -33,7 +62,7 @@ def _recorded_training(config, subject, rng):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "form_cycle", recording_form_cycle)
         mp.setattr(synthesizer, "trial", recording_trial)
-        trials = harness.run_training(config, subject, rng)
+        trials = harness.run_training(config, subject, rng, frequency)
     per_char = config.trials_per_char
     per_block = -(-per_char // _CYCLE_GROUPS)  # cycles drawn per block
     groups = []
@@ -43,6 +72,7 @@ def _recorded_training(config, subject, rng):
 
 
 @pytest.fixture(scope="session")
-def recorded_training():
-    """run_training that also returns the groups it showed and their onsets."""
-    return _recorded_training
+def recorded_training(frequency):
+    """run_training on the bundled table that also returns the groups it
+    showed and their onsets."""
+    return lambda config, subject, rng: _recorded_training(config, subject, rng, frequency)

@@ -48,16 +48,16 @@ def _verdict(n: int, text: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def oracle_stack():
+def oracle_stack(frequency, online_settings):
     """Oracle training set, CV result, fitted pipeline and online run per ITI."""
     subject = subject_preset("oracle")
     stack = {}
     for iti in (400.0, 240.0, 160.0):
         config = ProtocolConfig(iti_ms=iti)
-        trials = run_training(config, subject, np.random.default_rng(11))
-        cv = cross_validate(trials, repeats=2, folds=10, rng=np.random.default_rng(12))
+        trials = run_training(config, subject, np.random.default_rng(11), frequency)
+        cv = cross_validate(trials, config, repeats=2, folds=10, rng=np.random.default_rng(12))
         model, params = fit_final_model(trials, config)
-        log, report = run_online(config, subject, model, params, np.random.default_rng(13))
+        log, report = run_online(config, subject, model, params, np.random.default_rng(13), **online_settings)
         stack[iti] = (config, trials, cv, log, report)
     return stack
 
@@ -140,10 +140,10 @@ def test_criterion_4_protocol_counts(oracle_stack):
     )
 
 
-def test_criterion_5_chance_level_collapse():
+def test_criterion_5_chance_level_collapse(frequency):
     config = ProtocolConfig(iti_ms=160.0)
-    trials = run_training(config, subject_preset("noise"), np.random.default_rng(7))
-    cv = cross_validate(trials, repeats=2, folds=10, rng=np.random.default_rng(8))
+    trials = run_training(config, subject_preset("noise"), np.random.default_rng(7), frequency)
+    cv = cross_validate(trials, config, repeats=2, folds=10, rng=np.random.default_rng(8))
     majority = 6.0 / 7.0
     assert abs(cv.accuracy_mean - majority) <= 0.01
     assert cv.bits_per_trial <= 0.01
@@ -290,18 +290,18 @@ def test_criterion_7_property_suites(tmp_path):
     )
 
 
-def test_criterion_8_mid_snr_realism_band():
+def test_criterion_8_mid_snr_realism_band(frequency, online_settings):
     config = ProtocolConfig(iti_ms=160.0)
     subject = subject_preset("midsnr")
-    trials = run_training(config, subject, np.random.default_rng(30))
-    cv = cross_validate(trials, repeats=2, folds=10, rng=np.random.default_rng(31))
+    trials = run_training(config, subject, np.random.default_rng(30), frequency)
+    cv = cross_validate(trials, config, repeats=2, folds=10, rng=np.random.default_rng(31))
     assert 0.93 <= cv.accuracy_mean <= 0.95
 
     model, params = fit_final_model(trials, config)
     passing = 0
     times = []
     for seed in range(10):
-        _, report = run_online(config, subject, model, params, np.random.default_rng(100 + seed))
+        _, report = run_online(config, subject, model, params, np.random.default_rng(100 + seed), **online_settings)
         ok = (
             report.completed
             and report.t_total_s < 320.0

@@ -368,8 +368,8 @@ class TestMonteCarloStats:
             assert stats_1.mean_group[table.symbols.index(symbol)] == perm.index(symbol) // 6 + 1
             assert stats_1.mean_position[table.symbols.index(symbol)] == perm.index(symbol) + 1
 
-    def test_space_lands_in_the_first_two_groups(self, biased_stats):
-        mean_group = biased_stats.mean_group[biased_stats.symbols.index(SPACE)]
+    def test_space_lands_in_the_first_two_groups(self, table, biased_stats):
+        mean_group = biased_stats.mean_group[table.symbols.index(SPACE)]
         assert 1.5 <= mean_group <= 1.7
 
     def test_top_twelve_lead_the_cycle(self, table, biased_stats):

@@ -16,12 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spellersim._container import load_container, save_container
 from spellersim.alphabet import BACKSPACE, default_frequency_table
-from spellersim.cli import _MAX_CV_REPEATS, _PROTOCOL_KEYS, _RUN_KEYS, RunSpec, load_config, main
+from spellersim.cli import _MAX_CV_REPEATS, _MAX_TRIAL_BUDGET, _PROTOCOL_KEYS, _RUN_KEYS, RunSpec, load_config, main
 from spellersim.features import load_model
 from spellersim.harness import _MAX_GAP_S, _MAX_TRAIN_TRIALS, BENCHMARK_SENTENCE, ProtocolConfig
 
@@ -100,6 +100,18 @@ class TestConfigLoading:
         for value in (_MAX_CV_REPEATS + 1, 10**9, 0):
             cfg.write_text(f"cv_repeats = {value}\n")
             with pytest.raises(ValueError, match=rf"cv_repeats must lie in \[1, 1,000\], got {value}"):
+                load_config(cfg)
+
+    def test_trial_budget_is_bounded(self, tmp_path):
+        # a spell that never finishes runs to its budget, about 0.42 KB of log
+        # and 61 us a trial
+        cfg = tmp_path / "budget.cfg"
+        assert load_config_by_name("fast_midsnr").trial_budget == 50_000
+        cfg.write_text(f"trial_budget = {_MAX_TRIAL_BUDGET}\n")
+        assert load_config(cfg).trial_budget == _MAX_TRIAL_BUDGET == 500_000
+        for value in (_MAX_TRIAL_BUDGET + 1, 10**9, 0):
+            cfg.write_text(f"trial_budget = {value}\n")
+            with pytest.raises(ValueError, match=rf"trial_budget must lie in \[1, 500,000\], got {value}"):
                 load_config(cfg)
 
     def test_cv_folds_are_bounded_by_the_class_floors(self, tmp_path):
@@ -279,6 +291,7 @@ class TestConfigFuzz:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(st.sampled_from(_KNOWN_KEYS), _values)
+    @example("trial_budget", "500001")
     def test_any_value_of_one_key_gives_a_bounded_spec_or_value_error(self, tmp_path, key, value):
         path = tmp_path / "one.cfg"
         path.write_text(f"{key} = {value}\n", encoding="utf-8")
@@ -293,6 +306,7 @@ class TestConfigFuzz:
         assert protocol.pause_s <= _MAX_GAP_S
         assert 1 <= spec.cv_repeats <= _MAX_CV_REPEATS
         assert 2 <= spec.cv_folds <= min(protocol.class_floors)
+        assert 1 <= spec.trial_budget <= _MAX_TRIAL_BUDGET
 
 
 def load_preset_text(name: str) -> str:
@@ -1056,6 +1070,11 @@ class TestCalibrationBound:
             (["cv", "--subsample", "1827"], "fast_midsnr", "", ["--subsample", "70", "1826"]),
             # once ran 261 fold fits: a session may hold only 260 oddballs
             (["cv"], "fast_midsnr", "cv_folds = 261\ncv_repeats = 1", ["cv_folds", "260"]),
+            # a spell that never finishes runs to its budget; 1e9 trials were
+            # once accepted, about 420 GB of log and 17 h
+            (["spell"], None, "trial_budget = 500001", ["trial_budget", "500,000"]),
+            # train reads no dictionary, but digests the one the config names
+            (["train"], "fast_midsnr", "dictionary = /nonexistent/words.txt", ["/nonexistent/words.txt"]),
         ],
         ids=[
             "cv_repeats",
@@ -1065,6 +1084,8 @@ class TestCalibrationBound:
             "subsample",
             "subsample_above_the_class_floors",
             "cv_folds",
+            "trial_budget",
+            "missing_dictionary",
         ],
     )
     def test_an_unbounded_run_fails_before_it_starts(self, tmp_path, request, argv, preset, lines, names):

@@ -94,7 +94,7 @@ def _zero_variance_classes():
 
 def test_cpca_zero_variance_class_falls_back_to_mean_direction():
     x, y = _zero_variance_classes()
-    model = fit_cpca(x, y)
+    model = fit_cpca(x, y, eta=0.9, m_max=30)
     assert model.oddball.m == 1
     direction = model.oddball.basis[:, 0]
     expected = x[0] - x.mean(axis=0)
@@ -114,7 +114,7 @@ def test_cpca_rank_deficient_classes_keep_mean_offset_direction():
     coeffs_e = rng.normal(size=(60, 2))
     x = np.vstack([coeffs_o @ span + offset, coeffs_e @ span])
     y = np.arange(120) < 60
-    model = fit_cpca(x, y, eta=0.99)
+    model = fit_cpca(x, y, eta=0.99, m_max=30)
     assert model.oddball.m == 3  # 2 spectral + 1 mean-offset
     # the appended direction makes the classes separable in the subspace
     z_o = model.oddball.project(x[y])
@@ -144,17 +144,17 @@ def test_cpca_validation():
     x = rng.normal(size=(10, 4))
     y = np.arange(10) < 5
     with pytest.raises(ValueError):
-        fit_cpca(x, y, eta=0.0)
+        fit_cpca(x, y, eta=0.0, m_max=30)
     with pytest.raises(ValueError):
-        fit_cpca(x, y, eta=1.2)
+        fit_cpca(x, y, eta=1.2, m_max=30)
     with pytest.raises(ValueError):
-        fit_cpca(x, np.ones(10, bool))
+        fit_cpca(x, np.ones(10, bool), eta=0.9, m_max=30)
     with pytest.raises(ValueError):
-        fit_cpca(x, np.arange(10) < 1)  # single oddball sample
+        fit_cpca(x, np.arange(10) < 1, eta=0.9, m_max=30)  # single oddball sample
     bad = x.copy()
     bad[0, 0] = np.inf
     with pytest.raises(ValueError):
-        fit_cpca(bad, y)
+        fit_cpca(bad, y, eta=0.9, m_max=30)
 
 
 def test_model_parts_reject_values_that_overflow():
@@ -816,7 +816,7 @@ def _bits(values) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def online_models():
+def online_models(frequency):
     """Deployment models of the midsnr and oracle subjects at 160 ms, each
     with 11,220 rows from six other training sessions (the oracle's rows
     also carry noise at six levels, since its own windows barely vary)."""
@@ -827,11 +827,13 @@ def online_models():
     out = {}
     for name in ("midsnr", "oracle"):
         subject = subject_preset(name)
-        model, _ = fit_final_model(run_training(config, subject, np.random.default_rng(0)), config)
+        model, _ = fit_final_model(run_training(config, subject, np.random.default_rng(0), frequency), config)
         if name == "midsnr":
-            rows = np.vstack([run_training(config, subject, np.random.default_rng(seed)).vectors for seed in range(1, 7)])
+            rows = np.vstack(
+                [run_training(config, subject, np.random.default_rng(seed), frequency).vectors for seed in range(1, 7)]
+            )
         else:
-            clean = run_training(config, subject, np.random.default_rng(1)).vectors
+            clean = run_training(config, subject, np.random.default_rng(1), frequency).vectors
             noise = np.random.default_rng(2).normal(size=(6,) + clean.shape)
             rows = np.vstack([clean + s * n for s, n in zip((0.0, 0.01, 0.3, 1.0, 3.0, 15.0), noise)])
         out[name] = (model, rows)
@@ -997,14 +999,15 @@ def test_eigh_top_equals_scipy_eigh_bitwise(case):
 
 
 @pytest.fixture(scope="module")
-def midsnr_projections():
+def midsnr_projections(frequency):
     """Projections of a 160 ms midsnr session into its fitted subspaces."""
     from spellersim.harness import ProtocolConfig, run_training
     from spellersim.signal import subject_preset
 
-    trials = run_training(ProtocolConfig(iti_ms=160.0), subject_preset("midsnr"), np.random.default_rng(0))
+    config = ProtocolConfig(iti_ms=160.0)
+    trials = run_training(config, subject_preset("midsnr"), np.random.default_rng(0), frequency)
     x, y = trials.vectors, trials.is_oddball
-    cpca = fit_cpca(x, y)
+    cpca = fit_cpca(x, y, config.eta, config.m_max)
     return {ODDBALL: cpca.oddball.project(x), NON_ODDBALL: cpca.non_oddball.project(x)}, y
 
 

@@ -79,11 +79,14 @@ class TestWorkerHeap:
         # default thresholds its fold workers took about 270k minor faults
         code = (
             "import resource\n"
+            "from spellersim.alphabet import default_frequency_table\n"
             "from spellersim.harness import ProtocolConfig, cross_validate, run_training\n"
             "from spellersim.seeding import substream\n"
             "from spellersim.signal import subject_preset\n"
-            "trials = run_training(ProtocolConfig(iti_ms=160.0), subject_preset('midsnr'), substream(0, 'train'))\n"
-            "cross_validate(trials, 10, 10, rng=substream(0, 'cv'))\n"
+            "config = ProtocolConfig(iti_ms=160.0)\n"
+            "table = default_frequency_table()\n"
+            "trials = run_training(config, subject_preset('midsnr'), substream(0, 'train'), table)\n"
+            "cross_validate(trials, config, repeats=10, folds=10, rng=substream(0, 'cv'))\n"
             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt)\n"
         )
         env = dict(os.environ, PYTHONPATH=SRC)

@@ -138,13 +138,13 @@ class TestProtocolConfig:
         train_seconds_per_char=st.floats(0.4, 4.0),
         seed=st.integers(0, 3),
     )
-    def test_every_session_holds_the_class_floors(self, train_chars, iti_ms, train_seconds_per_char, seed):
+    def test_every_session_holds_the_class_floors(self, frequency, train_chars, iti_ms, train_seconds_per_char, seed):
         # each block's full cycles light its target once, and its partial
         # cycle at most once
         config = ProtocolConfig(
             iti_ms=iti_ms, train_chars=train_chars, train_seconds_per_char=train_seconds_per_char
         )
-        trials = run_training(config, subject_preset("oracle"), substream(seed, "train"))
+        trials = run_training(config, subject_preset("oracle"), substream(seed, "train"), frequency)
         odd_floor, other_floor = config.class_floors
         n_odd = int(trials.is_oddball.sum())
         assert odd_floor <= n_odd <= odd_floor + train_chars
@@ -248,9 +248,11 @@ class TestRunTraining:
 
     @pytest.mark.parametrize("speed", SPEEDS)
     @pytest.mark.parametrize("subject", ["oracle", "midsnr"])
-    def test_rows_equal_the_preprocessed_windows_of_the_replaced_session(self, subject, speed, config_by_speed):
+    def test_rows_equal_the_preprocessed_windows_of_the_replaced_session(
+        self, subject, speed, config_by_speed, frequency
+    ):
         config = config_by_speed[speed]
-        trials = run_training(config, subject_preset(subject), np.random.default_rng(12))
+        trials = run_training(config, subject_preset(subject), np.random.default_rng(12), frequency)
         windows, labels = _run_training_windows(config, subject_preset(subject), np.random.default_rng(12))
         want = _preprocess_stack(windows)
         assert trials.vectors.dtype == want.dtype and trials.vectors.shape == want.shape
@@ -265,16 +267,18 @@ class TestRunTraining:
         ],
         ids=["rare_letters", "foreign"],
     )
-    def test_rejects_a_table_over_other_symbols_before_drawing(self, oracle, config_by_speed, drop, add, named):
+    def test_rejects_a_table_over_other_symbols_before_drawing(
+        self, oracle, config_by_speed, frequency, drop, add, named
+    ):
         # without the rare letters, 6 of 26 targets would get no oddball
-        table = default_frequency_table()
+        table = frequency
         keep = [i for i, s in enumerate(table.symbols) if s not in drop]
         probs = np.append(table.probs[keep], table.probs[[table.symbols.index(s) for s in drop[: len(add)]]])
         freq = FrequencyTable(tuple(table.symbols[i] for i in keep) + tuple(add), probs / probs.sum())
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=named):
-            run_training(config_by_speed["slow"], oracle, rng, frequency=freq)
+            run_training(config_by_speed["slow"], oracle, rng, freq)
         assert rng.bit_generator.state == state
 
 
@@ -323,21 +327,25 @@ class TestCalibrationMemory:
 
     config = ProtocolConfig(iti_ms=160.0)
 
-    def test_a_session_costs_about_its_rows(self):
-        trials, peak = _traced_peak(run_training, self.config, subject_preset("midsnr"), substream(0, "train"))
+    def test_a_session_costs_about_its_rows(self, frequency):
+        trials, peak = _traced_peak(
+            run_training, self.config, subject_preset("midsnr"), substream(0, "train"), frequency
+        )
         rows = trials.vectors.nbytes
         assert rows == self.config.train_trial_count * FEATURE_DIM * 8
         assert peak < 1.25 * rows
 
-    def test_the_final_fit_holds_one_class_copy_at_a_time(self):
-        trials = run_training(self.config, subject_preset("midsnr"), substream(0, "train"))
+    def test_the_final_fit_holds_one_class_copy_at_a_time(self, frequency):
+        trials = run_training(self.config, subject_preset("midsnr"), substream(0, "train"), frequency)
         _, peak = _traced_peak(fit_final_model, trials, self.config)
         assert peak < 1.5 * trials.vectors.nbytes
 
 
 class TestCrossValidate:
-    def test_oracle_is_perfectly_separable(self, oracle_sessions):
-        cv = cross_validate(oracle_sessions["slow"], repeats=2, folds=10, rng=np.random.default_rng(1))
+    def test_oracle_is_perfectly_separable(self, oracle_sessions, config_by_speed):
+        cv = cross_validate(
+            oracle_sessions["slow"], config_by_speed["slow"], repeats=2, folds=10, rng=np.random.default_rng(1)
+        )
         assert cv.accuracy_mean == 1.0
         assert cv.accuracy_std == 0.0
         assert cv.accuracy_best == 1.0
@@ -345,23 +353,24 @@ class TestCrossValidate:
         assert cv.confusion.p_ee == 1.0
         assert cv.bits_per_trial > 0.55
 
-    def test_label_independent_noise_collapses_to_majority(self, config_by_speed):
-        trials = run_training(config_by_speed["fast"], subject_preset("noise"), np.random.default_rng(7))
-        cv = cross_validate(trials, repeats=2, folds=10, rng=np.random.default_rng(8))
+    def test_label_independent_noise_collapses_to_majority(self, config_by_speed, frequency):
+        config = config_by_speed["fast"]
+        trials = run_training(config, subject_preset("noise"), np.random.default_rng(7), frequency)
+        cv = cross_validate(trials, config, repeats=2, folds=10, rng=np.random.default_rng(8))
         majority = 6.0 / 7.0
         assert abs(cv.accuracy_mean - majority) <= 0.01
         assert cv.bits_per_trial <= 0.01
 
     @pytest.mark.parametrize("iti_ms, train_chars", [(160.0, 20), (80.0, 10)])
-    def test_sessions_with_a_full_rank_oddball_class_stay_above_majority(self, iti_ms, train_chars):
+    def test_sessions_with_a_full_rank_oddball_class_stay_above_majority(self, frequency, iti_ms, train_chars):
         # each training fold holds 484 or 485 oddballs, more than the 480
         # dimensions, so the oddball class is full rank; its mean-offset
         # direction is still the separating feature (both once gave the
         # majority rate)
         config = ProtocolConfig(iti_ms=iti_ms, train_chars=train_chars)
-        trials = run_training(config, subject_preset("midsnr"), substream(0, "train"))
+        trials = run_training(config, subject_preset("midsnr"), substream(0, "train"), frequency)
         assert int(trials.is_oddball.sum()) == 538
-        cv = cross_validate(trials, repeats=1, folds=10, rng=substream(0, "cv"))
+        cv = cross_validate(trials, config, repeats=1, folds=10, rng=substream(0, "cv"))
         majority = 1.0 - float(trials.is_oddball.mean())
         assert cv.accuracy_mean >= 0.93 > majority + 0.05
 
@@ -382,28 +391,35 @@ class TestCrossValidate:
             for part in (assignment == k, assignment != k):
                 assert y[part].any() and not y[part].all()
 
-    def test_rejects_bad_parameters(self, oracle_sessions):
+    def test_rejects_bad_parameters(self, oracle_sessions, config_by_speed):
+        trials, config = oracle_sessions["slow"], config_by_speed["slow"]
         with pytest.raises(ValueError):
-            cross_validate(oracle_sessions["slow"], repeats=0, rng=np.random.default_rng(0))
+            cross_validate(trials, config, repeats=0, folds=10, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            cross_validate(oracle_sessions["slow"], folds=1, rng=np.random.default_rng(0))
+            cross_validate(trials, config, repeats=10, folds=1, rng=np.random.default_rng(0))
 
-    def test_the_generator_is_a_required_keyword(self, oracle_sessions):
-        trials = oracle_sessions["slow"]
+    def test_the_generator_is_a_required_keyword(self, oracle_sessions, config_by_speed):
+        trials, config = oracle_sessions["slow"], config_by_speed["slow"]
         with pytest.raises(TypeError, match="rng"):
-            cross_validate(trials, repeats=1)
+            cross_validate(trials, config, repeats=1, folds=10)
         with pytest.raises(TypeError):
-            cross_validate(trials, 1, 10, np.random.default_rng(0))
+            cross_validate(trials, config, 1, 10, np.random.default_rng(0))
         with pytest.raises(TypeError, match="rng"):
-            subsample_check(trials, target=750)
+            subsample_check(trials, config, 750, repeats=1, folds=10)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_rows(self, oracle_sessions, bad):
+    def test_rejects_non_finite_rows(self, oracle_sessions, config_by_speed, bad):
         trials = oracle_sessions["slow"]
         vectors = trials.vectors.copy()
         vectors[17, 300] = bad
         with pytest.raises(ValueError, match="finite"):
-            cross_validate(TrialBatch(vectors, trials.is_oddball), repeats=1, rng=np.random.default_rng(0))
+            cross_validate(
+                TrialBatch(vectors, trials.is_oddball),
+                config_by_speed["slow"],
+                repeats=1,
+                folds=10,
+                rng=np.random.default_rng(0),
+            )
 
     def test_result_validation(self):
         conf = ConfusionMatrix(1.0, 0.0, 0.0, 1.0)
@@ -413,7 +429,7 @@ class TestCrossValidate:
             CvResult(0.9, -0.1, 1.0, conf, 0.5)
 
 
-def _cross_validate_one_by_one(trials, repeats, folds, rng, eta=0.9, m_max=30):
+def _cross_validate_one_by_one(trials, config, repeats, folds, rng):
     """The serial loop the fold pool replaced: each repeat draws its folds
     right before fitting them."""
     x, y = trials.vectors, trials.is_oddball
@@ -427,7 +443,7 @@ def _cross_validate_one_by_one(trials, repeats, folds, rng, eta=0.9, m_max=30):
         correct = 0
         for k in range(folds):
             train = assignment != k
-            model, f_train = _fit_with_training_features(x[train], y[train], eta, m_max)
+            model, f_train = _fit_with_training_features(x[train], y[train], config.eta, config.m_max)
             decisions = decide_batch(fit_classifier(f_train, y[train]), extract_batch(model, x[~train]))
             truth = y[~train]
             correct += int(np.sum(decisions == truth))
@@ -460,11 +476,18 @@ def _threads_and_blas_counts() -> tuple[int | None, list[int]]:
 
 
 class TestFoldPool:
+    # the protocol's eta and m_max for every fold fit
+    config = ProtocolConfig()
+
     @pytest.fixture(scope="class")
-    def sessions(self, config_by_speed, oracle_sessions):
+    def sessions(self, config_by_speed, oracle_sessions, frequency):
         return {
-            "midsnr": run_training(config_by_speed["fast"], subject_preset("midsnr"), np.random.default_rng(5)),
-            "noise": run_training(config_by_speed["medium"], subject_preset("noise"), np.random.default_rng(7)),
+            "midsnr": run_training(
+                config_by_speed["fast"], subject_preset("midsnr"), np.random.default_rng(5), frequency
+            ),
+            "noise": run_training(
+                config_by_speed["medium"], subject_preset("noise"), np.random.default_rng(7), frequency
+            ),
             "oracle": oracle_sessions["slow"],
         }
 
@@ -474,20 +497,26 @@ class TestFoldPool:
         results = []
         for n in (1, 2):
             cpus(n)
-            results.append(cross_validate(sessions[subject], repeats=2, folds=7, rng=np.random.default_rng(4)))
+            results.append(
+                cross_validate(sessions[subject], self.config, repeats=2, folds=7, rng=np.random.default_rng(4))
+            )
         assert results[0] == results[1]
 
     def test_matches_the_serial_loop_it_replaced(self, sessions, cpus):
         cpus(2)
         trials = sessions["midsnr"]
-        want = _cross_validate_one_by_one(trials, 2, 5, np.random.default_rng(9))
-        assert cross_validate(trials, repeats=2, folds=5, rng=np.random.default_rng(9)) == want
+        want = _cross_validate_one_by_one(trials, self.config, 2, 5, np.random.default_rng(9))
+        assert cross_validate(trials, self.config, repeats=2, folds=5, rng=np.random.default_rng(9)) == want
 
     def test_subsample_check_is_the_same_at_any_worker_count(self, sessions, cpus):
         results = []
         for n in (1, 2):
             cpus(n)
-            results.append(subsample_check(sessions["midsnr"], target=750, rng=np.random.default_rng(2), repeats=2))
+            results.append(
+                subsample_check(
+                    sessions["midsnr"], self.config, 750, repeats=2, folds=10, rng=np.random.default_rng(2)
+                )
+            )
         assert results[0] == results[1]
 
     def test_counts_are_summed_in_fold_order_whatever_finishes_first(self, sessions, monkeypatch, cpus):
@@ -499,7 +528,7 @@ class TestFoldPool:
         monkeypatch.setattr(harness, "_fold_counts", fold_counts)
         cpus(2)
         trials = sessions["oracle"]
-        cv = cross_validate(trials, repeats=3, folds=4, rng=np.random.default_rng(0))
+        cv = cross_validate(trials, self.config, repeats=3, folds=4, rng=np.random.default_rng(0))
         # accuracy counts hits and rejections: 4 folds of 10 * repeat + 1
         acc = np.array([(40 * r + 4) / len(trials) for r in range(3)])
         assert (cv.accuracy_mean, cv.accuracy_std, cv.accuracy_best) == (
@@ -520,7 +549,7 @@ class TestFoldPool:
         monkeypatch.setattr(harness, "_fit_with_training_features", broken_fit)  # forks inherit it
         cpus(n_cpus)
         with pytest.raises(RuntimeError, match="fold fit failed"):
-            cross_validate(sessions["oracle"], repeats=1, folds=4, rng=np.random.default_rng(0))
+            cross_validate(sessions["oracle"], self.config, repeats=1, folds=4, rng=np.random.default_rng(0))
         assert multiprocessing.active_children() == []
         assert _blas_thread_counts() == before
         assert _fork._inputs == ()
@@ -581,23 +610,31 @@ class TestOneBlasThread:
 
 
 class TestSubsampleCheck:
-    def test_oracle_subsample_stays_perfect(self, oracle_sessions):
+    def test_oracle_subsample_stays_perfect(self, oracle_sessions, config_by_speed):
         cv = subsample_check(
-            oracle_sessions["fast"], target=750, rng=np.random.default_rng(2), repeats=1
+            oracle_sessions["fast"], config_by_speed["fast"], 750, repeats=1, folds=10, rng=np.random.default_rng(2)
         )
         assert cv.accuracy_mean == 1.0
 
-    def test_midsnr_subsample_tracks_full_session(self, config_by_speed):
-        trials = run_training(config_by_speed["fast"], subject_preset("midsnr"), np.random.default_rng(5))
-        full = cross_validate(trials, repeats=1, folds=10, rng=np.random.default_rng(6))
-        sub = subsample_check(trials, target=750, rng=np.random.default_rng(6), repeats=1)
+    def test_midsnr_subsample_tracks_full_session(self, config_by_speed, frequency):
+        config = config_by_speed["fast"]
+        trials = run_training(config, subject_preset("midsnr"), np.random.default_rng(5), frequency)
+        full = cross_validate(trials, config, repeats=1, folds=10, rng=np.random.default_rng(6))
+        sub = subsample_check(trials, config, 750, repeats=1, folds=10, rng=np.random.default_rng(6))
         assert abs(sub.accuracy_mean - full.accuracy_mean) < 0.04
 
-    def test_rejects_sessions_smaller_than_target(self, oracle_sessions):
+    def test_rejects_sessions_smaller_than_target(self, oracle_sessions, config_by_speed):
         with pytest.raises(ValueError):
-            subsample_check(oracle_sessions["slow"], target=1000, rng=np.random.default_rng(0))
+            subsample_check(
+                oracle_sessions["slow"],
+                config_by_speed["slow"],
+                1000,
+                repeats=10,
+                folds=10,
+                rng=np.random.default_rng(0),
+            )
 
-    def test_short_class_counts_are_named(self, oracle_sessions):
+    def test_short_class_counts_are_named(self, oracle_sessions, config_by_speed):
         trials = oracle_sessions["slow"]
         n_odd = int(trials.is_oddball.sum())
         assert n_odd > 750 // 7  # enough oddballs, too few other trials
@@ -605,7 +642,7 @@ class TestSubsampleCheck:
             f"need 107 oddball and 643 other trials; the session has {n_odd} and {750 - n_odd}"
         )
         with pytest.raises(ValueError, match=want):
-            subsample_check(trials, target=750, rng=np.random.default_rng(0))
+            subsample_check(trials, config_by_speed["slow"], 750, repeats=10, folds=10, rng=np.random.default_rng(0))
 
 
 class TestFitFinalModel:
@@ -626,10 +663,10 @@ class TestFitFinalModel:
 
 class TestOracleOnline:
     @pytest.mark.parametrize("speed", SPEEDS)
-    def test_benchmark_is_typed_error_free(self, speed, oracle, oracle_models, config_by_speed):
+    def test_benchmark_is_typed_error_free(self, speed, oracle, oracle_models, config_by_speed, online_settings):
         cfg = config_by_speed[speed]
         model, params = oracle_models[speed]
-        log, report = run_online(cfg, oracle, model, params, np.random.default_rng(42))
+        log, report = run_online(cfg, oracle, model, params, np.random.default_rng(42), **online_settings)
         assert report.completed
         assert report.prompt == BENCHMARK_SENTENCE
         assert report.n_selections == 44
@@ -651,57 +688,56 @@ class TestOracleOnline:
         assert len(log.selections()) == 44
         assert [r["record"] for r in log.records].count("trial") == report.n_trials
 
-    def test_same_seed_gives_identical_sessions(self, oracle, oracle_models, config_by_speed, tmp_path):
+    def test_same_seed_gives_identical_sessions(
+        self, oracle, oracle_models, config_by_speed, online_settings, tmp_path
+    ):
         cfg = config_by_speed["fast"]
         model, params = oracle_models["fast"]
-        log_a, rep_a = run_online(cfg, oracle, model, params, np.random.default_rng(9))
-        log_b, rep_b = run_online(cfg, oracle, model, params, np.random.default_rng(9))
+        log_a, rep_a = run_online(cfg, oracle, model, params, np.random.default_rng(9), **online_settings)
+        log_b, rep_b = run_online(cfg, oracle, model, params, np.random.default_rng(9), **online_settings)
         assert rep_a == rep_b
         path_a, path_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         log_a.write(path_a)
         log_b.write(path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
-    def test_log_round_trip(self, oracle, oracle_models, config_by_speed, tmp_path):
+    def test_log_round_trip(self, oracle, oracle_models, config_by_speed, online_settings, tmp_path):
         cfg = config_by_speed["slow"]
         model, params = oracle_models["slow"]
-        log, _ = run_online(cfg, oracle, model, params, np.random.default_rng(4))
+        log, _ = run_online(cfg, oracle, model, params, np.random.default_rng(4), **online_settings)
         path = tmp_path / "session.jsonl"
         log.write(path)
         loaded = load_session_log(path)
         assert loaded.meta["iti_ms"] == cfg.iti_ms
         assert loaded.records == log.records
 
-    def test_exit_only_sentence(self, oracle, oracle_models, config_by_speed):
+    def test_exit_only_sentence(self, oracle, oracle_models, config_by_speed, online_settings):
         cfg = config_by_speed["slow"]
         model, params = oracle_models["slow"]
-        _, report = run_online(cfg, oracle, model, params, np.random.default_rng(12), sentence="*")
+        settings = {**online_settings, "sentence": "*"}
+        _, report = run_online(cfg, oracle, model, params, np.random.default_rng(12), **settings)
         assert report.completed
         assert report.prompt == "*"
         assert report.n_selections == 1
         assert report.n_correct == 1
         assert report.t_pause_s == 0.0
 
-    def test_budget_exhaustion_is_an_incomplete_session(self, oracle_models, config_by_speed):
+    def test_budget_exhaustion_is_an_incomplete_session(self, oracle_models, config_by_speed, online_settings):
         cfg = config_by_speed["slow"]
         model, params = oracle_models["slow"]
         noise = subject_preset("noise")
-        _, report = run_online(
-            cfg, noise, model, params, np.random.default_rng(13), trial_budget=50
-        )
+        settings = {**online_settings, "trial_budget": 50}
+        _, report = run_online(cfg, noise, model, params, np.random.default_rng(13), **settings)
         assert not report.completed
         assert report.n_trials == 50
         assert report.prompt != BENCHMARK_SENTENCE
 
-    def test_rejects_bad_arguments(self, oracle, oracle_models, config_by_speed):
+    def test_rejects_bad_arguments(self, oracle, oracle_models, config_by_speed, online_settings):
         cfg = config_by_speed["slow"]
         model, params = oracle_models["slow"]
-        with pytest.raises(ValueError):
-            run_online(cfg, oracle, model, params, np.random.default_rng(0), sentence="")
-        with pytest.raises(ValueError):
-            run_online(cfg, oracle, model, params, np.random.default_rng(0), sentence="a*")
-        with pytest.raises(ValueError):
-            run_online(cfg, oracle, model, params, np.random.default_rng(0), trial_budget=0)
+        for bad in ({"sentence": ""}, {"sentence": "a*"}, {"trial_budget": 0}):
+            with pytest.raises(ValueError):
+                run_online(cfg, oracle, model, params, np.random.default_rng(0), **{**online_settings, **bad})
 
 
 class TestCorrectCount:
@@ -711,15 +747,15 @@ class TestCorrectCount:
     SENTENCE_SEEDS = range(12)
 
     @pytest.fixture(scope="class")
-    def noisy(self):
+    def noisy(self, frequency):
         # midsnr at 19 uV, where spurious selections are common
         cfg = ProtocolConfig(iti_ms=160.0)
         subject = dataclasses.replace(subject_preset("midsnr"), noise_sigma_uv=19.0)
-        model, params = fit_final_model(run_training(cfg, subject, substream(0, "train")), cfg)
+        model, params = fit_final_model(run_training(cfg, subject, substream(0, "train"), frequency), cfg)
         return cfg, subject, model, params
 
-    def test_a_retyped_character_counts_once(self, noisy):
-        log, report = run_online(*noisy, substream(0, "spell"))
+    def test_a_retyped_character_counts_once(self, noisy, online_settings):
+        log, report = run_online(*noisy, substream(0, "spell"), **online_settings)
         selected = [r["symbol"] for r in log.selections()]
         # a spurious backspace deletes the correct 'O' of BROWN, and the
         # subject types it again: 48 selections, the sentence's 44 characters
@@ -728,10 +764,10 @@ class TestCorrectCount:
         assert (report.n_correct, report.n_selections) == (44, 48)
         assert report.practical_bits_per_sec == pytest.approx(44 * math.log2(42) / report.t_total_s, rel=1e-12)
 
-    def test_never_more_than_the_sentence(self, noisy):
+    def test_never_more_than_the_sentence(self, noisy, online_settings):
         outcomes = set()
         for seed in self.SENTENCE_SEEDS:
-            _, report = run_online(*noisy, substream(seed, "spell"))
+            _, report = run_online(*noisy, substream(seed, "spell"), **online_settings)
             assert report.n_correct <= len(BENCHMARK_SENTENCE)
             prefix = 0
             while prefix < len(report.prompt) and report.prompt[prefix] == BENCHMARK_SENTENCE[prefix]:
@@ -754,10 +790,12 @@ class _EagerStage2Speller(Speller):
 
 
 class TestStage2Table:
-    def test_table_built_on_first_redraw_gives_the_eager_session(self, monkeypatch, tmp_path):
+    def test_table_built_on_first_redraw_gives_the_eager_session(
+        self, monkeypatch, tmp_path, frequency, online_settings
+    ):
         cfg = ProtocolConfig(iti_ms=160.0)
         subject = subject_preset("midsnr")
-        model, params = fit_final_model(run_training(cfg, subject, np.random.default_rng(3)), cfg)
+        model, params = fit_final_model(run_training(cfg, subject, np.random.default_rng(3), frequency), cfg)
         builds = []
         restrict = FrequencyTable.restrict
 
@@ -770,7 +808,8 @@ class TestStage2Table:
         for cls in (Speller, _EagerStage2Speller):
             builds.clear()
             monkeypatch.setattr(harness, "Speller", cls)
-            log, report = run_online(cfg, subject, model, params, np.random.default_rng(8), trial_budget=1500)
+            settings = {**online_settings, "trial_budget": 1500}
+            log, report = run_online(cfg, subject, model, params, np.random.default_rng(8), **settings)
             log.write(tmp_path / f"{cls.__name__}.jsonl")
             logs.append((report, (tmp_path / f"{cls.__name__}.jsonl").read_bytes(), len(builds)))
         (lazy_report, lazy_log, lazy_builds), (eager_report, eager_log, eager_builds) = logs
@@ -782,8 +821,10 @@ class TestStage2Table:
 
 
 class TestTabularReports:
-    def test_cv_csv_round_trip(self, oracle_sessions, tmp_path):
-        cv = cross_validate(oracle_sessions["slow"], repeats=1, folds=10, rng=np.random.default_rng(1))
+    def test_cv_csv_round_trip(self, oracle_sessions, config_by_speed, tmp_path):
+        cv = cross_validate(
+            oracle_sessions["slow"], config_by_speed["slow"], repeats=1, folds=10, rng=np.random.default_rng(1)
+        )
         path = tmp_path / "cv.csv"
         write_cv_csv(path, [cv_row("oracle", 400.0, cv)])
         with open(path, newline="") as fh:
@@ -800,10 +841,10 @@ class TestTabularReports:
             write_cv_csv(path, [])
         assert not path.exists()
 
-    def test_session_csv_round_trip(self, oracle, oracle_models, config_by_speed, tmp_path):
+    def test_session_csv_round_trip(self, oracle, oracle_models, config_by_speed, online_settings, tmp_path):
         cfg = config_by_speed["medium"]
         model, params = oracle_models["medium"]
-        _, report = run_online(cfg, oracle, model, params, np.random.default_rng(21))
+        _, report = run_online(cfg, oracle, model, params, np.random.default_rng(21), **online_settings)
         path = tmp_path / "sessions.csv"
         write_session_csv(path, [session_row("oracle", cfg.iti_ms, report)])
         with open(path, newline="") as fh:

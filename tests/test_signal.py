@@ -21,7 +21,7 @@ T_MS = np.arange(N_SAMPLES) * (1000.0 / FS)
 
 
 def test_template_shape_and_peak_latencies():
-    wave = erp_waveform()
+    wave = erp_waveform(0.0)
     assert wave.shape == (N_CHANNELS, N_SAMPLES)
     # positivity peaks at 290 ms on every channel
     assert np.all(T_MS[np.argmax(wave, axis=1)] == 290.0)
@@ -43,7 +43,7 @@ def test_component_fwhm_definition():
 
 
 def test_template_amplitudes_at_peaks():
-    wave = erp_waveform()
+    wave = erp_waveform(0.0)
     k290 = np.flatnonzero(T_MS == 290.0)[0]
     # Pz gain 1.0 on the positivity; the early bump is negligible 100 ms out
     assert wave[4, k290] == pytest.approx(8.0, abs=1e-2)
@@ -65,7 +65,7 @@ _APART_S = N_SAMPLES / FS
 def test_attention_zero_never_fires():
     subject = subject_preset("noise")
     session = SessionSynthesizer(subject, np.random.default_rng(3))
-    peak = erp_waveform()[4].max()
+    peak = erp_waveform(0.0)[4].max()
     for i in range(50):
         window = session.trial(i * _APART_S, True)
         # oddball windows are label-free noise, so no systematic positivity
@@ -123,7 +123,7 @@ def test_session_bleed_at_short_iti():
     # oracle subject: signal is exactly the sum of evoked responses
     subject = subject_preset("oracle")
     session = SessionSynthesizer(subject, np.random.default_rng(0))
-    wave = erp_waveform()
+    wave = erp_waveform(0.0)
     first = session.trial(0.0, True)
     second = session.trial(0.160, False)
     assert np.array_equal(first, wave)

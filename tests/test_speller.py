@@ -38,8 +38,15 @@ from spellersim.speller import (
 BENCHMARK = "THE>QUICK>BROWN>FOX>JUMPS>OVER>THE>LAZY>DOG*"
 
 
-def make_speller(seed=0, **kwargs) -> Speller:
-    return Speller(np.random.default_rng(seed), **kwargs)
+@pytest.fixture
+def make_speller(frequency, dictionary):
+    """Speller(rng, ...) on the bundled tables and the protocol's pause,
+    unless told otherwise."""
+
+    def make(seed=0, *, frequency=frequency, dictionary=dictionary, pause_s=ProtocolConfig().pause_s):
+        return Speller(np.random.default_rng(seed), frequency, dictionary, pause_s=pause_s)
+
+    return make
 
 
 def drive_oracle(speller: Speller, target: str, iti_ms=400.0, overhead_ms=12.0, max_trials=20_000):
@@ -123,7 +130,7 @@ class TestApplySelection:
 
 
 class TestStage1:
-    def test_full_idle_cycle_rerandomizes(self):
+    def test_full_idle_cycle_rerandomizes(self, make_speller):
         speller = make_speller(seed=3)
         seen_groups = []
         for _ in range(7):
@@ -131,7 +138,7 @@ class TestStage1:
             seen_groups.append(stimulus)
             events = speller.step(False, 0.1)
             assert events == []
-            speller.advance_clock(400.0, events)
+            speller.advance_clock(400.0, events, 0.0)
         first_order = tuple(s for g in seen_groups for s in g)
         assert sorted(first_order) == sorted(SYMBOLS)
         next_group = speller.next_stimulus()
@@ -145,7 +152,7 @@ class TestStage1:
             speller.step(False, 0.1)
         assert tuple(s for g in second_cycle for s in g) != first_order
 
-    def test_oddball_enters_stage2_on_illuminated_group(self):
+    def test_oddball_enters_stage2_on_illuminated_group(self, make_speller):
         speller = make_speller(seed=4)
         group = speller.next_stimulus()
         assert len(group) == 6
@@ -163,7 +170,7 @@ class TestStage2:
         speller.step(True, 0.95)
         return group
 
-    def test_selection_and_pause(self):
+    def test_selection_and_pause(self, make_speller):
         speller = make_speller(seed=5)
         group = self.select_one(speller)
         target = group[2]
@@ -183,10 +190,10 @@ class TestStage2:
         # the mode after the pause is entered at selection time
         resumed = COMPLETION if completion_candidates(speller.dictionary, target) else STAGE1
         assert speller.mode == resumed
-        speller.advance_clock(400.0, events)
+        speller.advance_clock(400.0, events, 0.0)
         assert event.time_s is not None
 
-    def test_three_empty_cycles_fall_back_to_stage1(self):
+    def test_three_empty_cycles_fall_back_to_stage1(self, make_speller):
         speller = make_speller(seed=6)
         self.select_one(speller)
         for _ in range(18):
@@ -195,7 +202,7 @@ class TestStage2:
             speller.step(False, 0.05)
         assert speller.mode == STAGE1
 
-    def test_redraws_cover_the_group(self):
+    def test_redraws_cover_the_group(self, make_speller):
         speller = make_speller(seed=7)
         group = self.select_one(speller)
         seen = []
@@ -213,12 +220,12 @@ class TestCompletionMode:
             stimulus = speller.next_stimulus()
             is_odd = symbol in stimulus
             events = speller.step(is_odd, 1.0 if is_odd else 0.0)
-            speller.advance_clock(400.0, events)
+            speller.advance_clock(400.0, events, 0.0)
             if events:
                 assert events[0].symbol == symbol
                 return events[0]
 
-    def test_triggers_after_word_start(self):
+    def test_triggers_after_word_start(self, make_speller):
         speller = make_speller(seed=8)
         event = self.type_symbol(speller, "Q")
         assert event.pause_s == 3.0
@@ -227,14 +234,14 @@ class TestCompletionMode:
         assert speller.mode == COMPLETION
         assert stimulus == ("U",)
 
-    def test_completion_selection_mechanism(self):
+    def test_completion_selection_mechanism(self, make_speller):
         speller = make_speller(seed=9)
         self.type_symbol(speller, "Q")
         event = self.type_symbol(speller, "U")
         assert event.mechanism == COMPLETION
         assert speller.prompt == "QU"
 
-    def test_three_failed_cycles_default_to_stage1(self):
+    def test_three_failed_cycles_default_to_stage1(self, make_speller):
         speller = make_speller(seed=10)
         self.type_symbol(speller, "Q")
         speller.next_stimulus()
@@ -246,7 +253,7 @@ class TestCompletionMode:
             speller.step(False, 0.0)
         assert speller.mode == STAGE1
 
-    def test_no_completion_when_too_many_continuations(self):
+    def test_no_completion_when_too_many_continuations(self, make_speller):
         # after THE there are six distinct continuations in the bundled list
         speller = make_speller(seed=11)
         for ch in "THE":
@@ -263,12 +270,12 @@ class TestIntegration:
     def companions(self, pool, k, n=5):
         return [pool[(k * n + j) % len(pool)] for j in range(n)]
 
-    def test_fresh_state_uniform(self):
+    def test_fresh_state_uniform(self, make_speller):
         speller = make_speller()
         assert np.all(speller._log_acc == math.log(1 / 42))
         assert speller._streak == 0
 
-    def test_hand_traced_accumulator(self):
+    def test_hand_traced_accumulator(self, make_speller):
         speller = make_speller(seed=12)
         symbols = SYMBOLS
         pool = [s for s in symbols if s != "E"]
@@ -282,7 +289,7 @@ class TestIntegration:
         speller.update_integration(("E", *self.companions(pool, 1)), 0.9)
         assert speller._streak == 1
 
-    def test_ten_trial_streak_selects_by_integration(self):
+    def test_ten_trial_streak_selects_by_integration(self, make_speller):
         speller = make_speller(seed=13)
         pool = [s for s in SYMBOLS if s != "E"]
         selected = None
@@ -299,7 +306,7 @@ class TestIntegration:
         assert np.all(speller._log_acc == math.log(1 / 42))
         assert speller._streak == 0
 
-    def test_argmax_change_restarts_streak(self):
+    def test_argmax_change_restarts_streak(self, make_speller):
         speller = make_speller(seed=14)
         pool = [s for s in SYMBOLS if s not in ("E", "X")]
         for k in range(3):
@@ -313,7 +320,7 @@ class TestIntegration:
         symbols = SYMBOLS
         assert acc[symbols.index("X")] > acc[symbols.index("E")]
 
-    def test_posterior_validation(self):
+    def test_posterior_validation(self, make_speller):
         speller = make_speller()
         with pytest.raises(ValueError):
             speller.update_integration(("A",), 1.5)
@@ -322,7 +329,7 @@ class TestIntegration:
         with pytest.raises(ValueError):
             speller.update_integration(("??",), 0.5)
 
-    def test_rejected_input_leaves_the_state_unchanged(self):
+    def test_rejected_input_leaves_the_state_unchanged(self, make_speller):
         speller = make_speller()
         for k, stimulus in enumerate((("E", "T", "A"), ("E",), ("T", "O"))):
             speller.update_integration(stimulus, (0.9, 0.8, 0.7)[k])
@@ -340,7 +347,7 @@ class TestIntegration:
                 speller.update_integration(stimulus, posterior)
             assert (speller._log_acc.tobytes(), speller._streak, speller._streak_idx) == before
 
-    def test_reset_after_any_selection(self):
+    def test_reset_after_any_selection(self, make_speller):
         speller = make_speller(seed=15)
         group = speller.next_stimulus()
         speller.step(True, 0.9)
@@ -355,7 +362,7 @@ class TestFrequencyTableSymbols:
     rest with training's message."""
 
     @staticmethod
-    def rejection(frequency):
+    def rejection(make_speller, frequency):
         with pytest.raises(ValueError) as speller_error:
             make_speller(frequency=frequency)
         with pytest.raises(ValueError) as training_error:
@@ -363,34 +370,32 @@ class TestFrequencyTableSymbols:
         assert str(speller_error.value) == str(training_error.value)
         return str(speller_error.value)
 
-    def test_the_speller_draws_by_the_masses_training_draws_by(self):
-        table = default_frequency_table()
-        for frequency in (None, table):
-            speller = make_speller(frequency=frequency)
-            assert speller.frequency.symbols == table.symbols
-            assert speller.frequency.masses.tobytes() == table.masses.tobytes()
+    def test_the_speller_draws_by_the_masses_training_draws_by(self, make_speller, frequency):
+        speller = make_speller(frequency=frequency)
+        assert speller.frequency.symbols == frequency.symbols
+        assert speller.frequency.masses.tobytes() == frequency.masses.tobytes()
 
-    def test_an_extra_symbol_is_rejected(self):
-        table = default_frequency_table()
+    def test_an_extra_symbol_is_rejected(self, make_speller, frequency):
+        table = frequency
         extra = FrequencyTable(table.symbols + ("#",), np.append(table.probs * (1.0 - 1e-3), 1e-3))
-        assert self.rejection(extra) == (
+        assert self.rejection(make_speller, extra) == (
             "frequency table must hold exactly the 42 speller symbols: missing [], extra ['#']"
         )
 
-    def test_a_missing_symbol_is_rejected(self):
-        table = default_frequency_table()
+    def test_a_missing_symbol_is_rejected(self, make_speller, frequency):
+        table = frequency
         keep = [i for i, s in enumerate(table.symbols) if s not in "QZ"]
         probs = table.probs[keep] / table.probs[keep].sum()
         missing = FrequencyTable(tuple(table.symbols[i] for i in keep), probs)
-        assert self.rejection(missing).endswith("missing ['Q', 'Z'], extra []")
+        assert self.rejection(make_speller, missing).endswith("missing ['Q', 'Z'], extra []")
 
 
 class TestClock:
-    def test_zero_trials_zero_time(self):
+    def test_zero_trials_zero_time(self, make_speller):
         speller = make_speller()
         assert speller.clock_s == 0.0
 
-    def test_accounting_identity_exact(self):
+    def test_accounting_identity_exact(self, make_speller):
         speller = make_speller(seed=16)
         rng = np.random.default_rng(99)
         n_pauses = 0
@@ -408,18 +413,18 @@ class TestClock:
         rate = 1000.0 / (160.0 + 12.0)
         assert 5.81 <= rate <= 5.86
 
-    def test_validation(self):
+    def test_validation(self, make_speller):
         speller = make_speller()
         speller.next_stimulus()
         events = speller.step(False, 0.5)
         with pytest.raises(ValueError):
-            speller.advance_clock(0.0, events)
+            speller.advance_clock(0.0, events, 0.0)
         with pytest.raises(ValueError):
             speller.advance_clock(100.0, events, -1.0)
         with pytest.raises(ValueError, match="iti must be positive and finite, got nan"):
-            speller.advance_clock(math.nan, events)
+            speller.advance_clock(math.nan, events, 0.0)
         with pytest.raises(ValueError, match="iti must be positive and finite, got inf"):
-            speller.advance_clock(math.inf, events)
+            speller.advance_clock(math.inf, events, 0.0)
         with pytest.raises(ValueError, match="overhead must be nonnegative and finite, got inf"):
             speller.advance_clock(160.0, events, math.inf)
         with pytest.raises(ValueError, match="overhead must be nonnegative and finite, got nan"):
@@ -431,15 +436,15 @@ class TestClock:
             # a caller-built event's pause is checked too, before the clock moves
             bad = [SelectionEvent("A", STAGE2, pause_s)]
             with pytest.raises(ValueError, match=f"pause must be nonnegative and finite, got {pause_s!r}"):
-                speller.advance_clock(160.0, bad)
+                speller.advance_clock(160.0, bad, 0.0)
             assert bad[0].time_s is None
         with pytest.raises(ValueError, match="pause must be nonnegative and finite, got -5.0"):
-            speller.advance_clock(160.0, [SelectionEvent("A", STAGE2, -5.0)])
+            speller.advance_clock(160.0, [SelectionEvent("A", STAGE2, -5.0)], 0.0)
         assert speller.n_trials == 0 and speller.clock_s == 0.0 and speller.pause_time_ms == 0.0
 
 
 class TestOracleBenchmark:
-    def test_types_the_benchmark_sentence(self):
+    def test_types_the_benchmark_sentence(self, make_speller):
         speller = make_speller(seed=17)
         events = drive_oracle(speller, BENCHMARK)
         assert speller.mode == EXITED
@@ -454,13 +459,13 @@ class TestOracleBenchmark:
         assert events[-1][0].pause_s == 0.0
         assert speller.pause_time_ms == 43 * 3000.0
 
-    def test_oracle_uses_completion_mode(self):
+    def test_oracle_uses_completion_mode(self, make_speller):
         speller = make_speller(seed=18)
         events = drive_oracle(speller, BENCHMARK)
         mechanisms = {ev.mechanism for ev, _ in events}
         assert COMPLETION in mechanisms and STAGE2 in mechanisms
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, make_speller):
         transcripts = []
         for _ in range(2):
             speller = make_speller(seed=19)
@@ -476,7 +481,7 @@ class TestOracleBenchmark:
 
 
 class TestStateMachineGuards:
-    def test_step_after_exit_rejected(self):
+    def test_step_after_exit_rejected(self, make_speller):
         speller = make_speller(seed=20)
         drive_oracle(speller, BENCHMARK)
         with pytest.raises(RuntimeError):
@@ -484,19 +489,19 @@ class TestStateMachineGuards:
         with pytest.raises(RuntimeError):
             speller.step(False, 0.5)
 
-    def test_step_without_stimulus_rejected(self):
+    def test_step_without_stimulus_rejected(self, make_speller):
         speller = make_speller()
         with pytest.raises(RuntimeError):
             speller.step(False, 0.5)
 
-    def test_next_stimulus_idempotent_until_step(self):
+    def test_next_stimulus_idempotent_until_step(self, make_speller):
         speller = make_speller(seed=21)
         first = speller.next_stimulus()
         assert speller.next_stimulus() == first
         speller.step(False, 0.1)
         assert speller.next_stimulus() != () # consumed, a new trial begins
 
-    def test_noisy_drive_invariants(self):
+    def test_noisy_drive_invariants(self, make_speller):
         speller = make_speller(seed=22)
         rng = np.random.default_rng(7)
         symbols = set(SYMBOLS)
@@ -582,7 +587,7 @@ class TestSessionLog:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_numbers_raise(self, bad):
-        log = SessionLog()
+        log = SessionLog({})
         with pytest.raises(ValueError, match=f"t_s must be finite, got {bad!r}"):
             log.trial(bad, STAGE1, ("A",), "oddball", 0.5)
         with pytest.raises(ValueError, match=f"posterior must be finite, got {bad!r}"):
@@ -666,7 +671,7 @@ def _update_cases(n, seed):
 
 class TestIntegrationEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_update_equals_the_mask_version_bitwise(self, seed):
+    def test_update_equals_the_mask_version_bitwise(self, make_speller, seed):
         speller = make_speller(seed=seed)
         acc = speller._log_acc.copy()
         streak, streak_idx = 0, None
@@ -688,7 +693,7 @@ class TestIntegrationEquivalence:
         assert n_ties > 50 and n_streaks > 50
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_update_equals_the_full_step_version_bitwise(self, seed):
+    def test_update_equals_the_full_step_version_bitwise(self, make_speller, seed):
         # the reference builds each trial's step with np.full and counts
         # ties with count_nonzero; the speller refills one buffer and finds
         # the maximum from both ends
@@ -994,7 +999,7 @@ def _drive_pair(seed, frequency, dictionary, tally):
     posteriors that lean towards the truth, so integration streaks build."""
     src = np.random.default_rng([seed, 1])
     ref = _ReferenceSpeller(np.random.default_rng(seed), frequency, dictionary)
-    new = Speller(np.random.default_rng(seed), frequency, dictionary)
+    new = Speller(np.random.default_rng(seed), frequency, dictionary, pause_s=ProtocolConfig().pause_s)
     attend = seed % 2 == 1
     p_odd = float(src.choice([0.05, 0.2, 0.4, 0.7]))
     p_flip = float(src.choice([0.0, 0.05, 0.3, 0.6]))
@@ -1044,8 +1049,7 @@ def _drive_pair(seed, frequency, dictionary, tally):
 
 class TestSinglePassEquivalence:
     @pytest.mark.parametrize("block", range(4))
-    def test_same_stimuli_draws_events_and_prompts_as_the_reference(self, block):
-        frequency, dictionary = default_frequency_table(), default_dictionary()
+    def test_same_stimuli_draws_events_and_prompts_as_the_reference(self, block, frequency, dictionary):
         tally = collections.Counter()
         for seed in range(500 * block, 500 * (block + 1)):
             _drive_pair(seed, frequency, dictionary, tally)
