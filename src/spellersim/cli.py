@@ -12,8 +12,8 @@ Config files are plain ``key = value`` text with ``#`` comments. Recognized
 keys: the protocol fields (iti_ms, train_chars, train_seconds_per_char,
 pause_s, theta_stage1, theta_stage2, overhead_ms, eta, m_max, seed) plus the
 run settings (subject, cv_repeats, cv_folds, sentence, trial_budget,
-frequency_table, dictionary). Bundled presets cover
-{slow, medium, fast} x {oracle, midsnr, noise}.
+frequency_table, dictionary). A key given more than once keeps its last
+value. Bundled presets cover {slow, medium, fast} x {oracle, midsnr, noise}.
 """
 from __future__ import annotations
 
@@ -53,6 +53,7 @@ from .harness import (
     BENCHMARK_SENTENCE,
     ONLINE_PRIORS,
     ProtocolConfig,
+    _require_sentence,
     cross_validate,
     cv_row,
     fit_final_model,
@@ -105,8 +106,7 @@ class RunSpec:
             )
         if not 1 <= self.trial_budget <= _MAX_TRIAL_BUDGET:
             raise ValueError(f"trial_budget must lie in [1, {_MAX_TRIAL_BUDGET:,}], got {self.trial_budget}")
-        if not self.sentence:
-            raise ValueError("sentence must be nonempty")
+        _require_sentence(self.sentence)
         subject_preset(self.subject)
 
     def snapshot(self) -> dict:

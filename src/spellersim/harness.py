@@ -22,6 +22,7 @@ import numpy as np
 from ._fork import _one_blas_thread, fork_map
 from .alphabet import (
     BACKSPACE,
+    EXIT,
     SYMBOLS,
     _CYCLE_GROUPS,
     _LETTERS,
@@ -376,6 +377,21 @@ def _desired_symbol(prompt: str, target: str) -> str:
     return BACKSPACE
 
 
+def _require_sentence(sentence: str) -> None:
+    """Reject a sentence the simulated subject cannot finish. Its symbols
+    are speller symbols; a typed backspace deletes, so none is one, and
+    the exit symbol ends the session, so it comes last and only there."""
+    if not sentence:
+        raise ValueError("sentence must be nonempty")
+    for symbol in sentence:
+        if symbol not in SYMBOLS:
+            raise ValueError(f"sentence symbol {symbol!r} not in the character set")
+    if BACKSPACE in sentence:
+        raise ValueError(f"sentence must not hold the backspace symbol {BACKSPACE!r}")
+    if not sentence.endswith(EXIT) or EXIT in sentence[:-1]:
+        raise ValueError(f"sentence must end with the exit symbol {EXIT!r} and hold it nowhere else")
+
+
 def run_online(
     config: ProtocolConfig,
     subject: SubjectModel,
@@ -396,11 +412,7 @@ def run_online(
     after trial_budget trials (incomplete, not an error)."""
     if trial_budget < 1:
         raise ValueError("trial budget must be >= 1")
-    if not sentence:
-        raise ValueError("sentence must be nonempty")
-    for symbol in sentence:
-        if symbol not in SYMBOLS:
-            raise ValueError(f"sentence symbol {symbol!r} not in the character set")
+    _require_sentence(sentence)
     speller = Speller(rng, frequency, dictionary, pause_s=config.pause_s)
     synth = SessionSynthesizer(subject, rng)
     group_params = with_theta(params, config.theta_stage1)
@@ -418,7 +430,8 @@ def run_online(
         }
     )
 
-    hits = omissions = false_alarms = rejections = 0
+    # trials by truth, then by decision: tally[is_odd][decision]
+    tally = [[0, 0], [0, 0]]
     n_selections = 0
     # the prompt, and so the attended symbol, changes only on a selection
     desired = _desired_symbol(speller.prompt, sentence)
@@ -436,20 +449,14 @@ def run_online(
         speller.advance_clock(config.iti_ms, events, config.overhead_ms)
 
         log.trial(onset_s, mode, stimulus, ODDBALL if decision else NON_ODDBALL, posterior)
-        if is_odd and decision:
-            hits += 1
-        elif is_odd:
-            omissions += 1
-        elif decision:
-            false_alarms += 1
-        else:
-            rejections += 1
+        tally[is_odd][decision] += 1
         for event in events:
             log.selection(event)
             n_selections += 1
         if events:
             desired = _desired_symbol(speller.prompt, sentence)
 
+    (rejections, false_alarms), (omissions, hits) = tally
     t_total_s = speller.clock_s
     t_active_s = speller.trial_time_ms / 1000.0
     t_pause_s = speller.pause_time_ms / 1000.0

@@ -8,11 +8,11 @@ word), a posterior-integration shortcut (same strict accumulator argmax on
 10 consecutive trials selects outright), and a notification pause after
 every selection except the terminal exit symbol.
 
-Stage 2 and completion are two uses of one single-symbol scan: each pass
-lights its symbols one at a time, an oddball selects the lit symbol, and
-after 3 unanswered passes stage 1 resumes. They differ only in how a pass
-is redrawn. The pause is time on the clock, not a mode: the mode that
-follows a selection is entered when the selection is made.
+Stage 1, stage 2 and completion are passes of one scan; stage 1's passes
+are cycles with no pass limit. An oddball opens stage 2 on a lit group or
+selects a lit symbol, and after 3 unanswered passes of stage 2 or
+completion stage 1 resumes. The pause is time on the clock, not a mode:
+the mode that follows a selection is entered when the selection is made.
 
 The machine is a single-owner sequential object: call next_stimulus(),
 classify the resulting trial elsewhere, feed the decision to step(), then
@@ -184,20 +184,12 @@ class Speller:
         self._index = {s: i for i, s in enumerate(SYMBOLS)}
         self._log_reset = math.log(1.0 / len(SYMBOLS))
 
-        self.mode = STAGE1
         self.prompt = ""
         self.n_trials = 0
-        self._trial_ms = 0.0
-        self._pause_ms = 0.0
+        self.trial_time_ms = 0.0
+        self.pause_time_ms = 0.0
 
-        self._cycle: tuple[tuple[str, ...], ...] = ()
-        self._cycle_pos = 0
-        # the single-symbol pass of stage 2 or completion
-        self._symbols: tuple[str, ...] = ()
-        self._order: tuple[str, ...] = ()
-        self._pos = 0
-        self._passes = 0
-        self._stage2_table: FrequencyTable | None = None
+        self._enter_pass(STAGE1, (), ())
         self._pending: tuple[str, ...] | None = None
 
         self._log_acc = np.full(len(SYMBOLS), self._log_reset)
@@ -209,15 +201,7 @@ class Speller:
 
     @property
     def clock_s(self) -> float:
-        return (self._trial_ms + self._pause_ms) / 1000.0
-
-    @property
-    def trial_time_ms(self) -> float:
-        return self._trial_ms
-
-    @property
-    def pause_time_ms(self) -> float:
-        return self._pause_ms
+        return (self.trial_time_ms + self.pause_time_ms) / 1000.0
 
     # -- the trial loop -----------------------------------------------------
 
@@ -228,13 +212,10 @@ class Speller:
         if self.mode == EXITED:
             raise RuntimeError("session has exited")
         if self._pending is None:
-            if self.mode == STAGE1:
-                if self._cycle_pos >= len(self._cycle):
-                    self._cycle = form_cycle(draw_permutation(self.frequency, self.rng))
-                    self._cycle_pos = 0
-                self._pending = self._cycle[self._cycle_pos]
-            else:
-                self._pending = (self._order[self._pos],)
+            if self._pos == len(self._order):  # a stage-1 cycle is drawn when needed
+                self._order = self._redraw()
+                self._pos = 0
+            self._pending = self._order[self._pos]
         return self._pending
 
     def step(self, is_oddball: bool, posterior: float) -> list[SelectionEvent]:
@@ -250,21 +231,19 @@ class Speller:
 
         selected: str | None = None
         mechanism = ""
-        if self.mode == STAGE1:
-            if is_oddball:
-                # the first pass keeps the stage-1 draw order
-                self._enter_pass(STAGE2, stimulus, stimulus)
-            else:
-                self._cycle_pos += 1
+        if is_oddball and self.mode == STAGE1:
+            # the first pass keeps the stage-1 draw order
+            self._enter_pass(STAGE2, stimulus, tuple(zip(stimulus)))
         elif is_oddball:
             selected, mechanism = stimulus[0], self.mode
         else:
             self._pos += 1
-            if self._pos == len(self._order):
+            # an unanswered single-symbol pass is redrawn at once, before the
+            # integration check; a stage-1 cycle waits for next_stimulus()
+            if self._pos == len(self._order) and self.mode != STAGE1:
                 self._passes += 1
                 if self._passes == _MAX_PASSES:
-                    self.mode = STAGE1
-                    self._cycle = ()
+                    self._enter_pass(STAGE1, (), ())
                 else:
                     self._order = self._redraw()
                     self._pos = 0
@@ -288,8 +267,7 @@ class Speller:
                 if candidates:
                     self._enter_pass(COMPLETION, candidates, None)
                 else:
-                    self.mode = STAGE1
-                    self._cycle = ()
+                    self._enter_pass(STAGE1, (), ())
             events.append(SelectionEvent(symbol=selected, mechanism=mechanism, pause_s=pause))
         return events
 
@@ -303,33 +281,31 @@ class Speller:
             if not 0.0 <= event.pause_s < math.inf:
                 raise ValueError(f"pause must be nonnegative and finite, got {event.pause_s!r}")
         self.n_trials += 1
-        self._trial_ms += iti_ms + overhead_ms
+        self.trial_time_ms += iti_ms + overhead_ms
         for event in events:
             event.time_s = self.clock_s
-            self._pause_ms += event.pause_s * 1000.0
+            self.pause_time_ms += event.pause_s * 1000.0
 
     # -- internals ----------------------------------------------------------
 
-    def _enter_pass(self, mode: str, symbols: tuple[str, ...], first_order: tuple[str, ...] | None) -> None:
-        """Start a single-symbol scan of symbols in first_order, or in a
-        redrawn order when first_order is None."""
+    def _enter_pass(self, mode: str, symbols: tuple[str, ...], first_order: tuple | None) -> None:
+        """Start mode's scan over symbols with the pass first_order, or a
+        redrawn one when first_order is None."""
         self.mode = mode
         self._symbols = symbols
-        self._stage2_table = None
         self._order = first_order if first_order is not None else self._redraw()
         self._pos = 0
         self._passes = 0
 
-    def _redraw(self) -> tuple[str, ...]:
-        """A new order for the pass: completion candidates uniformly; a
-        stage-2 group with the frequency bias restricted to the group, from
-        a table built on the first redraw (most entries select or leave
-        before one)."""
-        if self.mode == COMPLETION:
-            return tuple(self._symbols[int(i)] for i in self.rng.permutation(len(self._symbols)))
-        if self._stage2_table is None:
-            self._stage2_table = self.frequency.restrict(self._symbols)
-        return draw_permutation(self._stage2_table, self.rng)
+    def _redraw(self) -> tuple[tuple[str, ...], ...]:
+        """A new pass: a stage-1 cycle of biased groups; a stage-2 group's
+        symbols with the frequency bias restricted to the group; completion
+        candidates uniformly."""
+        if self.mode == STAGE1:
+            return form_cycle(draw_permutation(self.frequency, self.rng))
+        if self.mode == STAGE2:
+            return tuple(zip(draw_permutation(self.frequency.restrict(self._symbols), self.rng)))
+        return tuple(zip(self._symbols[int(i)] for i in self.rng.permutation(len(self._symbols))))
 
     def update_integration(self, stimulus: tuple[str, ...], posterior: float) -> None:
         """Fold one trial's posterior into the per-symbol evidence sums.

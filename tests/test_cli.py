@@ -133,6 +133,38 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match=r"train_chars must lie in \[1, 26\].*got 27"):
             load_config(cfg)
 
+    # no exit symbol runs to the budget; the subject never types a backspace
+    # the sentence holds; an exit symbol before the end ends the session there
+    UNFINISHABLE = ("HI", "H<I*", "H*I*")
+
+    @pytest.mark.parametrize("sentence", UNFINISHABLE)
+    def test_a_sentence_the_subject_cannot_finish_rejected(self, tmp_path, sentence):
+        cfg = tmp_path / "sentence.cfg"
+        cfg.write_text(f"sentence = {sentence}\n")
+        with pytest.raises(ValueError, match="^sentence must "):
+            load_config(cfg)
+
+    def test_the_benchmark_sentence_and_its_repeats_are_accepted(self, tmp_path):
+        cfg = tmp_path / "sentence.cfg"
+        for sentence in ("*", "A*", BENCHMARK_SENTENCE, ">".join([BENCHMARK_SENTENCE.rstrip("*")] * 20) + "*"):
+            cfg.write_text(f"sentence = {sentence}\n")
+            assert load_config(cfg).sentence == sentence
+
+    def test_a_repeated_key_keeps_its_last_value(self, tmp_path):
+        cfg = tmp_path / "repeat.cfg"
+        cfg.write_text("iti_ms = 160\niti_ms = 400\n")
+        assert load_config(cfg).protocol.iti_ms == 400.0
+        # the bounds apply to the value that wins
+        cfg.write_text("trial_budget = 600000\ntrial_budget = 100\n")
+        assert load_config(cfg).trial_budget == 100
+        cfg.write_text("trial_budget = 100\ntrial_budget = 600000\n")
+        with pytest.raises(ValueError, match="trial_budget must lie in"):
+            load_config(cfg)
+        # every line is parsed, so a malformed value fails even when replaced
+        cfg.write_text("iti_ms = fast\niti_ms = 400\n")
+        with pytest.raises(ValueError, match=r"repeat\.cfg:1: bad value for iti_ms: 'fast'"):
+            load_config(cfg)
+
     def test_accepted_keys_are_the_dataclass_fields(self):
         protocol = {f.name for f in dataclasses.fields(ProtocolConfig)}
         run = {f.name for f in dataclasses.fields(RunSpec)} - {"protocol"}
@@ -293,20 +325,33 @@ class TestConfigFuzz:
     @given(st.sampled_from(_KNOWN_KEYS), _values)
     @example("trial_budget", "500001")
     def test_any_value_of_one_key_gives_a_bounded_spec_or_value_error(self, tmp_path, key, value):
-        path = tmp_path / "one.cfg"
-        path.write_text(f"{key} = {value}\n", encoding="utf-8")
-        try:
-            spec = load_config(path)
-        except ValueError:
-            return
-        assert isinstance(spec, RunSpec)
-        protocol = spec.protocol
-        assert 1 <= protocol.train_trial_count <= _MAX_TRAIN_TRIALS
-        assert (protocol.iti_ms + protocol.overhead_ms) / 1000.0 <= _MAX_GAP_S
-        assert protocol.pause_s <= _MAX_GAP_S
-        assert 1 <= spec.cv_repeats <= _MAX_CV_REPEATS
-        assert 2 <= spec.cv_folds <= min(protocol.class_floors)
-        assert 1 <= spec.trial_budget <= _MAX_TRIAL_BUDGET
+        _assert_one_key_gives_a_bounded_spec_or_value_error(tmp_path / "one.cfg", key, value)
+
+    @pytest.mark.parametrize("value", _EDGE_VALUES)
+    @pytest.mark.parametrize("key", _KNOWN_KEYS)
+    def test_every_edge_value_of_every_key_gives_a_bounded_spec_or_value_error(self, tmp_path, key, value):
+        _assert_one_key_gives_a_bounded_spec_or_value_error(tmp_path / "one.cfg", key, value)
+
+
+def _assert_one_key_gives_a_bounded_spec_or_value_error(path, key, value):
+    """A config of the one line `key = value` is rejected with a ValueError,
+    or gives a RunSpec inside every bound."""
+    path.write_text(f"{key} = {value}\n", encoding="utf-8")
+    try:
+        spec = load_config(path)
+    except ValueError:
+        return
+    assert isinstance(spec, RunSpec)
+    protocol = spec.protocol
+    for name in _PROTOCOL_KEYS:
+        field = getattr(protocol, name)
+        assert isinstance(field, int) or math.isfinite(field), name
+    assert 1 <= protocol.train_trial_count <= _MAX_TRAIN_TRIALS
+    assert (protocol.iti_ms + protocol.overhead_ms) / 1000.0 <= _MAX_GAP_S
+    assert protocol.pause_s <= _MAX_GAP_S
+    assert 1 <= spec.cv_repeats <= _MAX_CV_REPEATS
+    assert 2 <= spec.cv_folds <= min(protocol.class_floors)
+    assert 1 <= spec.trial_budget <= _MAX_TRIAL_BUDGET
 
 
 def load_preset_text(name: str) -> str:
@@ -903,6 +948,20 @@ class TestSpell:
         assert grab(out, "transcript:") == "*"
         # the sentence is a config setting, so the run identity names it
         assert json.loads((out_dir / "spell_manifest.json").read_text())["config"]["sentence"] == "*"
+
+    @pytest.mark.parametrize("sentence", TestConfigLoading.UNFINISHABLE)
+    def test_a_sentence_the_subject_cannot_finish_is_rejected_before_any_trial(
+        self, capsys, workdir, trained, sentence
+    ):
+        cfg = workdir / "unfinishable.cfg"
+        cfg.write_text(f"iti_ms = 400\nsubject = oracle\nsentence = {sentence}\n")
+        out_dir = workdir / "sp_unfinishable"
+        argv = ["spell", "--config", str(cfg), "--model", str(trained / "model.bin"), "--out", str(out_dir)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: sentence must ")
+        assert not out_dir.exists()
 
     def test_iti_mismatch_rejected(self, capsys, workdir, trained):
         fast_cfg = workdir / "fast.cfg"

@@ -1,7 +1,8 @@
 """Every public module of the package declares __all__, and every name in it
 resolves, so a removal cannot leave a stale export behind. No module imports
 scipy, so its package import cannot creep back into a command's start-up,
-and every name a module imports is used or exported. The library entry points
+every name a module imports is used or exported, and every attribute a
+module sets on self is read somewhere in the package. The library entry points
 that a config drives declare no defaults: a setting's default lives in the
 config alone."""
 
@@ -81,6 +82,32 @@ def _unused_imports(path: Path) -> list[str]:
 
 def test_every_imported_name_is_used():
     assert [name for path in SOURCES for name in _unused_imports(path)] == []
+
+
+def _attributes(path: Path, ctx: type) -> dict[str, int]:
+    """The attribute names one source file stores (ast.Store, through
+    self.x = ..., augmented or annotated) or loads (ast.Load, through any
+    object), each with the line it first appears on."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx):
+            if ctx is ast.Load or (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                found.setdefault(node.attr, node.lineno)
+    return found
+
+
+def test_every_instance_attribute_is_read():
+    # state that is written but never read, in the module or by a caller,
+    # is dead; a store alone is no read, so self.n += 1 does not count
+    read = set().union(*(_attributes(path, ast.Load) for path in SOURCES))
+    written = [
+        f"{path.name}:{line}:{name}"
+        for path in SOURCES
+        for name, line in sorted(_attributes(path, ast.Store).items())
+        if name not in read
+    ]
+    assert written == []
 
 
 # every setting these take comes from the config, or from a table the

@@ -735,8 +735,9 @@ class TestOracleOnline:
     def test_rejects_bad_arguments(self, oracle, oracle_models, config_by_speed, online_settings):
         cfg = config_by_speed["slow"]
         model, params = oracle_models["slow"]
-        for bad in ({"sentence": ""}, {"sentence": "a*"}, {"trial_budget": 0}):
-            with pytest.raises(ValueError):
+        sentences = ("", "a*", "HI", "H<I*", "H*I*")
+        for bad in (*({"sentence": sentence} for sentence in sentences), {"trial_budget": 0}):
+            with pytest.raises(ValueError, match="^sentence" if "sentence" in bad else "budget"):
                 run_online(cfg, oracle, model, params, np.random.default_rng(0), **{**online_settings, **bad})
 
 
@@ -781,16 +782,22 @@ class TestCorrectCount:
 
 
 class _EagerStage2Speller(Speller):
-    """The speller as it was: builds the stage-2 table on every stage-2 entry."""
+    """The speller as it was: builds the stage-2 table on every stage-2
+    entry and redraws every pass of that entry from it."""
 
     def _enter_pass(self, mode, symbols, first_order):
-        super()._enter_pass(mode, symbols, first_order)
         if mode == speller.STAGE2:
-            self._stage2_table = self.frequency.restrict(symbols)
+            self.table = self.frequency.restrict(symbols)
+        super()._enter_pass(mode, symbols, first_order)
+
+    def _redraw(self):
+        if self.mode == speller.STAGE2:
+            return tuple(zip(draw_permutation(self.table, self.rng)))
+        return super()._redraw()
 
 
 class TestStage2Table:
-    def test_table_built_on_first_redraw_gives_the_eager_session(
+    def test_table_built_per_redraw_gives_the_eager_session(
         self, monkeypatch, tmp_path, frequency, online_settings
     ):
         cfg = ProtocolConfig(iti_ms=160.0)
@@ -815,8 +822,9 @@ class TestStage2Table:
         (lazy_report, lazy_log, lazy_builds), (eager_report, eager_log, eager_builds) = logs
         assert lazy_report == eager_report
         assert lazy_log == eager_log
-        # the session redraws in stage 2, yet most entries never do; the
-        # table over all SYMBOLS is drawn from as given, never restricted
+        # the session redraws in stage 2, yet most entries never do, so
+        # building per redraw restricts less often than building per entry;
+        # the table over all SYMBOLS is drawn from as given, never restricted
         assert 1 < lazy_builds < eager_builds
 
 

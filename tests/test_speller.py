@@ -9,6 +9,7 @@ import pytest
 from spellersim.alphabet import (
     BACKSPACE,
     EXIT,
+    SPACE,
     SYMBOLS,
     FrequencyTable,
     default_frequency_table,
@@ -1056,3 +1057,92 @@ class TestSinglePassEquivalence:
         for key in (STAGE2, COMPLETION, INTEGRATION, BACKSPACE, EXIT, "completion entry",
                     f"{STAGE2} passes exhausted", f"{COMPLETION} passes exhausted"):
             assert tally[key] >= 20, (key, tally)
+
+
+# ---------------------------------------------------------------------------
+# where the scan draws: a stage-1 cycle at the first stimulus that needs it,
+# a stage-2 pass in step() as soon as the previous one ends unanswered
+
+
+def _scripted_pair(seed, frequency, dictionary):
+    return (
+        _ReferenceSpeller(np.random.default_rng(seed), frequency, dictionary),
+        Speller(np.random.default_rng(seed), frequency, dictionary, pause_s=ProtocolConfig().pause_s),
+    )
+
+
+def _trial(ref, new, decision, posterior):
+    """One trial on both spellers, compared after every call: stimuli,
+    events and the generator state. Returns the stimulus, the events and
+    the generator state step() started from. Neither script enters
+    completion, which the reference draws one call later, after its pause."""
+    stimulus = new.next_stimulus()
+    assert ref.next_stimulus() == stimulus
+    assert ref.rng.bit_generator.state == new.rng.bit_generator.state
+    before = new.rng.bit_generator.state
+    ref_events = ref.step(decision, posterior)
+    events = new.step(decision, posterior)
+    assert ref.rng.bit_generator.state == new.rng.bit_generator.state
+    ref.advance_clock(160.0, ref_events, 12.0)
+    new.advance_clock(160.0, events, 12.0)
+    assert [(e.symbol, e.mechanism, e.pause_s, e.time_s) for e in events] == [
+        (e.symbol, e.mechanism, e.pause_s, e.time_s) for e in ref_events
+    ]
+    return stimulus, events, before
+
+
+def _rng_at(state):
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    return rng
+
+
+class TestScanDrawOrder:
+    def test_a_selection_back_to_stage1_draws_at_the_next_stimulus(self, frequency, dictionary):
+        ref, new = _scripted_pair(11, frequency, dictionary)
+        # at posterior 0.5 every symbol gains the same, so no streak builds
+        while new.mode == STAGE1:
+            _trial(ref, new, SPACE in new.next_stimulus(), 0.5)
+        events = []
+        while not events:
+            _, events, before = _trial(ref, new, new.next_stimulus() == (SPACE,), 0.5)
+        assert [(e.symbol, e.mechanism) for e in events] == [(SPACE, STAGE2)]
+        # a word boundary offers no completion: stage 1, and step() drew nothing
+        assert new.mode == STAGE1
+        assert new.rng.bit_generator.state == before
+        rng = _rng_at(before)
+        cycle = form_cycle(draw_permutation(frequency, rng))
+        stimulus, _, _ = _trial(ref, new, False, 0.5)
+        assert stimulus == cycle[0]
+        assert new.rng.bit_generator.state == rng.bit_generator.state
+        for _ in range(len(cycle) - 1):
+            assert _trial(ref, new, False, 0.5)[2] == rng.bit_generator.state
+        # the next cycle is drawn at the stimulus after the last group
+        assert new.next_stimulus() == form_cycle(draw_permutation(frequency, rng))[0]
+        assert new.rng.bit_generator.state == rng.bit_generator.state
+
+    def test_an_integration_selection_ending_a_pass_follows_the_redraw(self, frequency, dictionary):
+        ref, new = _scripted_pair(6, frequency, dictionary)
+        group, _, _ = _trial(ref, new, True, 0.5)
+        assert new.mode == STAGE2 and len(group) == 6
+        # the first pass keeps the group's order: its third symbol leads from
+        # the third stage-2 trial on, so the streak reaches 10 on the twelfth,
+        # the last trial of the second of 3 passes
+        target = group[2]
+        stimuli = []
+        for k in range(1, 13):
+            stimulus, events, before = _trial(ref, new, False, 0.9 if new.next_stimulus() == (target,) else 0.5)
+            stimuli.append(stimulus)
+            if k % 6:
+                assert not events and new.rng.bit_generator.state == before
+                continue
+            # an unanswered pass ends: step() draws the next one first
+            rng = _rng_at(before)
+            draw_permutation(frequency.restrict(group), rng)
+            assert new.rng.bit_generator.state == rng.bit_generator.state
+        assert stimuli[:6] == list(zip(group))
+        assert [(e.symbol, e.mechanism) for e in events] == [(target, INTEGRATION)]
+        # no completion follows the target: stage 1 draws at its first stimulus
+        assert new.mode == STAGE1
+        for _ in range(30):
+            _trial(ref, new, False, 0.5)
